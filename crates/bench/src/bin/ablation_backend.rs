@@ -10,29 +10,27 @@
 //! speedup.
 //!
 //! The sweep is the checked-in `campaigns/ablation_backend.json` definition (rebuilt via
-//! [`bench::campaigns::ablation_campaign`] when any flag overrides the stored defaults);
-//! pass `--legacy` to run the pre-campaign hand-rolled grid instead (CI byte-diffs the two).
+//! [`bench::campaigns::ablation_campaign`] when any flag overrides the stored defaults).
 //!
 //! ```text
 //! cargo run --release -p bench --bin ablation_backend -- \
-//!     [--trials N] [--seed N] [--etas CSV] [--legacy]
+//!     [--trials N] [--seed N] [--etas CSV]
 //! ```
 
 use analysis::report::render_markdown_table;
-use bench::campaigns::{ablation_campaign, ablation_rows, stored_campaign};
+use bench::campaigns::{ablation_campaign, ablation_rows, run, stored_campaign};
 use bench::{BackendAblationRow, ABLATION_ADVERSARIES};
-use protocol::engine::{BackendKind, NoSampler, Parallelism, SessionEngine};
+use protocol::engine::{BackendKind, Parallelism, SessionEngine};
 
 fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("ablation_backend: {message}");
     std::process::exit(2)
 }
 
-fn parse_args() -> (usize, u64, Vec<usize>, bool) {
+fn parse_args() -> (usize, u64, Vec<usize>) {
     let mut trials = 20usize;
     let mut seed = 11u64;
     let mut etas = vec![0usize, 10, 50];
-    let mut legacy = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| {
@@ -63,11 +61,10 @@ fn parse_args() -> (usize, u64, Vec<usize>, bool) {
                     fail("--etas needs at least one channel length");
                 }
             }
-            "--legacy" => legacy = true,
             other => fail(format_args!("unknown option `{other}`")),
         }
     }
-    (trials, seed, etas, legacy)
+    (trials, seed, etas)
 }
 
 fn rows_from_campaign(etas: &[usize], trials: usize, seed: u64) -> Vec<BackendAblationRow> {
@@ -78,10 +75,9 @@ fn rows_from_campaign(etas: &[usize], trials: usize, seed: u64) -> Vec<BackendAb
     } else {
         ablation_campaign(etas, trials, seed)
     };
-    let report = campaign
-        .run_direct(bench::engine_parallelism(), &NoSampler)
-        .unwrap_or_else(|e| fail(format_args!("campaign failed: {e}")));
-    ablation_rows(&report).unwrap_or_else(|e| fail(e))
+    run(&campaign)
+        .and_then(|report| ablation_rows(&report))
+        .unwrap_or_else(|e| fail(e))
 }
 
 fn fmt_chsh(value: Option<f64>) -> String {
@@ -106,18 +102,14 @@ fn sweep_throughput(eta: usize, seed: u64, backend: BackendKind) -> f64 {
 }
 
 fn main() {
-    let (trials, seed, etas, legacy) = parse_args();
+    let (trials, seed, etas) = parse_args();
     bench::announce_parallelism();
     eprintln!(
         "sweeping η ∈ {etas:?} × {:?} × {:?} at {trials} trials (seed {seed})",
         ABLATION_ADVERSARIES,
         BackendKind::ALL.map(BackendKind::as_str),
     );
-    let rows = if legacy {
-        bench::backend_ablation_experiment(&etas, trials, seed)
-    } else {
-        rows_from_campaign(&etas, trials, seed)
-    };
+    let rows = rows_from_campaign(&etas, trials, seed);
 
     println!("# Backend ablation: exact emulation vs sampled trajectories vs pauli twirling\n");
     let cells: Vec<Vec<String>> = rows

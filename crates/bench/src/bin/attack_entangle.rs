@@ -1,51 +1,9 @@
 //! Entangle-and-measure attack simulation (Sections III-D and IV).
 //!
-//! Runs the checked-in `campaigns/attack_entangle.json` definition (rebuilt
-//! via [`bench::campaigns::attack_campaign`] when `--backend` overrides the
-//! stored substrate); pass `--legacy` to run the pre-campaign
-//! [`bench::channel_attack_experiment_on`] loop instead (CI byte-diffs the
-//! two).
-
-use analysis::report::render_markdown_table;
-use bench::campaigns::attack_experiment_rows;
-use bench::ChannelAttackKind;
+//! Runs the checked-in `campaigns/attack_entangle.json` definition, rebuilt via
+//! [`bench::campaigns::attack_campaign`] when `--backend` overrides the
+//! stored substrate.
 
 fn main() {
-    let (backend, legacy) = bench::backend_and_legacy_from_args();
-    bench::announce_parallelism();
-    let (attacked, honest) =
-        attack_experiment_rows(ChannelAttackKind::EntangleMeasure, backend, 20, 17, legacy)
-            .unwrap_or_else(|e| {
-                eprintln!("attack_entangle: {e}");
-                std::process::exit(2)
-            });
-    println!("# Entangle-and-measure attack vs honest channel ({backend} backend)\n");
-    let cells: Vec<Vec<String>> = [attacked, honest]
-        .iter()
-        .map(|r| {
-            vec![
-                r.attack.clone(),
-                r.trials.to_string(),
-                r.delivered.to_string(),
-                format!("{:.3}", r.detection_rate),
-                format!("{:.3}", r.mean_chsh_round1.unwrap_or(f64::NAN)),
-                format!("{:.3}", r.mean_chsh_round2.unwrap_or(f64::NAN)),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_markdown_table(
-            &[
-                "scenario",
-                "trials",
-                "delivered",
-                "detection rate",
-                "mean S1",
-                "mean S2"
-            ],
-            &cells
-        )
-    );
-    println!("expected shape: monogamy of entanglement pushes S2 to ≈ 0 under a full CNOT probe.");
+    bench::attack_binary_main(bench::ChannelAttackKind::EntangleMeasure);
 }

@@ -5,6 +5,7 @@ use analysis::report::render_markdown_table;
 use protocol::session::Impersonation;
 
 fn main() {
+    bench::reject_args();
     bench::announce_parallelism();
     println!("# Impersonation attack — detection probability vs identity length\n");
     for (target, label) in [

@@ -2,6 +2,7 @@
 //! many honest sessions and reports what an eavesdropper could learn from them.
 
 fn main() {
+    bench::reject_args();
     bench::announce_parallelism();
     let audit = bench::leakage_experiment(40, 2024);
     println!("# Information-leakage audit of the classical channel\n");

@@ -5,6 +5,7 @@
 use analysis::report::render_markdown_table;
 
 fn main() {
+    bench::reject_args();
     bench::announce_parallelism();
     let points =
         bench::chsh_baseline_experiment(&[50, 100, 200, 400, 800], &[0.0, 0.05, 0.2], 8, 99);

@@ -1,40 +1,19 @@
 //! Regenerates Fig. 3: accuracy of Bob's measurement versus channel length (number of
 //! identity operators, 10 ≤ η ≤ 700 in steps of 10).
 //!
-//! The figure is a formatter over the checked-in `campaigns/fig3.json` definition; pass
-//! `--legacy` to run the pre-campaign hand-rolled loop instead (CI byte-diffs the two).
+//! The figure is a formatter over the checked-in `campaigns/fig3.json` definition.
 
 use analysis::report::render_csv;
-use analysis::rows::AccuracyPoint;
-use bench::campaigns::{fig3_points, figure_sampler, stored_campaign};
+use bench::campaigns::{fig3_points, run, stored_campaign};
 use noise::DeviceModel;
 
-fn points_from_campaign() -> Vec<AccuracyPoint> {
-    let campaign = stored_campaign("fig3").expect("fig3 campaign is checked in");
-    let report = campaign
-        .run_direct(bench::engine_parallelism(), &figure_sampler())
-        .expect("fig3 campaign runs");
-    fig3_points(&report).expect("fig3 points recover")
-}
-
 fn main() {
-    let mut legacy = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--legacy" => legacy = true,
-            other => {
-                eprintln!("unknown option `{other}` (supported: --legacy)");
-                std::process::exit(2)
-            }
-        }
-    }
+    bench::reject_args();
     bench::announce_parallelism();
     let device = DeviceModel::ibm_brisbane_like();
-    let points = if legacy {
-        bench::fig3_experiment(&device, &bench::fig3_eta_values(), 256, 424242)
-    } else {
-        points_from_campaign()
-    };
+    let campaign = stored_campaign("fig3").expect("fig3 campaign is checked in");
+    let report = run(&campaign).expect("fig3 campaign runs");
+    let points = fig3_points(&report).expect("fig3 points recover");
     println!(
         "# Fig. 3 — accuracy vs channel length ({})\n",
         device.name()

@@ -6,11 +6,12 @@
 //! `crates/bench/campaigns/*.json` (a test locks the bytes), the
 //! [`figure_sampler`] executes the sampled kinds (`fig2-histogram`,
 //! `fig3-accuracy`), and the `*_rows` helpers recover each figure's row type
-//! from a [`CampaignReport`]. Driving the stored campaign reproduces the
-//! legacy hand-rolled loop bit-for-bit: sampled points seed their RNG with
-//! [`derive_seed`](crate::derive_seed) of the point index, exactly as the
-//! loops always have, and session campaigns plan under the master seed like
-//! [`SessionEngine::run_batch`](protocol::engine::SessionEngine::run_batch).
+//! from a [`CampaignReport`]. Sampled points seed their RNG with
+//! [`derive_seed`](crate::derive_seed) of the point index, and session
+//! campaigns plan under the master seed like
+//! [`SessionEngine::run_batch`](protocol::engine::SessionEngine::run_batch),
+//! so the figures match the hand-rolled loops they replaced bit-for-bit
+//! (`tests/figure_outputs.rs` holds those loops' outputs as golden fixtures).
 
 use crate::{
     decode_readout_counts, message_transfer_circuit, BackendAblationRow, ChannelAttackKind,
@@ -102,15 +103,19 @@ fn ablation_adversaries() -> Vec<Adversary> {
     ]
 }
 
-/// The backend-ablation campaign: the session grid of
-/// [`backend_ablation_experiment`](crate::backend_ablation_experiment) —
-/// η × adversary × backend, last axis fastest — as a declarative sweep. Same
-/// identities, configuration, seed discipline and therefore the same bytes.
+/// The backend-ablation campaign: the Fig. 2/3 channel-length grid on an
+/// `ibm_brisbane`-like device for the honest control, intercept-resend and
+/// MITM adversaries on **every** production substrate — η × adversary ×
+/// backend, last axis fastest. Consecutive rows therefore compare the exact
+/// density-matrix emulation against the cheaper substrates on an otherwise
+/// identical scenario.
 pub fn ablation_campaign(etas: &[usize], trials: usize, seed: u64) -> Campaign {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);
     // The base carries η = 0; the Eta axis rebuilds the channel per point.
-    // Everything else matches `backend_ablation_experiment`'s config.
+    // As in `attack_campaign`: a generous DI budget keeps honest aborts
+    // negligible, and the relaxed authentication tolerance lets the CHSH
+    // mechanism (not the auth mismatch) do the detecting.
     let config = SessionConfig::builder()
         .message_bits(8)
         .check_bits(2)
@@ -169,9 +174,7 @@ pub fn demo_campaign(trials: usize, seed: u64) -> Campaign {
     }
 }
 
-/// The engine adversary of one channel-attack kind — the same lowering
-/// [`channel_attack_experiment_on`](crate::channel_attack_experiment_on)
-/// applies.
+/// The engine adversary of one channel-attack kind.
 fn attack_adversary(kind: ChannelAttackKind) -> Adversary {
     match kind {
         ChannelAttackKind::InterceptResend => {
@@ -194,11 +197,10 @@ pub fn attack_campaign_name(kind: ChannelAttackKind) -> &'static str {
     }
 }
 
-/// One channel-attack campaign: the attacked scenario and its honest
-/// control, in the row order of
-/// [`channel_attack_experiment_on`](crate::channel_attack_experiment_on) —
-/// same identities, configuration and seed discipline, and therefore the
-/// same bytes.
+/// One channel-attack campaign: the attacked scenario, then its honest
+/// control, on `backend`. Scenarios on different backends carry different
+/// fingerprints, so the substrates draw independent trial streams by
+/// construction.
 pub fn attack_campaign(
     kind: ChannelAttackKind,
     backend: BackendKind,
@@ -207,9 +209,9 @@ pub fn attack_campaign(
 ) -> Campaign {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);
-    // As in `channel_attack_experiment_on`: the relaxed authentication
-    // tolerance lets the second CHSH round (the paper's mechanism) do the
-    // detecting instead of the equally fatal auth mismatch.
+    // The relaxed authentication tolerance lets the second CHSH round (the
+    // paper's mechanism) do the detecting instead of the equally fatal auth
+    // mismatch that would fire first with a strict tolerance.
     let config = SessionConfig::builder()
         .message_bits(8)
         .check_bits(2)
@@ -231,9 +233,9 @@ pub fn attack_campaign(
     }
 }
 
-/// The single-point verification campaign behind the `table1` binary: the
-/// honest [`table1_verification_scenario`](crate::table1_verification_scenario)
-/// run under its historic seed.
+/// The single-point verification campaign behind the `table1` binary's
+/// engine cross-check: honest ideal-channel sessions of a 16-bit message
+/// with 4-qubit identities.
 pub fn table1_campaign(trials: usize, seed: u64) -> Campaign {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);
@@ -402,9 +404,7 @@ pub fn stored_campaign(name: &str) -> Result<Campaign, String> {
 }
 
 /// Recovers the `(attacked, honest control)` row pair of a channel-attack
-/// campaign report, in the order
-/// [`channel_attack_experiment_on`](crate::channel_attack_experiment_on)
-/// returns them.
+/// campaign report.
 ///
 /// # Errors
 ///
@@ -431,11 +431,19 @@ pub fn attack_rows(report: &CampaignReport) -> Result<(AttackRow, AttackRow), St
     Ok((attacked, honest))
 }
 
+/// The `(trials, seed)` the stored campaign of one channel-attack kind was
+/// built with — the defaults of its binary.
+pub(crate) fn attack_defaults(kind: ChannelAttackKind) -> (usize, u64) {
+    match kind {
+        ChannelAttackKind::InterceptResend => (20, 11),
+        ChannelAttackKind::ManInTheMiddle => (20, 13),
+        ChannelAttackKind::EntangleMeasure => (20, 17),
+    }
+}
+
 /// The row pair printed by one channel-attack binary: the stored campaign
 /// when the arguments match its checked-in defaults, a rebuilt campaign of
-/// the same shape otherwise, or — with `legacy` — the pre-campaign
-/// [`channel_attack_experiment_on`](crate::channel_attack_experiment_on)
-/// loop (CI byte-diffs the two paths).
+/// the same shape otherwise.
 ///
 /// # Errors
 ///
@@ -445,27 +453,27 @@ pub fn attack_experiment_rows(
     backend: BackendKind,
     trials: usize,
     seed: u64,
-    legacy: bool,
 ) -> Result<(AttackRow, AttackRow), String> {
-    if legacy {
-        return Ok(crate::channel_attack_experiment_on(
-            kind, backend, trials, seed,
-        ));
-    }
-    let stored_defaults = match kind {
-        ChannelAttackKind::InterceptResend => (20, 11),
-        ChannelAttackKind::ManInTheMiddle => (20, 13),
-        ChannelAttackKind::EntangleMeasure => (20, 17),
-    };
-    let campaign = if backend == BackendKind::default() && (trials, seed) == stored_defaults {
+    let campaign = if backend == BackendKind::default() && (trials, seed) == attack_defaults(kind) {
         stored_campaign(attack_campaign_name(kind))?
     } else {
         attack_campaign(kind, backend, trials, seed)
     };
-    let report = campaign
-        .run_direct(crate::engine_parallelism(), &protocol::engine::NoSampler)
-        .map_err(|e| format!("campaign failed: {e}"))?;
-    attack_rows(&report)
+    attack_rows(&run(&campaign)?)
+}
+
+/// Runs `campaign` in this process under
+/// [`engine_parallelism`](crate::engine_parallelism), executing sampled
+/// points with the [`figure_sampler`] — the one execution path behind every
+/// figure binary.
+///
+/// # Errors
+///
+/// Returns an error naming the campaign when it fails to expand or execute.
+pub fn run(campaign: &Campaign) -> Result<CampaignReport, String> {
+    campaign
+        .run_direct(crate::engine_parallelism(), &figure_sampler())
+        .map_err(|e| format!("campaign `{}` failed: {e}", campaign.label))
 }
 
 /// Recovers the single verification summary of the `table1` campaign.
@@ -487,9 +495,8 @@ pub fn table1_summary(report: &CampaignReport) -> Result<TrialSummary, String> {
     }
 }
 
-/// Recovers the backend-ablation rows from a campaign report, grid-major as
-/// [`backend_ablation_experiment`](crate::backend_ablation_experiment)
-/// returns them.
+/// Recovers the backend-ablation rows from a campaign report, grid-major
+/// (η, then adversary, then backend).
 ///
 /// # Errors
 ///
@@ -546,9 +553,6 @@ pub fn ablation_rows(report: &CampaignReport) -> Result<Vec<BackendAblationRow>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        backend_ablation_experiment, engine_parallelism, fig2_experiment, fig3_experiment,
-    };
     use protocol::engine::{CampaignRun, CampaignRunOptions};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -557,7 +561,7 @@ mod tests {
     /// arguments of their binaries.
     fn stored_definitions() -> Vec<(&'static str, Campaign)> {
         let brisbane = DeviceModel::ibm_brisbane_like();
-        vec![
+        let mut definitions = vec![
             ("fig2", fig2_campaign(&brisbane, 10, 1024, 20240916)),
             (
                 "fig3",
@@ -566,34 +570,19 @@ mod tests {
             ("ablation_backend", ablation_campaign(&[0, 10, 50], 20, 11)),
             ("demo", demo_campaign(3, 7)),
             ("table1", table1_campaign(4, 20240916)),
-            (
-                "attack_intercept",
-                attack_campaign(
-                    ChannelAttackKind::InterceptResend,
-                    BackendKind::default(),
-                    20,
-                    11,
-                ),
-            ),
-            (
-                "attack_mitm",
-                attack_campaign(
-                    ChannelAttackKind::ManInTheMiddle,
-                    BackendKind::default(),
-                    20,
-                    13,
-                ),
-            ),
-            (
-                "attack_entangle",
-                attack_campaign(
-                    ChannelAttackKind::EntangleMeasure,
-                    BackendKind::default(),
-                    20,
-                    17,
-                ),
-            ),
-        ]
+        ];
+        for kind in [
+            ChannelAttackKind::InterceptResend,
+            ChannelAttackKind::ManInTheMiddle,
+            ChannelAttackKind::EntangleMeasure,
+        ] {
+            let (trials, seed) = attack_defaults(kind);
+            definitions.push((
+                attack_campaign_name(kind),
+                attack_campaign(kind, BackendKind::default(), trials, seed),
+            ));
+        }
+        definitions
     }
 
     #[test]
@@ -630,115 +619,6 @@ mod tests {
         assert!(stored_campaign("fig9").is_err());
     }
 
-    #[test]
-    fn fig2_campaign_reproduces_the_legacy_loop() {
-        let device = DeviceModel::ibm_brisbane_like();
-        let (eta, shots, seed) = (10, 64, 20240916);
-        let legacy = fig2_experiment(&device, eta, shots, seed);
-        let report = fig2_campaign(&device, eta, shots, seed)
-            .run_direct(engine_parallelism(), &figure_sampler())
-            .expect("fig2 campaign runs");
-        let rows = fig2_rows(&report).expect("fig2 rows recover");
-        assert_eq!(
-            serde::json::to_string(&rows),
-            serde::json::to_string(&legacy),
-            "campaign-driven fig2 must be byte-identical to the legacy loop"
-        );
-    }
-
-    #[test]
-    fn fig3_campaign_reproduces_the_legacy_loop() {
-        let device = DeviceModel::ibm_brisbane_like();
-        let (etas, shots, seed) = (vec![10, 50], 64, 424242);
-        let legacy = fig3_experiment(&device, &etas, shots, seed);
-        let report = fig3_campaign(&device, &etas, shots, seed)
-            .run_direct(engine_parallelism(), &figure_sampler())
-            .expect("fig3 campaign runs");
-        let points = fig3_points(&report).expect("fig3 points recover");
-        assert_eq!(
-            serde::json::to_string(&points),
-            serde::json::to_string(&legacy),
-            "campaign-driven fig3 must be byte-identical to the legacy loop"
-        );
-    }
-
-    #[test]
-    fn ablation_campaign_reproduces_the_legacy_grid() {
-        let (etas, trials, seed) = (vec![0], 3, 11);
-        let legacy = backend_ablation_experiment(&etas, trials, seed);
-        let report = ablation_campaign(&etas, trials, seed)
-            .run_direct(engine_parallelism(), &protocol::engine::NoSampler)
-            .expect("ablation campaign runs");
-        let rows = ablation_rows(&report).expect("ablation rows recover");
-        assert_eq!(rows, legacy);
-        for (campaign_row, legacy_row) in rows.iter().zip(&legacy) {
-            assert_eq!(
-                campaign_row.detection_rate.to_bits(),
-                legacy_row.detection_rate.to_bits()
-            );
-            assert_eq!(
-                campaign_row.mean_chsh_round2.map(f64::to_bits),
-                legacy_row.mean_chsh_round2.map(f64::to_bits)
-            );
-        }
-    }
-
-    #[test]
-    fn attack_campaigns_reproduce_the_legacy_loop() {
-        let trials = 5;
-        for (kind, seed) in [
-            (ChannelAttackKind::InterceptResend, 11),
-            (ChannelAttackKind::ManInTheMiddle, 13),
-            (ChannelAttackKind::EntangleMeasure, 17),
-        ] {
-            let (legacy_attacked, legacy_honest) =
-                crate::channel_attack_experiment_on(kind, BackendKind::default(), trials, seed);
-            let report = attack_campaign(kind, BackendKind::default(), trials, seed)
-                .run_direct(engine_parallelism(), &protocol::engine::NoSampler)
-                .expect("attack campaign runs");
-            let (attacked, honest) = attack_rows(&report).expect("attack rows recover");
-            assert_eq!(attacked, legacy_attacked, "{kind:?} attacked row diverged");
-            assert_eq!(honest, legacy_honest, "{kind:?} honest row diverged");
-            assert_eq!(
-                attacked.detection_rate.to_bits(),
-                legacy_attacked.detection_rate.to_bits()
-            );
-            assert_eq!(
-                attacked.mean_chsh_round2.map(f64::to_bits),
-                legacy_attacked.mean_chsh_round2.map(f64::to_bits)
-            );
-        }
-    }
-
-    #[test]
-    fn attack_campaign_respects_a_non_default_backend() {
-        let (kind, trials, seed) = (ChannelAttackKind::InterceptResend, 4, 11);
-        let legacy =
-            crate::channel_attack_experiment_on(kind, BackendKind::PauliTwirled, trials, seed);
-        let report = attack_campaign(kind, BackendKind::PauliTwirled, trials, seed)
-            .run_direct(engine_parallelism(), &protocol::engine::NoSampler)
-            .expect("attack campaign runs");
-        let rows = attack_rows(&report).expect("attack rows recover");
-        assert_eq!((rows.0, rows.1), legacy);
-    }
-
-    #[test]
-    fn table1_campaign_reproduces_the_legacy_run() {
-        let (trials, seed) = (2, 20240916);
-        let legacy = crate::table1_verification_summary(trials, seed);
-        let report = table1_campaign(trials, seed)
-            .run_direct(engine_parallelism(), &protocol::engine::NoSampler)
-            .expect("table1 campaign runs");
-        let summary = table1_summary(&report).expect("table1 summary recovers");
-        // Labels are display-only (the campaign names its point, the legacy
-        // scenario keeps its historic name); the physics must be identical.
-        let relabelled = TrialSummary {
-            label: legacy.label.clone(),
-            ..summary
-        };
-        assert_eq!(relabelled, legacy);
-    }
-
     /// A scratch directory under the system temp dir, removed on drop.
     struct TempDir(PathBuf);
 
@@ -765,9 +645,7 @@ mod tests {
     fn sampled_campaign_through_a_run_directory_matches_run_direct() {
         let device = DeviceModel::ibm_brisbane_like();
         let campaign = fig2_campaign(&device, 10, 32, 20240916);
-        let direct = campaign
-            .run_direct(engine_parallelism(), &figure_sampler())
-            .expect("direct run succeeds");
+        let direct = run(&campaign).expect("direct run succeeds");
         let dir = TempDir::new("fig2-run");
         let run = CampaignRun::init(&dir.0, &campaign, 8).expect("run initialises");
         let report = run

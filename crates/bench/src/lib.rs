@@ -1,36 +1,38 @@
 //! # bench — experiment harness regenerating every table and figure of the paper
 //!
-//! Each experiment of the evaluation section has one function here, one `cargo run -p bench
-//! --bin …` binary that prints its rows, and one Criterion bench target. The functions are
-//! deliberately deterministic (seeded RNG) so the printed tables are reproducible.
+//! Each experiment of the evaluation section has one `cargo run -p bench --bin …` binary that
+//! prints its rows. Everything is deterministic (seeded RNG), so the printed tables are
+//! reproducible.
 //!
-//! | Paper artefact | Function | Binary |
+//! | Paper artefact | Source | Binary |
 //! |---|---|---|
-//! | Table I | [`table1_rows`] | `table1` |
-//! | Fig. 2 (a–d) | [`fig2_experiment`] | `fig2` |
-//! | Fig. 3 | [`fig3_experiment`] | `fig3` |
+//! | Table I | [`table1_rows`], [`campaigns::table1_campaign`] | `table1` |
+//! | Fig. 2 (a–d) | [`campaigns::fig2_campaign`] | `fig2` |
+//! | Fig. 3 | [`campaigns::fig3_campaign`] | `fig3` |
 //! | Impersonation sim (Sec. III-A/IV) | [`impersonation_experiment`] | `attack_impersonation` |
-//! | Intercept-resend sim (Sec. III-B/IV) | [`channel_attack_experiment`] | `attack_intercept` |
-//! | MITM sim (Sec. III-C/IV) | [`channel_attack_experiment`] | `attack_mitm` |
-//! | Entangle-measure sim (Sec. III-D/IV) | [`channel_attack_experiment`] | `attack_entangle` |
+//! | Intercept-resend sim (Sec. III-B/IV) | [`campaigns::attack_campaign`] | `attack_intercept` |
+//! | MITM sim (Sec. III-C/IV) | [`campaigns::attack_campaign`] | `attack_mitm` |
+//! | Entangle-measure sim (Sec. III-D/IV) | [`campaigns::attack_campaign`] | `attack_entangle` |
 //! | Info-leakage audit (Sec. III-E) | [`leakage_experiment`] | `attack_leakage` |
 //! | CHSH behaviour (Sec. II) | [`chsh_baseline_experiment`] | `chsh_baseline` |
-//! | Backend ablation (Sec. IV emulation vs trajectories) | [`backend_ablation_experiment`] | `ablation_backend` |
-//! | Engine throughput trajectory | — | `bench_throughput` |
-//!
-//! The engine-driven attack binaries additionally accept `--backend KIND`
-//! (any [`BackendKind`] name or alias) to re-run their sweep on another
-//! simulation substrate ([`backend_and_legacy_from_args`]); `shardctl` takes
-//! the same flag on its `scenario` and `plan` subcommands.
+//! | Backend ablation (Sec. IV emulation vs trajectories) | [`campaigns::ablation_campaign`] | `ablation_backend` |
 //!
 //! The `fig2`, `fig3`, `ablation_backend`, `table1` and
 //! `attack_intercept`/`attack_mitm`/`attack_entangle` binaries are
 //! formatters over **stored campaign definitions** (see [`campaigns`]): each
 //! drives the checked-in `crates/bench/campaigns/*.json` declaration through
-//! the campaign engine and prints the same table the legacy loop printed —
-//! the loops remain behind `--legacy` and CI byte-diffs the two outputs. The
-//! `shardctl campaign` subcommands run the same definitions resumably on a
-//! queue fleet.
+//! the campaign engine. `tests/figure_outputs.rs` pins their stdout and rows
+//! to golden fixtures. The `shardctl campaign` subcommands run the same
+//! definitions resumably on a queue fleet.
+//!
+//! The channel-attack binaries additionally accept `--backend KIND` (any
+//! [`BackendKind`] name or alias) to re-run their sweep on another
+//! simulation substrate ([`backend_from_args`]); `shardctl` takes the same
+//! flag on its `scenario` and `plan` subcommands.
+//!
+//! Performance is not measured here: the repository benchmark lives in
+//! `perfbench/` at the repository root (workloads and metrics in its
+//! `NOTES.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,29 +40,27 @@
 pub mod campaigns;
 pub mod shard_io;
 
-use analysis::histogram::counts_to_row;
-use analysis::rows::{AccuracyPoint, AttackRow, DetectionPoint, HistogramRow, Table1Row};
+use analysis::report::render_markdown_table;
+use analysis::rows::{AttackRow, DetectionPoint, Table1Row};
 use analysis::stats::mean;
 use attacks::impersonation::run_impersonation_trials;
 use attacks::leakage::LeakageAudit;
-use noise::{DeviceModel, NoisyExecutor};
+use noise::DeviceModel;
 use protocol::config::SessionConfig;
 use protocol::descriptor::ProtocolDescriptor;
 use protocol::di_check::{run_di_check, DiCheckRound};
 use protocol::engine::parallel::scatter;
-use protocol::engine::{
-    Adversary, BackendKind, Parallelism, Scenario, SessionEngine, TrialSummary,
-};
+use protocol::engine::{BackendKind, Parallelism, Scenario, SessionEngine, TrialSummary};
 use protocol::identity::IdentityPair;
 use protocol::session::Impersonation;
 use qchannel::epr::EprPair;
 use qchannel::quantum::ChannelSpec;
-use qchannel::taps::{InterceptBasis, SubstituteState};
 use qsim::circuit::{Circuit, CircuitBuilder};
 use qsim::counts::Counts;
 use qsim::pauli::Pauli;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use serde::Serialize;
 
 /// The four 2-bit messages of Fig. 2 in panel order.
 pub const FIG2_MESSAGES: [&str; 4] = ["00", "01", "10", "11"];
@@ -71,13 +71,10 @@ pub const FIG2_MESSAGES: [&str; 4] = ["00", "01", "10", "11"];
 ///
 /// Every experiment is deterministic *per point* — engine trials by the
 /// per-trial RNG stream contract, sweep points by [`derive_seed`] — so for a
-/// given seed the policy changes wall time only, never a number in a table.
-///
-/// Note that introducing the per-point streams was itself a one-time break:
-/// `fig2_experiment`, `fig3_experiment` and `chsh_baseline_experiment`
-/// previously threaded one sequential RNG through the whole sweep, so their
-/// outputs for a given seed differ from pre-parallel releases (the shapes the
-/// paper cares about are unchanged and remain covered by tests).
+/// given seed the policy changes wall time only, never a number in a table
+/// (CI runs `tests/figure_outputs.rs` under several policies to prove it).
+/// Wall time itself is measured by the repository benchmark in `perfbench/`,
+/// not by these binaries.
 pub fn engine_parallelism() -> Parallelism {
     Parallelism::from_env().unwrap_or(Parallelism::Auto)
 }
@@ -95,13 +92,21 @@ pub fn announce_parallelism() -> Parallelism {
     parallelism
 }
 
-/// Parses the optional `--backend KIND` (or `--backend=KIND`) and `--legacy`
-/// flags from the process arguments — the shared CLI of the engine-driven
-/// attack binaries. Defaults to the density-matrix substrate and the stored
-/// campaign path; exits with a usage error on an unknown kind or any
-/// unrecognised argument, so a typo can never silently fall back to the
-/// default substrate.
-pub fn backend_and_legacy_from_args() -> (BackendKind, bool) {
+/// Exits with a usage error when the process was given any argument — the
+/// CLI of the binaries that print one fixed artefact.
+pub fn reject_args() {
+    if let Some(flag) = std::env::args().nth(1) {
+        eprintln!("unknown option `{flag}` (this binary takes no options)");
+        std::process::exit(2);
+    }
+}
+
+/// Parses the optional `--backend KIND` (or `--backend=KIND`) flag from the
+/// process arguments — the CLI of the channel-attack binaries. Defaults to
+/// the density-matrix substrate; exits with a usage error on an unknown kind
+/// or any unrecognised argument, so a typo can never silently fall back to
+/// the default substrate.
+pub fn backend_from_args() -> BackendKind {
     fn parse_kind(raw: &str) -> BackendKind {
         raw.parse().unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -109,7 +114,6 @@ pub fn backend_and_legacy_from_args() -> (BackendKind, bool) {
         })
     }
     let mut backend = BackendKind::default();
-    let mut legacy = false;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         if flag == "--backend" {
@@ -121,14 +125,12 @@ pub fn backend_and_legacy_from_args() -> (BackendKind, bool) {
             backend = parse_kind(&raw);
         } else if let Some(raw) = flag.strip_prefix("--backend=") {
             backend = parse_kind(raw);
-        } else if flag == "--legacy" {
-            legacy = true;
         } else {
-            eprintln!("unknown option `{flag}` (supported: --backend KIND, --legacy)");
+            eprintln!("unknown option `{flag}` (supported: --backend KIND)");
             std::process::exit(2);
         }
     }
-    (backend, legacy)
+    backend
 }
 
 /// Derives an independent RNG seed for sweep point `index` of an experiment
@@ -136,8 +138,7 @@ pub fn backend_and_legacy_from_args() -> (BackendKind, bool) {
 /// engine derives trial streams with), so sweep points can execute on any
 /// worker in any order and still reproduce bit-for-bit. This is the same
 /// derivation campaign expansion applies
-/// ([`protocol::engine::derive_point_seed`]), which is why a stored campaign
-/// reproduces the legacy sweep loops bit-for-bit.
+/// ([`protocol::engine::derive_point_seed`]).
 pub fn derive_seed(seed: u64, index: u64) -> u64 {
     protocol::engine::derive_point_seed(seed, index)
 }
@@ -182,67 +183,6 @@ pub fn decode_readout_counts(raw: &Counts) -> Counts {
     decoded
 }
 
-/// Runs the Fig. 2 experiment: for each of the four messages, transmit it over a channel of
-/// `eta` identity gates on the given device and histogram Bob's decoded outcomes. The four
-/// panels run in parallel (see [`engine_parallelism`]), each on its own derived seed.
-pub fn fig2_experiment(
-    device: &DeviceModel,
-    eta: usize,
-    shots: usize,
-    seed: u64,
-) -> Vec<HistogramRow> {
-    let executor = NoisyExecutor::new(device.clone());
-    let (rows, _stats) = scatter(engine_parallelism(), FIG2_MESSAGES.len(), |index| {
-        let message = FIG2_MESSAGES[index];
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, index as u64));
-        let circuit = message_transfer_circuit(message, eta);
-        let raw = executor
-            .sample(&circuit, shots, &mut rng)
-            .expect("fig2 circuit is well-formed");
-        let decoded = decode_readout_counts(&raw);
-        counts_to_row(message, &decoded)
-    });
-    rows
-}
-
-/// Runs the Fig. 3 experiment: sweep the channel length `eta` over `eta_values` and measure
-/// the decoding accuracy (averaged over the four messages) at each point. Sweep points run in
-/// parallel (see [`engine_parallelism`]), each on its own derived seed.
-pub fn fig3_experiment(
-    device: &DeviceModel,
-    eta_values: &[usize],
-    shots_per_message: usize,
-    seed: u64,
-) -> Vec<AccuracyPoint> {
-    let executor = NoisyExecutor::new(device.clone());
-    let (points, _stats) = scatter(engine_parallelism(), eta_values.len(), |index| {
-        let eta = eta_values[index];
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, index as u64));
-        let mut correct = 0u64;
-        let mut total = 0u64;
-        for message in FIG2_MESSAGES {
-            let circuit = message_transfer_circuit(message, eta);
-            let raw = executor
-                .sample(&circuit, shots_per_message, &mut rng)
-                .expect("fig3 circuit is well-formed");
-            let decoded = decode_readout_counts(&raw);
-            correct += decoded.get(message);
-            total += decoded.total();
-        }
-        AccuracyPoint {
-            eta,
-            duration_us: eta as f64 * device.identity_gate_time_ns() / 1000.0,
-            accuracy: if total == 0 {
-                0.0
-            } else {
-                correct as f64 / total as f64
-            },
-            shots: total,
-        }
-    });
-    points
-}
-
 /// The η values of the paper's Fig. 3 sweep: 10 to 700 in steps of 10 (0.6 µs to 42 µs).
 pub fn fig3_eta_values() -> Vec<usize> {
     (1..=70).map(|i| i * 10).collect()
@@ -260,31 +200,6 @@ pub fn table1_rows() -> Vec<Table1Row> {
             user_authentication: d.user_authentication,
         })
         .collect()
-}
-
-/// The honest verification scenario behind the `table1` binary's engine
-/// cross-check. The stored `table1` campaign runs this exact physical
-/// scenario (configuration, identities, seed discipline), so the campaign
-/// and `--legacy` paths print identical bytes.
-pub fn table1_verification_scenario(seed: u64) -> Scenario {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let identities = IdentityPair::generate(4, &mut rng);
-    let config = SessionConfig::builder()
-        .message_bits(16)
-        .check_bits(4)
-        .di_check_pairs(64)
-        .build()
-        .expect("table1 verification config is valid");
-    Scenario::new(config, identities).with_label("table1-verification")
-}
-
-/// The legacy (pre-campaign) verification loop of the `table1` binary: a
-/// direct engine run of [`table1_verification_scenario`].
-pub fn table1_verification_summary(trials: usize, seed: u64) -> TrialSummary {
-    SessionEngine::new(seed)
-        .with_parallelism(engine_parallelism())
-        .run_trials(&table1_verification_scenario(seed), trials)
-        .expect("table1 verification sessions run")
 }
 
 /// Default session configuration used by the attack experiments (small message, generous
@@ -338,66 +253,62 @@ pub enum ChannelAttackKind {
     EntangleMeasure,
 }
 
-/// Runs `trials` protocol sessions against the given channel attack and also reports the
-/// honest (no-attack) control with the same configuration, on the default
-/// density-matrix substrate.
-pub fn channel_attack_experiment(
-    kind: ChannelAttackKind,
-    trials: usize,
-    seed: u64,
-) -> (AttackRow, AttackRow) {
-    channel_attack_experiment_on(kind, BackendKind::DensityMatrix, trials, seed)
-}
-
-/// [`channel_attack_experiment`] on an explicit simulation substrate (the
-/// `--backend` flag of the attack binaries). Scenarios on different backends
-/// carry different fingerprints, so the two substrates draw independent trial
-/// streams by construction.
-pub fn channel_attack_experiment_on(
-    kind: ChannelAttackKind,
-    backend: BackendKind,
-    trials: usize,
-    seed: u64,
-) -> (AttackRow, AttackRow) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Relax the authentication tolerance so the channel attacks are detected by the mechanism
-    // the paper highlights — the second CHSH round dropping to the classical bound — rather
-    // than by the (equally fatal) authentication mismatch that would fire first with a strict
-    // tolerance.
-    let config = SessionConfig::builder()
-        .message_bits(8)
-        .check_bits(2)
-        .di_check_pairs(220)
-        .auth_error_tolerance(1.0)
-        .build()
-        .expect("channel attack config is valid");
-    let identities = IdentityPair::generate(4, &mut rng);
-    let adversary = match kind {
-        ChannelAttackKind::InterceptResend => {
-            Adversary::InterceptResend(InterceptBasis::Computational)
-        }
-        ChannelAttackKind::ManInTheMiddle => {
-            Adversary::ManInTheMiddle(SubstituteState::RandomComputational)
-        }
-        ChannelAttackKind::EntangleMeasure => Adversary::EntangleMeasure { strength: 1.0 },
+/// The whole `main` of the `attack_intercept`, `attack_mitm` and
+/// `attack_entangle` binaries: parses `--backend`, runs the attack's stored
+/// campaign (rebuilt on the requested substrate) and prints the attacked row
+/// and its honest control as a markdown table.
+pub fn attack_binary_main(kind: ChannelAttackKind) {
+    let backend = backend_from_args();
+    announce_parallelism();
+    let (trials, seed) = campaigns::attack_defaults(kind);
+    let (attacked, honest) = campaigns::attack_experiment_rows(kind, backend, trials, seed)
+        .unwrap_or_else(|e| {
+            eprintln!("{}: {e}", campaigns::attack_campaign_name(kind));
+            std::process::exit(2)
+        });
+    let (title, expected_shape) = match kind {
+        ChannelAttackKind::InterceptResend => (
+            "Intercept-and-resend",
+            "S1 ≈ 2√2 in both rows; S2 ≤ 2 only under attack → protocol aborts.",
+        ),
+        ChannelAttackKind::ManInTheMiddle => (
+            "Man-in-the-middle",
+            "Eve's substituted qubits give S2 ≤ 2 → protocol aborts every time.",
+        ),
+        ChannelAttackKind::EntangleMeasure => (
+            "Entangle-and-measure",
+            "monogamy of entanglement pushes S2 to ≈ 0 under a full CNOT probe.",
+        ),
     };
-    let scenarios = [
-        Scenario::new(config.clone(), identities.clone())
-            .with_label("attacked")
-            .with_adversary(adversary)
-            .with_backend(backend),
-        Scenario::new(config, identities)
-            .with_label("honest control")
-            .with_backend(backend),
-    ];
-    let summaries = SessionEngine::new(seed)
-        .with_parallelism(engine_parallelism())
-        .run_batch(&scenarios, trials)
-        .expect("attack trials run");
-    let mut rows = summaries.into_iter().map(summary_to_row);
-    let attacked = rows.next().expect("attacked row");
-    let honest = rows.next().expect("honest row");
-    (attacked, honest)
+    println!("# {title} attack vs honest channel ({backend} backend)\n");
+    let cells: Vec<Vec<String>> = [attacked, honest]
+        .iter()
+        .map(|r| {
+            vec![
+                r.attack.clone(),
+                r.trials.to_string(),
+                r.delivered.to_string(),
+                format!("{:.3}", r.detection_rate),
+                format!("{:.3}", r.mean_chsh_round1.unwrap_or(f64::NAN)),
+                format!("{:.3}", r.mean_chsh_round2.unwrap_or(f64::NAN)),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_markdown_table(
+            &[
+                "scenario",
+                "trials",
+                "delivered",
+                "detection rate",
+                "mean S1",
+                "mean S2"
+            ],
+            &cells
+        )
+    );
+    println!("expected shape: {expected_shape}");
 }
 
 pub(crate) fn summary_to_row(summary: TrialSummary) -> AttackRow {
@@ -416,11 +327,11 @@ pub(crate) fn summary_to_row(summary: TrialSummary) -> AttackRow {
     }
 }
 
-/// Builds the η-sweep workload behind the `bench_throughput` sweep lanes: an
-/// honest session over `eta` noisy identity gates of an `ibm_brisbane`-like
-/// channel — the regime the paper's detection-rate curves integrate over,
-/// where per-trial channel simulation (not protocol bookkeeping) dominates
-/// the cost and the substrates separate.
+/// Builds the honest η-sweep workload behind the `ablation_backend` Pareto
+/// table: an honest session over `eta` noisy identity gates of an
+/// `ibm_brisbane`-like channel — the regime the paper's detection-rate curves
+/// integrate over, where per-trial channel simulation (not protocol
+/// bookkeeping) dominates the cost and the substrates separate.
 pub fn sweep_scenario(eta: usize, seed: u64, backend: BackendKind) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);
@@ -442,7 +353,7 @@ pub fn sweep_scenario(eta: usize, seed: u64, backend: BackendKind) -> Scenario {
 
 /// One grid point of the backend-ablation sweep: one adversary, one channel
 /// length, one simulation substrate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BackendAblationRow {
     /// Adversary display name (`honest`, `intercept-resend`, `mitm`).
     pub adversary: &'static str,
@@ -464,73 +375,6 @@ pub struct BackendAblationRow {
 /// control plus the two channel attacks whose detection-rate curves the paper
 /// plots (intercept-resend and MITM).
 pub const ABLATION_ADVERSARIES: [&str; 3] = ["honest", "intercept-resend", "mitm"];
-
-/// Runs the backend ablation: the Fig. 2/3 channel-length grid (`etas`
-/// identity gates on an `ibm_brisbane`-like device) for the honest control,
-/// intercept-resend and MITM adversaries, on **every** production substrate
-/// ([`BackendKind::ALL`]). Rows come back grid-major (η, then adversary, then
-/// backend), so consecutive row pairs compare the exact density-matrix
-/// emulation against the sampled statevector trajectories on an otherwise
-/// identical scenario — the divergence the `ablation_backend` binary reports.
-pub fn backend_ablation_experiment(
-    etas: &[usize],
-    trials: usize,
-    seed: u64,
-) -> Vec<BackendAblationRow> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let identities = IdentityPair::generate(4, &mut rng);
-    let adversary_for = |name: &str| match name {
-        "honest" => Adversary::Honest,
-        "intercept-resend" => Adversary::InterceptResend(InterceptBasis::Computational),
-        "mitm" => Adversary::ManInTheMiddle(SubstituteState::RandomComputational),
-        other => unreachable!("unknown ablation adversary `{other}`"),
-    };
-    let mut grid: Vec<(usize, &'static str, BackendKind)> = Vec::new();
-    let mut scenarios: Vec<Scenario> = Vec::new();
-    for &eta in etas {
-        // As in `channel_attack_experiment`: a generous DI budget keeps honest
-        // aborts negligible, and the relaxed authentication tolerance lets the
-        // CHSH mechanism (not the auth mismatch) do the detecting.
-        let config = SessionConfig::builder()
-            .message_bits(8)
-            .check_bits(2)
-            .di_check_pairs(220)
-            .auth_error_tolerance(1.0)
-            .channel(ChannelSpec::noisy_identity_chain(
-                eta,
-                DeviceModel::ibm_brisbane_like(),
-            ))
-            .build()
-            .expect("ablation config is valid");
-        for adversary in ABLATION_ADVERSARIES {
-            for backend in BackendKind::ALL {
-                grid.push((eta, adversary, backend));
-                scenarios.push(
-                    Scenario::new(config.clone(), identities.clone())
-                        .with_label(format!("{adversary} η={eta} on {backend}"))
-                        .with_adversary(adversary_for(adversary))
-                        .with_backend(backend),
-                );
-            }
-        }
-    }
-    let summaries = SessionEngine::new(seed)
-        .with_parallelism(engine_parallelism())
-        .run_batch(&scenarios, trials)
-        .expect("ablation sessions run");
-    grid.into_iter()
-        .zip(summaries)
-        .map(|((eta, adversary, backend), summary)| BackendAblationRow {
-            adversary,
-            eta,
-            backend,
-            trials: summary.trials,
-            delivered: summary.delivered,
-            detection_rate: summary.detection_rate(),
-            mean_chsh_round2: summary.mean_chsh_round2,
-        })
-        .collect()
-}
 
 /// Runs the information-leakage audit (Section III-E): executes `sessions` honest sessions
 /// with a fixed identity pair and audits the accumulated public transcripts.
@@ -611,6 +455,10 @@ pub fn chsh_baseline_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use campaigns::{
+        ablation_campaign, ablation_rows, attack_campaign, attack_rows, fig2_campaign, fig2_rows,
+        fig3_campaign, fig3_points,
+    };
 
     #[test]
     fn message_transfer_circuit_shape() {
@@ -639,7 +487,8 @@ mod tests {
 
     #[test]
     fn fig2_on_ideal_device_is_perfect() {
-        let rows = fig2_experiment(&DeviceModel::ideal(), 10, 64, 1);
+        let report = campaigns::run(&fig2_campaign(&DeviceModel::ideal(), 10, 64, 1)).unwrap();
+        let rows = fig2_rows(&report).unwrap();
         assert_eq!(rows.len(), 4);
         for row in rows {
             assert_eq!(
@@ -654,7 +503,8 @@ mod tests {
 
     #[test]
     fn fig2_on_noisy_device_keeps_high_fidelity_at_eta_10() {
-        let rows = fig2_experiment(&DeviceModel::ibm_brisbane_like(), 10, 256, 2);
+        let campaign = fig2_campaign(&DeviceModel::ibm_brisbane_like(), 10, 256, 2);
+        let rows = fig2_rows(&campaigns::run(&campaign).unwrap()).unwrap();
         for row in &rows {
             assert!(
                 row.accuracy() > 0.85,
@@ -667,7 +517,8 @@ mod tests {
 
     #[test]
     fn fig3_accuracy_decreases_with_channel_length() {
-        let points = fig3_experiment(&DeviceModel::ibm_brisbane_like(), &[10, 700], 128, 3);
+        let campaign = fig3_campaign(&DeviceModel::ibm_brisbane_like(), &[10, 700], 128, 3);
+        let points = fig3_points(&campaigns::run(&campaign).unwrap()).unwrap();
         assert_eq!(points.len(), 2);
         assert!(points[0].accuracy > points[1].accuracy + 0.1);
         assert!((points[1].duration_us - 42.0).abs() < 1e-9);
@@ -705,7 +556,8 @@ mod tests {
             ChannelAttackKind::ManInTheMiddle,
             ChannelAttackKind::EntangleMeasure,
         ] {
-            let (attacked, honest) = channel_attack_experiment(kind, 3, 5);
+            let report = campaigns::run(&attack_campaign(kind, BackendKind::default(), 3, 5));
+            let (attacked, honest) = attack_rows(&report.unwrap()).unwrap();
             assert_eq!(attacked.delivered, 0, "{kind:?} must never deliver");
             assert!(attacked.detection_rate > 0.99);
             assert_eq!(honest.delivered, 3);
@@ -713,10 +565,10 @@ mod tests {
     }
 
     #[test]
-    fn channel_attack_experiment_runs_on_both_backends() {
+    fn channel_attack_campaign_runs_on_every_backend() {
         for backend in BackendKind::ALL {
-            let (attacked, honest) =
-                channel_attack_experiment_on(ChannelAttackKind::InterceptResend, backend, 3, 8);
+            let campaign = attack_campaign(ChannelAttackKind::InterceptResend, backend, 3, 8);
+            let (attacked, honest) = attack_rows(&campaigns::run(&campaign).unwrap()).unwrap();
             assert_eq!(attacked.delivered, 0, "{backend} must detect the attack");
             assert!(attacked.detection_rate > 0.99, "{backend}");
             assert_eq!(honest.delivered, 3, "{backend} honest control delivers");
@@ -725,7 +577,7 @@ mod tests {
 
     #[test]
     fn backend_ablation_covers_the_full_grid() {
-        let rows = backend_ablation_experiment(&[0], 3, 9);
+        let rows = ablation_rows(&campaigns::run(&ablation_campaign(&[0], 3, 9)).unwrap()).unwrap();
         // One η × three adversaries × every backend.
         assert_eq!(
             rows.len(),

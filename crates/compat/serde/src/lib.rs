@@ -417,6 +417,13 @@ pub mod json {
     use super::{Deserialize, Error, Serialize, Value};
     use std::fmt::Write as _;
 
+    /// The deepest nesting of arrays and objects [`parse`] accepts. The parser
+    /// recurses once per level, so without a cap a single line of `[`s could
+    /// overflow the stack of whichever thread reads it; past the cap, parsing
+    /// fails with an error naming the limit. Checked-in documents nest at
+    /// most 13 levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Serializes a value to a JSON string.
     pub fn to_string<T: Serialize + ?Sized>(value: &T) -> String {
         let mut out = String::new();
@@ -435,6 +442,7 @@ pub mod json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let value = parser.parse_value()?;
         parser.skip_whitespace();
@@ -517,6 +525,8 @@ pub mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        /// Arrays and objects currently open.
+        depth: usize,
     }
 
     impl<'a> Parser<'a> {
@@ -561,14 +571,29 @@ pub mod json {
                 Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
                 Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
                 Some(b'"') => self.parse_string().map(Value::Str),
-                Some(b'[') => self.parse_seq(),
-                Some(b'{') => self.parse_map(),
+                Some(b'[') => self.nested(Self::parse_seq),
+                Some(b'{') => self.nested(Self::parse_map),
                 Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
                 Some(c) => Err(Error::new(format!(
                     "unexpected character `{}` at byte {}",
                     c as char, self.pos
                 ))),
             }
+        }
+
+        /// Parses one array or object one level deeper, refusing to go past
+        /// [`MAX_DEPTH`].
+        fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+            if self.depth == MAX_DEPTH {
+                return Err(Error::new(format!(
+                    "JSON nested deeper than MAX_DEPTH ({MAX_DEPTH}) at byte {}",
+                    self.pos
+                )));
+            }
+            self.depth += 1;
+            let value = parse(self);
+            self.depth -= 1;
+            value
         }
 
         fn parse_seq(&mut self) -> Result<Value, Error> {
@@ -748,6 +773,23 @@ mod tests {
             Option::<u64>::from_value(v.get_field("missing").unwrap()).unwrap(),
             None
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |open: &str, close: &str, levels: usize| {
+            format!("{}0{}", open.repeat(levels), close.repeat(levels))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let at_limit = nested(open, close, json::MAX_DEPTH);
+            assert!(json::parse(&at_limit).is_ok(), "{open}: depth at the limit");
+            let past_limit = nested(open, close, json::MAX_DEPTH + 1);
+            let error = json::parse(&past_limit).unwrap_err();
+            assert!(error.to_string().contains("MAX_DEPTH"), "{error}");
+        }
+        // Far past the limit fails the same way instead of overflowing the
+        // stack.
+        assert!(json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

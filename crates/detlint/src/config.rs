@@ -11,7 +11,7 @@ pub struct Config {
     /// Path prefixes never scanned at all (fixture inputs, generated code).
     pub exclude: Vec<String>,
     /// Path prefixes exempt from the `wall-clock` rule (vendored compat
-    /// shims). Binary entry points (`/bin/` and crate `src/main.rs`),
+    /// shims, the benchmark). Binary entry points (`/bin/` and crate `src/main.rs`),
     /// tests, benches and examples are exempt structurally, not by this
     /// list.
     pub wall_clock_exempt: Vec<String>,
@@ -47,7 +47,13 @@ impl Config {
                 // synthetic paths, never as workspace sources.
                 "crates/detlint/tests/inputs/".into(),
             ],
-            wall_clock_exempt: vec!["crates/compat/".into()],
+            wall_clock_exempt: vec![
+                "crates/compat/".into(),
+                // The repository benchmark times the workspace from the
+                // outside; clocks are its instrument, and nothing it
+                // measures feeds a result.
+                "perfbench/".into(),
+            ],
             unordered_scope: vec![
                 "crates/protocol/src/".into(),
                 "crates/noise/src/".into(),
@@ -137,8 +143,9 @@ mod tests {
         // Both binary forms: `src/bin/*.rs` and a crate's `src/main.rs`.
         assert!(!config.wall_clock_applies("crates/bench/src/bin/shardctl.rs"));
         assert!(!config.wall_clock_applies("crates/serve/src/main.rs"));
-        // Exempt-by-prefix (vendored shims).
+        // Exempt-by-prefix (vendored shims, the benchmark).
         assert!(!config.wall_clock_applies("crates/compat/rand/src/lib.rs"));
+        assert!(!config.wall_clock_applies("perfbench/src/trace.rs"));
         // Library code stays patrolled — including a module merely named
         // like an entry point outside `src/`.
         assert!(config.wall_clock_applies("crates/serve/src/server.rs"));

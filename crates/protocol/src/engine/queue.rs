@@ -1218,8 +1218,13 @@ fn validate_result_header(
 
 /// Writes `bytes` to `path` atomically: write a sibling temp file, then
 /// rename over the target. A crash at any instant leaves either the old file
-/// or the new one, never a torn write.
-pub(super) fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), QueueError> {
+/// or the new one, never a torn write. Nothing is fsynced, so the guarantee
+/// covers a killed process, not a power loss.
+///
+/// # Errors
+///
+/// [`QueueError::Io`] naming the temp file or the target, whichever failed.
+pub fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), QueueError> {
     let tmp = path.with_extension("tmp");
     fs::write(&tmp, bytes).map_err(|e| QueueError::Io {
         path: tmp.clone(),

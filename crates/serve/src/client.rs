@@ -1,5 +1,6 @@
 //! A minimal blocking client for `qsdc-serve`, used by the chaos tests,
-//! the `serve_load` load generator, and ad-hoc tooling.
+//! the repository benchmark's `serve-open-loop` workload (`perfbench/`),
+//! and ad-hoc tooling.
 //!
 //! The protocol is symmetric newline-delimited JSON, so the client is a
 //! thin wrapper: [`Client::send`] writes one request line,

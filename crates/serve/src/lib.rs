@@ -31,9 +31,9 @@
 //!   run.
 //!
 //! The binary is `qsdc-serve` (see `src/main.rs`); the library exposes the
-//! same server embeddable in-process (the `serve_load` load generator and
-//! the chaos tests use it), plus a minimal blocking [`client`] for tests and
-//! tooling. Protocol grammar and semantics: `docs/service.md`.
+//! same server embeddable in-process (the `serve-open-loop` workload of the
+//! repository benchmark in `perfbench/` and the chaos tests use it), plus a
+//! minimal blocking [`client`] for tests and tooling. Protocol grammar and semantics: `docs/service.md`.
 #![forbid(unsafe_code)]
 
 pub mod client;

@@ -20,6 +20,7 @@
 //! the spool ([`Spool::scan`]), recovers the expired leases, and finishes
 //! every job byte-identically to an uninterrupted run.
 
+use protocol::engine::queue::write_atomically;
 use protocol::engine::{
     Campaign, CampaignError, CampaignReport, CampaignRun, CampaignWorkload, ClaimOutcome,
     QueueError, SessionEngine, ShardOutput, ShardPayload, ShardPlan, ShardQueue, SlotState,
@@ -355,7 +356,8 @@ impl Spool {
             }
         };
         let manifest_path = job_dir.join(MANIFEST_FILE);
-        write_atomically(&manifest_path, serde::json::to_string(manifest).as_bytes())?;
+        write_atomically(&manifest_path, serde::json::to_string(manifest).as_bytes())
+            .map_err(spool_io)?;
         Ok(work)
     }
 
@@ -441,6 +443,7 @@ impl Spool {
             &self.job_dir(id).join(CANCELLED_FILE),
             b"{\"cancelled\":true}",
         )
+        .map_err(spool_io)
     }
 
     /// Merges a complete job and writes its final `result.json`
@@ -471,7 +474,7 @@ impl Spool {
             JobOutcome::Session(summary) => serde::json::to_string(summary),
             JobOutcome::Campaign(report) => serde::json::to_string(report),
         };
-        write_atomically(&self.result_path(id), bytes.as_bytes())?;
+        write_atomically(&self.result_path(id), bytes.as_bytes()).map_err(spool_io)?;
         Ok(outcome)
     }
 
@@ -576,16 +579,11 @@ fn reject_unservable(campaign: &Campaign) -> Result<(), SpoolError> {
     }
 }
 
-/// Writes `bytes` to `path` atomically (write temp + rename), matching the
-/// queue's own crash model.
-fn write_atomically(path: &Path, bytes: &[u8]) -> Result<(), SpoolError> {
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, bytes).map_err(|e| SpoolError::Io {
-        path: tmp.clone(),
-        message: e.to_string(),
-    })?;
-    fs::rename(&tmp, path).map_err(|e| SpoolError::Io {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    })
+/// Reports a failed [`write_atomically`] as [`SpoolError::Io`], keeping the
+/// offending path.
+fn spool_io(error: QueueError) -> SpoolError {
+    match error {
+        QueueError::Io { path, message } => SpoolError::Io { path, message },
+        other => SpoolError::Queue(other),
+    }
 }

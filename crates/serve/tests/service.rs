@@ -339,6 +339,34 @@ fn malformed_truncated_and_oversized_requests_fail_by_name() {
 }
 
 #[test]
+fn deeply_nested_frames_fail_by_name_and_the_server_survives() {
+    let spool = TempDir::new("nesting");
+    let server = start_server(&spool, 1, 4, 8);
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+
+    // Well under the frame cap, but far deeper than the parser recurses.
+    client.send_raw(&"[".repeat(200_000)).expect("sends");
+    let response = client.recv().expect("server answers");
+    assert!(
+        matches!(
+            response,
+            Response::Error {
+                kind: ErrorKind::Malformed,
+                ..
+            }
+        ),
+        "expected Malformed, got {response:?}"
+    );
+
+    client.send(&Request::Ping).expect("ping sends");
+    let pong = client.recv().expect("pong");
+    assert!(
+        matches!(pong, Response::Pong),
+        "expected Pong, got {pong:?}"
+    );
+}
+
+#[test]
 fn sampled_campaigns_are_refused_as_unsupported() {
     let spool = TempDir::new("sampled");
     let server = start_server(&spool, 1, 4, 8);

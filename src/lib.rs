@@ -240,9 +240,10 @@
 //! # }
 //! ```
 //!
-//! The `serve_load` binary (`bench` crate) is the matching load generator — hundreds of
-//! concurrent clients, mixed job sizes, p50/p99 latency and aggregate trials/sec reported
-//! into `BENCH_throughput.json`'s `serve` section.
+//! The `serve-open-loop` workload of the repository benchmark (`perfbench/` at the
+//! repository root) is the matching load generator: an in-process server fed a mixed job
+//! stream on an open-loop schedule, reporting job latency percentiles, trials/sec and a
+//! per-layer breakdown of the service path.
 //!
 //! ## Simulation backends
 //!

@@ -353,3 +353,52 @@ fn merge_checkpoint_wire_format_is_stable() {
     let rederived = parsed.plan.subrange(2, 2);
     assert_eq!(rederived, sub);
 }
+
+/// Nesting depth of a parsed document: 0 for scalars, 1 + the deepest child
+/// for arrays and objects.
+fn nesting_depth(value: &serde::Value) -> usize {
+    match value {
+        serde::Value::Seq(items) => 1 + items.iter().map(nesting_depth).max().unwrap_or(0),
+        serde::Value::Map(entries) => {
+            1 + entries
+                .iter()
+                .map(|(_, v)| nesting_depth(v))
+                .max()
+                .unwrap_or(0)
+        }
+        _ => 0,
+    }
+}
+
+/// The JSON parser's nesting cap must leave real documents plenty of
+/// headroom: every checked-in fixture and stored campaign nests at most a
+/// quarter as deep as `serde::json::MAX_DEPTH`.
+#[test]
+fn checked_in_documents_nest_well_below_the_parser_depth_cap() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    let mut deepest = (0, PathBuf::new());
+    let mut documents = 0;
+    for dir in ["tests/fixtures", "crates/bench/campaigns"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect("directory lists") {
+            let path = entry.expect("entry reads").path();
+            if path.extension().is_none_or(|ext| ext != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("document reads");
+            let value = serde::json::parse(&text).expect("document parses");
+            documents += 1;
+            let depth = nesting_depth(&value);
+            if depth > deepest.0 {
+                deepest = (depth, path);
+            }
+        }
+    }
+    assert!(documents >= 10, "found only {documents} documents");
+    assert!(
+        deepest.0 * 4 <= serde::json::MAX_DEPTH,
+        "{} nests {} levels, too close to MAX_DEPTH {}",
+        deepest.1.display(),
+        deepest.0,
+        serde::json::MAX_DEPTH
+    );
+}
