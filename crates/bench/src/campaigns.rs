@@ -441,9 +441,8 @@ pub(crate) fn attack_defaults(kind: ChannelAttackKind) -> (usize, u64) {
     }
 }
 
-/// The row pair printed by one channel-attack binary: the stored campaign
-/// when the arguments match its checked-in defaults, a rebuilt campaign of
-/// the same shape otherwise.
+/// The row pair printed by one channel-attack binary: the stored campaign on
+/// the default backend, the same campaign rebuilt on `backend` otherwise.
 ///
 /// # Errors
 ///
@@ -451,12 +450,11 @@ pub(crate) fn attack_defaults(kind: ChannelAttackKind) -> (usize, u64) {
 pub fn attack_experiment_rows(
     kind: ChannelAttackKind,
     backend: BackendKind,
-    trials: usize,
-    seed: u64,
 ) -> Result<(AttackRow, AttackRow), String> {
-    let campaign = if backend == BackendKind::default() && (trials, seed) == attack_defaults(kind) {
+    let campaign = if backend == BackendKind::default() {
         stored_campaign(attack_campaign_name(kind))?
     } else {
+        let (trials, seed) = attack_defaults(kind);
         attack_campaign(kind, backend, trials, seed)
     };
     attack_rows(&run(&campaign)?)

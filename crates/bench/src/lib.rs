@@ -260,12 +260,10 @@ pub enum ChannelAttackKind {
 pub fn attack_binary_main(kind: ChannelAttackKind) {
     let backend = backend_from_args();
     announce_parallelism();
-    let (trials, seed) = campaigns::attack_defaults(kind);
-    let (attacked, honest) = campaigns::attack_experiment_rows(kind, backend, trials, seed)
-        .unwrap_or_else(|e| {
-            eprintln!("{}: {e}", campaigns::attack_campaign_name(kind));
-            std::process::exit(2)
-        });
+    let (attacked, honest) = campaigns::attack_experiment_rows(kind, backend).unwrap_or_else(|e| {
+        eprintln!("{}: {e}", campaigns::attack_campaign_name(kind));
+        std::process::exit(2)
+    });
     let (title, expected_shape) = match kind {
         ChannelAttackKind::InterceptResend => (
             "Intercept-and-resend",

@@ -12,41 +12,33 @@
 //!    bookkeeping growth (records, outcomes, summaries) cannot silently
 //!    regress back toward the pre-pool ~200 allocations/trial.
 //!
-//! The global counters are process-wide, so the tests serialise on a mutex
-//! and measure each window several times (see [`fewest_allocations`]).
+//! The global counters are process-wide, so every measured window runs
+//! inside the one `#[test]` of this binary: the test harness then has no
+//! other test thread to spawn, run or report while a window is open.
 
 use protocol::engine::{BackendKind, Parallelism, SessionEngine};
 use qchannel::epr::EprPair;
 use qchannel::quantum::QuantumChannel;
 use rand::SeedableRng;
-use std::sync::Mutex;
 
 #[global_allocator]
 static ALLOC: alloc_counter::CountingAllocator = alloc_counter::CountingAllocator::new();
 
-/// Serialises the tests: the allocation counters are global, so concurrent
-/// tests would attribute each other's allocations.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
-
-/// The allocations one run of `window` performs, as the fewest seen over
-/// three runs. The mutex cannot stop the test harness itself from
-/// allocating on its own threads (spawning the next test thread) while a
-/// window is open; an allocation `window` really makes shows up in every
-/// run.
-fn fewest_allocations(mut window: impl FnMut()) -> u64 {
-    (0..3)
-        .map(|_| {
-            let before = alloc_counter::CountingAllocator::allocations();
-            window();
-            alloc_counter::CountingAllocator::allocations() - before
-        })
-        .min()
-        .expect("three runs")
+/// The allocations one run of `window` performs.
+fn allocations_during(window: impl FnOnce()) -> u64 {
+    let before = alloc_counter::CountingAllocator::allocations();
+    window();
+    alloc_counter::CountingAllocator::allocations() - before
 }
 
 #[test]
+fn hot_paths_stay_within_their_allocation_budgets() {
+    compiled_kernel_loop_is_allocation_free_in_steady_state();
+    twirled_trial_loop_is_allocation_free_once_warm();
+    steady_state_trial_allocations_stay_bounded();
+}
+
 fn compiled_kernel_loop_is_allocation_free_in_steady_state() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let scenario = bench::shard_io::demo_scenario("intercept", 7, BackendKind::default())
         .expect("demo scenario");
     let compiled = QuantumChannel::new(scenario.config.channel().clone()).compile();
@@ -74,7 +66,7 @@ fn compiled_kernel_loop_is_allocation_free_in_steady_state() {
         step(&mut pair, &mut rng);
     }
 
-    let allocations = fewest_allocations(|| {
+    let allocations = allocations_during(|| {
         for _ in 0..64 {
             step(&mut pair, &mut rng);
         }
@@ -85,9 +77,7 @@ fn compiled_kernel_loop_is_allocation_free_in_steady_state() {
     );
 }
 
-#[test]
 fn twirled_trial_loop_is_allocation_free_once_warm() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     // The η-sweep workload: 50 noisy identity gates on a brisbane-like
     // device, so both the emission and the convolved transmit distributions
     // are non-trivial — every emit and transmit below really samples a Pauli
@@ -117,7 +107,7 @@ fn twirled_trial_loop_is_allocation_free_once_warm() {
     // loop is pure integer/bitmask work and may not allocate at all.
     step(&mut pair, &mut rng);
 
-    let allocations = fewest_allocations(|| {
+    let allocations = allocations_during(|| {
         for _ in 0..256 {
             step(&mut pair, &mut rng);
         }
@@ -128,9 +118,7 @@ fn twirled_trial_loop_is_allocation_free_once_warm() {
     );
 }
 
-#[test]
 fn steady_state_trial_allocations_stay_bounded() {
-    let _guard = COUNTER_LOCK.lock().unwrap();
     let scenario = bench::shard_io::demo_scenario("intercept", 7, BackendKind::default())
         .expect("demo scenario");
     let engine = SessionEngine::new(7).with_parallelism(Parallelism::Serial);
@@ -143,7 +131,7 @@ fn steady_state_trial_allocations_stay_bounded() {
     // outcome bookkeeping); the pre-pool kernels sat at ~207. The budget
     // leaves headroom for summary growth without letting the pools regress.
     const BUDGET_PER_TRIAL: u64 = 120;
-    let allocations = fewest_allocations(|| {
+    let allocations = allocations_during(|| {
         engine
             .run_trials(&scenario, TRIALS)
             .expect("measured trials");

@@ -214,7 +214,9 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
         .send(&Request::Cancel { job: victim_job })
         .expect("cancel sends");
     let mut cancelled = false;
-    // Snapshots of the long job may interleave before the answer.
+    let mut long_done = None;
+    // Snapshots of the long job, and on a slow host its Done, may
+    // interleave before the answer.
     for _ in 0..64 {
         match client.recv().expect("response") {
             Response::Cancelled { job } => {
@@ -222,7 +224,8 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
                 cancelled = true;
                 break;
             }
-            Response::Snapshot { .. } | Response::Done { .. } => continue,
+            Response::Snapshot { .. } => continue,
+            done @ Response::Done { .. } => long_done = Some(done),
             other => panic!("unexpected response {other:?}"),
         }
     }
@@ -235,8 +238,14 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
     );
 
     // The long job still completes; the victim never produces a result.
-    let (done, _) = client.wait_done(long_job).expect("long job finishes");
-    assert!(matches!(done, Response::Done { .. }));
+    let done = match long_done {
+        Some(done) => done,
+        None => client.wait_done(long_job).expect("long job finishes").0,
+    };
+    assert!(
+        matches!(done, Response::Done { job, .. } if job == long_job),
+        "expected the long job's Done, got {done:?}"
+    );
     assert!(
         !victim_dir.join("result.json").exists(),
         "a cancelled job must not be finalized"
@@ -247,7 +256,7 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
     client
         .send(&Request::Status { job: victim_job })
         .expect("status sends");
-    let status = client.recv().expect("status answered");
+    let status = recv_skipping_snapshots(&mut client);
     assert!(
         matches!(
             status,
@@ -261,7 +270,7 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
     client
         .send(&Request::Cancel { job: 999_999 })
         .expect("cancel sends");
-    let unknown = client.recv().expect("answered");
+    let unknown = recv_skipping_snapshots(&mut client);
     assert!(
         matches!(
             unknown,
@@ -272,6 +281,17 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
         ),
         "expected UnknownJob, got {unknown:?}"
     );
+}
+
+/// The next response that is not a `Snapshot`: a victim shard already
+/// executing when its cancel landed still streams one when it finishes.
+fn recv_skipping_snapshots(client: &mut Client) -> Response {
+    loop {
+        match client.recv().expect("response") {
+            Response::Snapshot { .. } => continue,
+            other => return other,
+        }
+    }
 }
 
 #[test]
