@@ -117,6 +117,9 @@ pub enum ErrorKind {
     /// The job is well-formed but not servable (e.g. a sampled-workload
     /// campaign, which needs a process-local sampler).
     Unsupported,
+    /// The job would split into more shards than the server admits per
+    /// job; the message names the limit. Nothing was reserved or spooled.
+    TooLarge,
     /// The server hit an internal fault (I/O, queue corruption) serving the
     /// request; the message carries the underlying error's rendering.
     Internal,

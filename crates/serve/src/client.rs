@@ -33,6 +33,9 @@ impl Client {
     /// (no parseable `Hello` line).
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
         let writer = TcpStream::connect(addr)?;
+        // Each request is one write of a whole line; Nagle would hold a
+        // pipelined request until the server's delayed ACK.
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         let mut client = Client {
             reader,
@@ -70,20 +73,18 @@ impl Client {
     ///
     /// Socket write failures.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        let mut line = serde::json::to_string(request);
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())
+        self.send_raw(&serde::json::to_string(request))
     }
 
-    /// Writes one raw line (for tests exercising the server's malformed-
-    /// and oversized-input handling).
+    /// Writes one raw line, newline included, in a single write (tests use
+    /// it to exercise the server's malformed- and oversized-input
+    /// handling).
     ///
     /// # Errors
     ///
     /// Socket write failures.
     pub fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")
+        self.writer.write_all(format!("{line}\n").as_bytes())
     }
 
     /// Reads the next response line, whichever job it belongs to.
@@ -105,10 +106,11 @@ impl Client {
     }
 
     /// Submits a job and returns the server's direct answer
-    /// (`Accepted`, `Busy`, or `Error`). Asynchronous responses for other
-    /// jobs (snapshots, completions, cancellations) arriving first are
-    /// skipped — callers tracking those should use [`recv`](Self::recv)
-    /// directly.
+    /// (`Accepted`, `Busy`, or `Error`). The server sends `Accepted` before
+    /// any `Snapshot` or `Done` of the same job, so nothing of the new job
+    /// is lost here. Asynchronous responses for *earlier* jobs (snapshots,
+    /// completions, cancellations) arriving first are skipped — callers
+    /// tracking those should use [`recv`](Self::recv) directly.
     ///
     /// # Errors
     ///
@@ -146,5 +148,33 @@ impl Client {
                 _ => {}
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A connected client has Nagle off, so a request never waits on the
+    /// server's delayed ACK.
+    #[test]
+    fn connect_sets_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr");
+        let greeter = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accepts");
+            let mut hello = serde::json::to_string(&Response::Hello {
+                server: "test".to_string(),
+                wire_version: protocol::wire::WIRE_VERSION,
+                quota: 1,
+                snapshot_trials: 1,
+            });
+            hello.push('\n');
+            stream.write_all(hello.as_bytes()).expect("greets");
+        });
+        let client = Client::connect(addr).expect("connects");
+        greeter.join().expect("greeter finishes");
+        assert!(client.writer.nodelay().expect("reads the option"));
     }
 }

@@ -26,10 +26,18 @@ use std::time::Duration;
 /// written. The server implements this over a shared TCP write half; tests
 /// implement it over a vector.
 pub trait ResponseSink: Send + Sync {
-    /// Delivers one response. Delivery is best-effort: a sink whose client
-    /// vanished silently discards (the job itself keeps running — its
-    /// result is in the spool).
-    fn send(&self, response: &Response);
+    /// Delivers one response if `live()` still holds when the sink is about
+    /// to write it. The check runs under the sink's write lock, so a
+    /// response made stale by a concurrent writer (a snapshot racing its
+    /// job's `Cancelled`) is dropped rather than sent after it. Delivery
+    /// is best-effort: a sink whose client vanished silently discards (the
+    /// job itself keeps running — its result is in the spool).
+    fn send_if(&self, response: &Response, live: &dyn Fn() -> bool);
+
+    /// Delivers one response unconditionally.
+    fn send(&self, response: &Response) {
+        self.send_if(response, &|| true);
+    }
 }
 
 /// One schedulable job, in the fair order chosen by [`Registry::schedule`].
@@ -228,9 +236,10 @@ impl Registry {
         self.lock().jobs.get(&job).map(|e| Arc::clone(&e.work))
     }
 
-    /// A live job's total trial count.
-    pub fn job_trials_total(&self, job: u64) -> Option<u64> {
-        self.lock().jobs.get(&job).map(|e| e.trials_total)
+    /// Whether `job` is still scheduled: not yet finished, failed or
+    /// cancelled.
+    pub fn is_live(&self, job: u64) -> bool {
+        self.lock().jobs.contains_key(&job)
     }
 
     /// The sink of the client owning `job`, when both are still around.
@@ -345,7 +354,7 @@ mod tests {
     struct NullSink;
 
     impl ResponseSink for NullSink {
-        fn send(&self, _response: &Response) {}
+        fn send_if(&self, _response: &Response, _live: &dyn Fn() -> bool) {}
     }
 
     struct TempDir(PathBuf);
@@ -429,12 +438,15 @@ mod tests {
         assert!(registry.begin_finalize(1));
         assert!(!registry.begin_finalize(1), "finalize is exactly-once");
         assert!(registry.finish_job(1).is_some());
+        assert!(!registry.is_live(1));
         assert_eq!(registry.reserve_slot(client, 2), Ok(()));
 
         // Cancelling is identity-checked and frees the slot too.
         let intruder = registry.register_client(Arc::new(NullSink));
         assert_eq!(registry.cancel(2, intruder), CancelOutcome::Unknown);
+        assert!(registry.is_live(2));
         assert_eq!(registry.cancel(2, client), CancelOutcome::Cancelled);
+        assert!(!registry.is_live(2));
         assert_eq!(registry.reserve_slot(client, 2), Ok(()));
     }
 }

@@ -18,7 +18,9 @@
 
 use crate::registry::{CancelOutcome, Registry, ResponseSink};
 use crate::spool::{JobOutcome, JobWork, Spool, SpoolError, WorkClaim};
-use protocol::engine::{SessionEngine, ShardOutput, ShardPlan, ShardQueue};
+use protocol::engine::{
+    Axis, AxisValue, CampaignSpace, SessionEngine, ShardOutput, ShardPlan, ShardQueue,
+};
 use protocol::wire::{
     ErrorKind, JobManifest, JobSpec, JobState, Request, Response, MANIFEST_VERSION, WIRE_VERSION,
 };
@@ -34,6 +36,13 @@ use std::time::Duration;
 /// with [`ErrorKind::Oversized`] and discarded up to its newline; the
 /// connection survives.
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// Admission limit: the most shards one job may be split into. Lowering
+/// allocates a plan per shard and every queue operation rewrites a
+/// checkpoint of all of them, so a `Submit` past this is answered with
+/// [`ErrorKind::TooLarge`] before anything is reserved or spooled. At the
+/// default 256-trial cadence it admits sessions of up to ~10⁶ trials.
+pub const MAX_JOB_SHARDS: u64 = 4096;
 
 /// Tunables for one server instance. All fields have serving defaults; the
 /// binary overrides them from `UA_DI_QSDC_SERVE_*` (see
@@ -230,12 +239,17 @@ fn stream_snapshot(inner: &Arc<Inner>, job: u64, work: &Arc<JobWork>, queue: &Sh
         // state is announced by `Done` (racing workers may finish the last
         // shard between the cadence gate and the fold).
         Ok(Some((prefix_trials, _))) if prefix_trials >= trials_total => {}
-        Ok(Some((prefix_trials, summary))) => sink.send(&Response::Snapshot {
-            job,
-            trials_done: prefix_trials,
-            trials_total,
-            summary,
-        }),
+        // A job cancelled (or finished) while its shard ran must not stream
+        // after its `Cancelled`: liveness is checked under the write lock.
+        Ok(Some((prefix_trials, summary))) => sink.send_if(
+            &Response::Snapshot {
+                job,
+                trials_done: prefix_trials,
+                trials_total,
+                summary,
+            },
+            &|| inner.registry.is_live(job),
+        ),
         Ok(None) => {}
         Err(error) => eprintln!("serve: snapshot of job {job} failed: {error}"),
     }
@@ -318,16 +332,29 @@ struct TcpSink {
 }
 
 impl ResponseSink for TcpSink {
-    fn send(&self, response: &Response) {
+    fn send_if(&self, response: &Response, live: &dyn Fn() -> bool) {
         let mut line = serde::json::to_string(response);
         line.push('\n');
         let mut stream = self.stream.lock().unwrap_or_else(|p| p.into_inner());
-        // Best-effort: a vanished client does not stop its jobs.
-        let _ = stream.write_all(line.as_bytes());
+        if live() {
+            // Best-effort: a vanished client does not stop its jobs.
+            let _ = stream.write_all(line.as_bytes());
+        }
     }
 }
 
+/// Accept-time socket setup. Every response is one `write_all` of a whole
+/// line, so Nagle's algorithm has nothing to coalesce; left on, it holds a
+/// reply behind the previous unacknowledged one until the client's
+/// delayed-ACK timer fires (~40 ms on Linux).
+fn configure_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
+}
+
 fn handle_connection(inner: &Arc<Inner>, stream: TcpStream) {
+    if let Err(error) = configure_stream(&stream) {
+        eprintln!("serve: could not set TCP_NODELAY: {error}");
+    }
     let write_half = match stream.try_clone() {
         Ok(clone) => clone,
         Err(error) => {
@@ -388,6 +415,18 @@ fn dispatch(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, reque
 }
 
 fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: JobSpec) {
+    let shard_trials = inner.config.snapshot_trials.max(1);
+    let slots = shard_slots(&spec, shard_trials);
+    if slots > MAX_JOB_SHARDS {
+        sink.send(&Response::Error {
+            kind: ErrorKind::TooLarge,
+            message: format!(
+                "job needs {slots} shards of {shard_trials} trials; \
+                 the limit is MAX_JOB_SHARDS = {MAX_JOB_SHARDS} per job"
+            ),
+        });
+        return;
+    }
     if let Err((in_flight, quota)) = inner.registry.reserve_slot(client, inner.config.quota) {
         sink.send(&Response::Busy { in_flight, quota });
         return;
@@ -398,7 +437,7 @@ fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: J
         job,
         client: format!("client-{client}"),
         spec,
-        shard_trials: inner.config.snapshot_trials.max(1),
+        shard_trials,
     };
     let lowered = inner
         .spool
@@ -411,6 +450,10 @@ fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: J
                 // Campaign reports fold per-point; no incremental stream.
                 JobWork::Campaign { .. } => 0,
             };
+            // The job is durable, so it can be acknowledged; doing so before
+            // the workers can see it puts `Accepted` ahead of its `Snapshot`s
+            // and `Done` on the wire.
+            sink.send(&Response::Accepted { job });
             inner.registry.add_job(
                 job,
                 Some(client),
@@ -418,7 +461,6 @@ fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: J
                 trials_total,
                 snapshot_trials,
             );
-            sink.send(&Response::Accepted { job });
         }
         Err(SpoolError::Unsupported { reason }) => {
             inner.registry.release_slot(client);
@@ -512,6 +554,43 @@ fn status(inner: &Arc<Inner>, sink: &Arc<dyn ResponseSink>, job: u64) {
     }
 }
 
+/// Shards a job splits into at `shard_trials` trials per shard, computed
+/// from the spec alone (no plan, no campaign expansion) and saturating
+/// rather than overflowing. For a campaign it is an upper bound: the point
+/// count times the shards of the largest trial budget any point can carry.
+fn shard_slots(spec: &JobSpec, shard_trials: usize) -> u64 {
+    let shards = |trials: usize| (trials as u64).div_ceil(shard_trials.max(1) as u64);
+    let campaign = match spec {
+        JobSpec::Session { trials, .. } => return shards(*trials),
+        JobSpec::Campaign { campaign } => campaign,
+    };
+    let (points, budget) = match &campaign.space {
+        CampaignSpace::Grid(axes) => (
+            axes.iter().fold(1u64, |product, axis| {
+                product.saturating_mul(axis.len() as u64)
+            }),
+            axes.iter()
+                .filter_map(|axis| match axis {
+                    Axis::Trials(values) => values.iter().max(),
+                    _ => None,
+                })
+                .fold(campaign.trials, |budget, &trials| budget.max(trials)),
+        ),
+        CampaignSpace::Points(points) => (
+            points.len() as u64,
+            points
+                .iter()
+                .flatten()
+                .filter_map(|coord| match coord {
+                    AxisValue::Trials(trials) => Some(trials),
+                    _ => None,
+                })
+                .fold(campaign.trials, |budget, &trials| budget.max(trials)),
+        ),
+    };
+    points.saturating_mul(shards(budget))
+}
+
 /// Total trials a manifest's spec describes, for status answers about jobs
 /// whose queues are gone or not worth reopening.
 fn spec_trials(inner: &Arc<Inner>, manifest: &JobManifest) -> u64 {
@@ -595,6 +674,133 @@ fn discard_to_newline(reader: &mut impl BufRead) -> io::Result<Frame> {
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// Every accepted connection leaves the setup with Nagle off, so a
+    /// reply never waits on the peer's delayed ACK.
+    #[test]
+    fn accepted_streams_have_nodelay_set() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let _peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connects");
+        let (accepted, _) = listener.accept().expect("accepts");
+        configure_stream(&accepted).expect("configures");
+        assert!(accepted.nodelay().expect("reads the option"));
+    }
+
+    /// The sink reads liveness while it holds the connection's write lock,
+    /// so a snapshot cannot pass the check before a `Cancelled` written
+    /// under that lock and go out after it; a failed check sends nothing.
+    #[test]
+    fn send_if_reads_liveness_under_the_write_lock() {
+        use std::io::Read;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connects");
+        let sink = TcpSink {
+            stream: Mutex::new(listener.accept().expect("accepts").0),
+        };
+        let checked_under_lock = std::cell::Cell::new(false);
+        sink.send_if(&Response::Pong, &|| {
+            checked_under_lock.set(sink.stream.try_lock().is_err());
+            false
+        });
+        assert!(checked_under_lock.get());
+        drop(sink);
+        let mut received = String::new();
+        peer.read_to_string(&mut received).expect("reads to EOF");
+        assert_eq!(received, "", "a response that failed its check was sent");
+    }
+
+    fn scenario() -> protocol::engine::Scenario {
+        use rand::SeedableRng;
+        protocol::engine::Scenario::new(
+            protocol::SessionConfig::builder()
+                .build()
+                .expect("config builds"),
+            protocol::identity::IdentityPair::generate(
+                2,
+                &mut rand::rngs::StdRng::seed_from_u64(1),
+            ),
+        )
+    }
+
+    fn session(trials: usize) -> JobSpec {
+        JobSpec::Session {
+            scenario: scenario(),
+            trials,
+            seed: 0,
+        }
+    }
+
+    /// `Accepted` goes out before the workers can see the job, so it
+    /// precedes every `Snapshot` and `Done` of that job on the wire.
+    #[test]
+    fn submit_acknowledges_before_scheduling() {
+        struct Recorder {
+            inner: Arc<Inner>,
+            scheduled_at_ack: Mutex<Option<bool>>,
+        }
+        impl ResponseSink for Recorder {
+            fn send_if(&self, response: &Response, _live: &dyn Fn() -> bool) {
+                if let Response::Accepted { job } = response {
+                    let scheduled = self.inner.registry.is_live(*job);
+                    *self.scheduled_at_ack.lock().expect("not poisoned") = Some(scheduled);
+                }
+            }
+        }
+
+        let dir =
+            std::env::temp_dir().join(format!("ua-di-qsdc-server-ack-{}", std::process::id()));
+        let inner = Arc::new(Inner {
+            registry: Registry::new(),
+            spool: Spool::open(&dir).expect("spool opens"),
+            config: ServerConfig::default(),
+            next_job: AtomicU64::new(1),
+        });
+        let recorder = Arc::new(Recorder {
+            inner: Arc::clone(&inner),
+            scheduled_at_ack: Mutex::new(None),
+        });
+        let sink: Arc<dyn ResponseSink> = recorder.clone();
+        let client = inner.registry.register_client(Arc::clone(&sink));
+        submit(&inner, client, &sink, session(2));
+        let scheduled_at_ack = *recorder.scheduled_at_ack.lock().expect("not poisoned");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            scheduled_at_ack,
+            Some(false),
+            "acknowledged after scheduling"
+        );
+        assert!(
+            inner.registry.is_live(1),
+            "the job is scheduled after its ack"
+        );
+    }
+
+    /// The admission count needs no expansion: a session's shards follow
+    /// from its trial count, a campaign's from its axis lengths and largest
+    /// trial budget, and absurd sizes saturate instead of overflowing.
+    #[test]
+    fn shard_slots_count_without_expanding() {
+        assert_eq!(shard_slots(&session(0), 8), 0);
+        assert_eq!(shard_slots(&session(17), 8), 3);
+        assert_eq!(shard_slots(&session(10_000_000_000), 256), 39_062_500);
+
+        let campaign = |trials, space| JobSpec::Campaign {
+            campaign: protocol::engine::Campaign {
+                label: "slots".to_string(),
+                master_seed: 0,
+                trials,
+                workload: protocol::engine::CampaignWorkload::Session { base: scenario() },
+                space,
+            },
+        };
+        let grid = CampaignSpace::Grid(vec![Axis::Eta(vec![0, 10, 20]), Axis::Trials(vec![4, 40])]);
+        // Six points, each charged the 40-trial budget: 5 shards of 8.
+        assert_eq!(shard_slots(&campaign(1, grid), 8), 30);
+        let points = CampaignSpace::Points(vec![vec![], vec![AxisValue::Eta(10)]]);
+        assert_eq!(shard_slots(&campaign(9, points), 8), 4);
+        let huge = CampaignSpace::Grid(vec![Axis::Eta(vec![0; 1 << 16]); 5]);
+        assert_eq!(shard_slots(&campaign(1, huge), 8), u64::MAX);
+    }
 
     /// Frames split across buffer boundaries reassemble; the cap rejects a
     /// hostile line without buffering it and resynchronizes at its newline.

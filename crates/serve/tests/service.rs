@@ -213,23 +213,20 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
     client
         .send(&Request::Cancel { job: victim_job })
         .expect("cancel sends");
-    let mut cancelled = false;
     let mut long_done = None;
-    // Snapshots of the long job, and on a slow host its Done, may
+    // Snapshots of either job, and on a slow host the long job's Done, may
     // interleave before the answer.
-    for _ in 0..64 {
+    loop {
         match client.recv().expect("response") {
             Response::Cancelled { job } => {
                 assert_eq!(job, victim_job);
-                cancelled = true;
                 break;
             }
-            Response::Snapshot { .. } => continue,
+            Response::Snapshot { .. } => {}
             done @ Response::Done { .. } => long_done = Some(done),
             other => panic!("unexpected response {other:?}"),
         }
     }
-    assert!(cancelled, "cancel must be acknowledged");
 
     let victim_dir = spool.0.join(format!("job-{victim_job:010}"));
     assert!(
@@ -237,11 +234,19 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
         "cancellation must be durable"
     );
 
-    // The long job still completes; the victim never produces a result.
-    let done = match long_done {
-        Some(done) => done,
-        None => client.wait_done(long_job).expect("long job finishes").0,
-    };
+    // The long job still completes; after `Cancelled` the victim streams
+    // nothing, and it never produces a result.
+    while long_done.is_none() {
+        match client.recv().expect("response") {
+            Response::Snapshot { job, .. } if job == victim_job => {
+                panic!("job {victim_job} streamed a snapshot after Cancelled")
+            }
+            Response::Snapshot { .. } => {}
+            done @ Response::Done { .. } => long_done = Some(done),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    let done = long_done.expect("loop ends on Done");
     assert!(
         matches!(done, Response::Done { job, .. } if job == long_job),
         "expected the long job's Done, got {done:?}"
@@ -252,11 +257,11 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
     );
 
     // Status reports the cancellation; cancelling an unknown job fails by
-    // name.
+    // name. Both jobs are over, so nothing else can interleave.
     client
         .send(&Request::Status { job: victim_job })
         .expect("status sends");
-    let status = recv_skipping_snapshots(&mut client);
+    let status = client.recv().expect("status answered");
     assert!(
         matches!(
             status,
@@ -270,7 +275,7 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
     client
         .send(&Request::Cancel { job: 999_999 })
         .expect("cancel sends");
-    let unknown = recv_skipping_snapshots(&mut client);
+    let unknown = client.recv().expect("cancel answered");
     assert!(
         matches!(
             unknown,
@@ -283,15 +288,74 @@ fn cancellation_stops_scheduling_and_survives_in_the_spool() {
     );
 }
 
-/// The next response that is not a `Snapshot`: a victim shard already
-/// executing when its cancel landed still streams one when it finishes.
-fn recv_skipping_snapshots(client: &mut Client) -> Response {
-    loop {
+/// A job's `Accepted` reaches the wire before any of its `Snapshot`s or
+/// its `Done`, even for one-shard jobs submitted back to back and finished
+/// by a worker as soon as it can see them.
+#[test]
+fn accepted_precedes_every_response_of_its_job() {
+    let spool = TempDir::new("ack-order");
+    let jobs = 32;
+    let server = start_server(&spool, 2, jobs, 8);
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    for seed in 0..jobs as u64 {
+        client
+            .send(&Request::Submit {
+                job: JobSpec::Session {
+                    scenario: scenario(seed),
+                    trials: 2,
+                    seed,
+                },
+            })
+            .expect("submit sends");
+    }
+
+    let mut accepted = std::collections::BTreeSet::new();
+    let mut done = 0;
+    while done < jobs {
         match client.recv().expect("response") {
-            Response::Snapshot { .. } => continue,
-            other => return other,
+            Response::Accepted { job } => assert!(accepted.insert(job), "job {job} acked twice"),
+            Response::Done { job, .. } => {
+                assert!(accepted.contains(&job), "job {job}: Done before Accepted");
+                done += 1;
+            }
+            other => panic!("unexpected response {other:?}"),
         }
     }
+    assert_eq!(accepted.len(), jobs);
+}
+
+/// A job that would split into more shards than the server admits is
+/// refused by name before anything is allocated for it — `trials: 10^10`
+/// once drove the server out of memory — and the connection lives on.
+#[test]
+fn oversized_jobs_are_refused_as_too_large() {
+    let spool = TempDir::new("too-large");
+    let server = start_server(&spool, 1, 4, 8);
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+
+    let response = client
+        .submit(JobSpec::Session {
+            scenario: scenario(1),
+            trials: 10_000_000_000,
+            seed: 0,
+        })
+        .expect("submit round-trips");
+    let Response::Error { kind, message } = response else {
+        panic!("expected Error, got {response:?}");
+    };
+    assert_eq!(kind, ErrorKind::TooLarge);
+    assert!(
+        message.contains(&serve::server::MAX_JOB_SHARDS.to_string()),
+        "the refusal must name the limit: {message}"
+    );
+    assert_eq!(std::fs::read_dir(&spool.0).expect("spool").count(), 0);
+
+    client.send(&Request::Ping).expect("ping sends");
+    let pong = client.recv().expect("pong");
+    assert!(
+        matches!(pong, Response::Pong),
+        "expected Pong, got {pong:?}"
+    );
 }
 
 #[test]

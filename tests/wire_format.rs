@@ -260,6 +260,12 @@ fn serve_wire_formats_are_stable() {
             kind: ErrorKind::Malformed,
             message: "not a request".to_string(),
         },
+        Response::Error {
+            kind: ErrorKind::TooLarge,
+            message: "job needs 39062500 shards of 256 trials; \
+                      the limit is MAX_JOB_SHARDS = 4096 per job"
+                .to_string(),
+        },
     ];
     let text = check_bytes("serve_responses.json", &serde::json::to_string(&responses));
     let parsed: Vec<Response> = serde::json::from_str(&text).expect("fixture still parses");
@@ -270,6 +276,7 @@ fn serve_wire_formats_are_stable() {
         ErrorKind::Oversized,
         ErrorKind::UnknownJob,
         ErrorKind::Unsupported,
+        ErrorKind::TooLarge,
         ErrorKind::Internal,
     ] {
         let json = serde::json::to_string(&kind);
