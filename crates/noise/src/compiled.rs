@@ -114,8 +114,9 @@ impl CompiledChannel {
     }
 
     /// Applies one sampled trajectory step to a pure state — bit-identical
-    /// to [`KrausChannel::sample_on_statevector`], one `f64` drawn from
-    /// `rng` per call. Returns the selected branch index.
+    /// to [`StateVector::apply_kraus_sampled`] with the channel's operators
+    /// and targets, one `f64` drawn from `rng` per call. Returns the
+    /// selected branch index.
     ///
     /// # Errors
     ///
@@ -135,8 +136,8 @@ impl CompiledChannel {
     }
 
     /// Applies one sampled trajectory step to a mixed state — bit-identical
-    /// to [`KrausChannel::sample_on_density`]. Returns the selected branch
-    /// index.
+    /// to [`DensityMatrix::apply_kraus_sampled`] with the channel's operators
+    /// and targets. Returns the selected branch index.
     ///
     /// # Errors
     ///
@@ -197,7 +198,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn compiled_sample_matches_one_shot() {
         let channel = KrausChannel::amplitude_damping(0.3);
         let compiled = channel.compile(&[0], 2);
@@ -207,8 +207,8 @@ mod tests {
         let mut rng_b = StdRng::seed_from_u64(11);
         for _ in 0..25 {
             let a = compiled.sample(&mut psi_a, &mut rng_a).unwrap();
-            let b = channel
-                .sample_on_statevector(&mut psi_b, &[0], &mut rng_b)
+            let b = psi_b
+                .apply_kraus_sampled(channel.operators(), &[0], &mut rng_b)
                 .unwrap();
             assert_eq!(a, b);
         }

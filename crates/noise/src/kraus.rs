@@ -9,10 +9,7 @@ use crate::compiled::CompiledChannel;
 use mathkit::complex::Complex64;
 use mathkit::matrix::CMatrix;
 use qsim::density::DensityMatrix;
-use qsim::error::QsimError;
 use qsim::gates;
-use qsim::statevector::StateVector;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -307,71 +304,6 @@ impl KrausChannel {
         rho.apply_kraus(&self.operators, qubits);
     }
 
-    /// Applies one **sampled trajectory step** of this channel to a pure
-    /// state: Born-samples a single Kraus branch (probability `‖K_i|ψ⟩‖²`)
-    /// and renormalises, instead of summing every branch into a density
-    /// matrix. Averaging over many samples reproduces the exact channel — the
-    /// Monte-Carlo wavefunction unravelling used by the engine's sampled
-    /// statevector backend. Exactly one `f64` is drawn from `rng` per call.
-    ///
-    /// Returns the selected branch index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the target list length does not match the channel arity
-    /// (the same contract as [`KrausChannel::apply`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QsimError`] from
-    /// [`StateVector::apply_kraus_sampled`] — notably
-    /// [`QsimError::ZeroNorm`] when every branch has vanishing probability.
-    #[deprecated(
-        since = "0.2.0",
-        note = "compile the placement once and use `CompiledChannel::sample` — \
-                bit-identical, without per-call validation and embedding"
-    )]
-    pub fn sample_on_statevector<R: Rng + ?Sized>(
-        &self,
-        psi: &mut StateVector,
-        qubits: &[usize],
-        rng: &mut R,
-    ) -> Result<usize, QsimError> {
-        self.check_arity(qubits);
-        psi.apply_kraus_sampled(&self.operators, qubits, rng)
-    }
-
-    /// The mixed-state sibling of
-    /// [`sample_on_statevector`](Self::sample_on_statevector): Born-samples a
-    /// single Kraus branch (probability `Tr(K_i ρ K_i†)`) and renormalises.
-    /// Agrees with the statevector unravelling in distribution on pure
-    /// states, and stays well-defined on mixed ones.
-    ///
-    /// Returns the selected branch index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the target list length does not match the channel arity.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QsimError`] from
-    /// [`DensityMatrix::apply_kraus_sampled`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "compile the placement once and use `CompiledChannel::sample_density` — \
-                bit-identical, without per-call validation and embedding"
-    )]
-    pub fn sample_on_density<R: Rng + ?Sized>(
-        &self,
-        rho: &mut DensityMatrix,
-        qubits: &[usize],
-        rng: &mut R,
-    ) -> Result<usize, QsimError> {
-        self.check_arity(qubits);
-        rho.apply_kraus_sampled(&self.operators, qubits, rng)
-    }
-
     fn check_arity(&self, qubits: &[usize]) {
         assert_eq!(
             qubits.len(),
@@ -602,7 +534,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the deprecated one-shots keep their own coverage
     fn trajectory_step_matches_channel_statistics_on_statevectors() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
@@ -611,8 +542,8 @@ mod tests {
         let n = 4000;
         for _ in 0..n {
             let mut psi = StateVector::new(1);
-            if channel
-                .sample_on_statevector(&mut psi, &[0], &mut rng)
+            if psi
+                .apply_kraus_sampled(channel.operators(), &[0], &mut rng)
                 .unwrap()
                 == 1
             {
@@ -625,7 +556,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the deprecated one-shots keep their own coverage
     fn trajectory_mean_approximates_the_exact_channel_on_densities() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(10);
@@ -637,7 +567,8 @@ mod tests {
         let mut mean = mathkit::CMatrix::zeros(4, 4);
         for _ in 0..n {
             let mut rho = DensityMatrix::from_statevector(&bell);
-            channel.sample_on_density(&mut rho, &[0], &mut rng).unwrap();
+            rho.apply_kraus_sampled(channel.operators(), &[0], &mut rng)
+                .unwrap();
             mean = &mean + rho.matrix();
         }
         mean = mean.scale(Complex64::real(1.0 / n as f64));
@@ -648,7 +579,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the deprecated one-shots keep their own coverage
     fn zero_probability_trajectory_branches_are_never_selected() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -658,7 +588,7 @@ mod tests {
         for _ in 0..200 {
             let mut psi = StateVector::new(1);
             assert_eq!(
-                channel.sample_on_statevector(&mut psi, &[0], &mut rng),
+                psi.apply_kraus_sampled(channel.operators(), &[0], &mut rng),
                 Ok(0)
             );
             assert!(psi.is_normalized(1e-12), "no NaN poisoning");
@@ -667,12 +597,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "channel acts on")]
-    #[allow(deprecated)] // the deprecated one-shots keep their own coverage
     fn trajectory_step_with_wrong_arity_panics() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
-        let mut psi = StateVector::new(2);
-        let _ = KrausChannel::depolarizing(0.1).sample_on_statevector(&mut psi, &[0, 1], &mut rng);
+        let _ = KrausChannel::depolarizing(0.1).compile(&[0, 1], 2);
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //!
 //! ## Compile once, apply many
 //!
-//! The one-shot methods ([`KrausChannel::apply`] and the deprecated per-call samplers)
-//! validate targets and embed operators on **every call**. Hot loops should compile the
-//! placement once with [`KrausChannel::compile`] and replay it: application is bit-identical
-//! — the compiled kernels run the exact floating-point operation sequence of the one-shot
-//! path, and the samplers draw the same `f64`s in the same order — but validation, embedding,
+//! The one-shot [`KrausChannel::apply`] validates targets and embeds operators on **every
+//! call**. Hot loops should compile the placement once with [`KrausChannel::compile`] and
+//! replay it: application is bit-identical — the compiled kernels run the exact
+//! floating-point operation sequence of the one-shot path, and the compiled samplers draw the
+//! same `f64`s in the same order as qsim's `apply_kraus_sampled` — but validation, embedding,
 //! and steady-state heap allocation drop to zero. See `docs/kernels.md` in the repo root for
 //! the full architecture.
 //!

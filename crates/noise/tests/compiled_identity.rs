@@ -98,7 +98,7 @@ proptest! {
     }
 
     /// Sampled statevector trajectories: same seed, same branch choice,
-    /// same post-state bits as the deprecated one-shot sampler.
+    /// same post-state bits as the qsim reference sampler.
     #[test]
     fn compiled_sample_is_bit_identical_on_statevector(
         channel in channel(),
@@ -117,9 +117,8 @@ proptest! {
         let mut slow_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
         for _ in 0..steps {
             let fast_branch = compiled.sample(&mut fast, &mut fast_rng).unwrap();
-            #[allow(deprecated)]
-            let slow_branch = channel
-                .sample_on_statevector(&mut slow, &targets, &mut slow_rng)
+            let slow_branch = slow
+                .apply_kraus_sampled(channel.operators(), &targets, &mut slow_rng)
                 .unwrap();
             prop_assert_eq!(fast_branch, slow_branch);
             prop_assert_eq!(state_bits(&fast), state_bits(&slow));
@@ -146,9 +145,8 @@ proptest! {
         let mut slow_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xd1ce);
         for _ in 0..steps {
             let fast_branch = compiled.sample_density(&mut fast, &mut fast_rng).unwrap();
-            #[allow(deprecated)]
-            let slow_branch = channel
-                .sample_on_density(&mut slow, &targets, &mut slow_rng)
+            let slow_branch = slow
+                .apply_kraus_sampled(channel.operators(), &targets, &mut slow_rng)
                 .unwrap();
             prop_assert_eq!(fast_branch, slow_branch);
             prop_assert_eq!(density_bits(&fast), density_bits(&slow));

@@ -79,14 +79,14 @@ pub use shard::{
     ShardResult,
 };
 
-use crate::auth::{self, AuthReport};
+use crate::auth;
 use crate::config::SessionConfig;
-use crate::di_check::{run_di_check_at, DiCheckReport, DiCheckRound};
+use crate::di_check::{run_di_check_at, DiCheckRound};
 use crate::error::ProtocolError;
 use crate::identity::IdentityPair;
 use crate::message::{PaddedMessage, SecretMessage};
 use crate::session::{AbortStage, Impersonation, ResourceUsage, SessionOutcome, SessionStatus};
-use qchannel::classical::{ClassicalChannel, ClassicalMessage, Party};
+use qchannel::classical::{ClassicalMessage, Party, Transcript};
 use qchannel::compiled::CompiledQuantumChannel;
 use qchannel::epr::EprPair;
 use qchannel::quantum::{ChannelTap, NoTap};
@@ -1452,38 +1452,6 @@ impl SessionEngine {
             }
         }
     }
-
-    /// Runs one session with explicitly supplied parts and caller-controlled
-    /// RNG — the escape hatch the deprecated free functions are shimmed on.
-    /// With no scenario to consult, the backend is the fixed override when
-    /// one was installed, the default [`DensityMatrixBackend`] otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProtocolError`] on configuration misuse.
-    pub fn run_with<R: Rng>(
-        &self,
-        config: &SessionConfig,
-        identities: &IdentityPair,
-        message: &SecretMessage,
-        impersonation: Impersonation,
-        tap: &mut dyn ChannelTap,
-        rng: &mut R,
-    ) -> Result<SessionOutcome, ProtocolError> {
-        let program = CompiledQuantumChannel::from(config.channel().clone());
-        execute_session(
-            self.backend
-                .as_deref()
-                .unwrap_or(BackendKind::DensityMatrix.backend()),
-            &program,
-            config,
-            identities,
-            message,
-            impersonation,
-            tap,
-            rng,
-        )
-    }
 }
 
 // -------------------------------------------------- six-phase session body --
@@ -1554,364 +1522,299 @@ fn execute_session_with_pool<R: Rng>(
     let n_qubits = padded.qubit_len();
     let total_pairs = n_qubits + 2 * l + 2 * d;
 
-    let classical = ClassicalChannel::new();
-
-    let resources = ResourceUsage {
-        total_pairs,
-        message_pairs: n_qubits,
-        identity_pairs: 2 * l,
-        check_pairs: 2 * d,
-        transmitted_qubits: total_pairs - d,
-        classical_messages: 0, // filled in at the end
-        qubits_per_message_bit: n_qubits as f64 / padded.len() as f64 * 2.0,
+    // The session owns its outcome: each phase records what it learns and
+    // pushes its public messages onto the transcript; an abort sets the
+    // status and leaves the `'session` block early.
+    let mut outcome = SessionOutcome {
+        status: SessionStatus::Delivered,
+        di_check_round1: None,
+        di_check_round2: None,
+        bob_auth: None,
+        alice_auth: None,
+        sent_message: message.clone(),
+        received_message: None,
+        check_bit_error_rate: None,
+        message_bit_error_rate: None,
+        transcript: Transcript::new(),
+        resources: ResourceUsage {
+            total_pairs,
+            message_pairs: n_qubits,
+            identity_pairs: 2 * l,
+            check_pairs: 2 * d,
+            transmitted_qubits: total_pairs - d,
+            classical_messages: 0, // counted once the session ends
+            qubits_per_message_bit: n_qubits as f64 / padded.len() as f64 * 2.0,
+        },
     };
+    let transcript = &mut outcome.transcript;
 
-    // Helper to assemble an outcome. The transcript / classical message count is attached by
-    // the caller-side closure at every exit point.
-    let finish = |status: SessionStatus,
-                  r1: Option<DiCheckReport>,
-                  r2: Option<DiCheckReport>,
-                  bob_auth: Option<AuthReport>,
-                  alice_auth: Option<AuthReport>,
-                  received: Option<SecretMessage>,
-                  check_err: Option<f64>,
-                  classical: &ClassicalChannel,
-                  mut resources: ResourceUsage| {
-        let transcript = classical.snapshot();
-        resources.classical_messages = transcript.len();
-        let message_bit_error_rate = received.as_ref().map(|r| message.bit_error_rate(r));
-        SessionOutcome {
-            status,
-            di_check_round1: r1,
-            di_check_round2: r2,
-            bob_auth,
-            alice_auth,
-            sent_message: message.clone(),
-            received_message: received,
-            check_bit_error_rate: check_err,
-            message_bit_error_rate,
-            transcript,
-            resources,
+    'session: {
+        // -------------------------------------------------------------- phase 1: sharing --
+        // The pooled pairs are overwritten in place; only a cold pool (first
+        // trial on this thread, or a larger scenario) grows the store.
+        if pairs.len() < total_pairs {
+            pairs.resize_with(total_pairs, EprPair::ideal);
+        } else {
+            pairs.truncate(total_pairs);
         }
-    };
+        for pair in pairs.iter_mut() {
+            backend.emit_pair_into(pair, channel, tap, rng);
+        }
 
-    // ------------------------------------------------------------------ phase 1: sharing --
-    // The pooled pairs are overwritten in place; only a cold pool (first
-    // trial on this thread, or a larger scenario) grows the store.
-    if pairs.len() < total_pairs {
-        pairs.resize_with(total_pairs, EprPair::ideal);
-    } else {
-        pairs.truncate(total_pairs);
-    }
-    for pair in pairs.iter_mut() {
-        backend.emit_pair_into(pair, channel, tap, rng);
-    }
-
-    // ------------------------------------------------------- phase 2: DI check round one --
-    let mut all_positions: Vec<usize> = (0..total_pairs).collect();
-    all_positions.shuffle(rng);
-    let check1_positions: Vec<usize> = all_positions[..d].to_vec();
-    let remaining_positions: Vec<usize> = all_positions[d..].to_vec();
-    classical.send(
-        Party::Alice,
-        ClassicalMessage::Positions {
-            purpose: "di-check-1".into(),
-            positions: check1_positions.clone(),
-        },
-    );
-    let (report1, records1) = run_di_check_at(
-        DiCheckRound::First,
-        pairs,
-        &check1_positions,
-        config.chsh_abort_threshold(),
-        rng,
-    );
-    classical.send(
-        Party::Alice,
-        ClassicalMessage::BasisChoices {
-            round: 1,
-            settings: records1
-                .iter()
-                .map(|r| (r.alice_setting, r.bob_setting))
-                .collect(),
-        },
-    );
-    classical.send(
-        Party::Bob,
-        ClassicalMessage::CheckOutcomes {
-            round: 1,
-            outcomes: records1
-                .iter()
-                .map(|r| (r.alice_outcome.to_bit(), r.bob_outcome.to_bit()))
-                .collect(),
-        },
-    );
-    if !report1.passed {
-        classical.send(
+        // --------------------------------------------------- phase 2: DI check round one --
+        let mut all_positions: Vec<usize> = (0..total_pairs).collect();
+        all_positions.shuffle(rng);
+        let check1_positions = &all_positions[..d];
+        transcript.push(
             Party::Alice,
-            ClassicalMessage::Abort {
-                reason: format!("first DI check failed: {report1}"),
+            ClassicalMessage::Positions {
+                purpose: "di-check-1".into(),
+                positions: check1_positions.to_vec(),
             },
         );
-        return Ok(finish(
-            SessionStatus::Aborted {
-                stage: AbortStage::DiCheck1,
-                reason: report1.to_string(),
-            },
-            Some(report1),
-            None,
-            None,
-            None,
-            None,
-            None,
-            &classical,
-            resources,
-        ));
-    }
-
-    // ----------------------------------------------------------- phase 3: Alice encoding --
-    let mut rest = remaining_positions;
-    rest.shuffle(rng);
-    let check2_positions: Vec<usize> = rest[..d].to_vec();
-    let ma_positions: Vec<usize> = rest[d..d + n_qubits].to_vec();
-    let ca_positions: Vec<usize> = rest[d + n_qubits..d + n_qubits + l].to_vec();
-    let da_positions: Vec<usize> = rest[d + n_qubits + l..d + n_qubits + 2 * l].to_vec();
-
-    let message_paulis = padded.as_paulis();
-    for (pauli, &pos) in message_paulis.iter().zip(&ma_positions) {
-        pairs[pos].apply_alice_pauli(*pauli);
-    }
-    // id_A encoding — Eve-as-Alice must guess.
-    let ida_paulis: Vec<Pauli> = if impersonation == Impersonation::OfAlice {
-        (0..l).map(|_| Pauli::random(rng)).collect()
-    } else {
-        identities.alice.as_paulis()
-    };
-    for (pauli, &pos) in ida_paulis.iter().zip(&ca_positions) {
-        pairs[pos].apply_alice_pauli(*pauli);
-    }
-    // Cover operations on D_A.
-    let covers: Vec<Pauli> = (0..l).map(|_| Pauli::random(rng)).collect();
-    for (cover, &pos) in covers.iter().zip(&da_positions) {
-        pairs[pos].apply_alice_pauli(*cover);
-    }
-
-    // ------------------------------------------------------------- phase 4: transmission --
-    // Alice sends every qubit she still holds (check-2, message, identity and cover blocks).
-    for &pos in check2_positions
-        .iter()
-        .chain(&ma_positions)
-        .chain(&ca_positions)
-        .chain(&da_positions)
-    {
-        backend.transmit(channel, &mut pairs[pos], tap, rng);
-    }
-
-    // ---------------------------------------------------------- phase 4b: authentication --
-    classical.send(
-        Party::Alice,
-        ClassicalMessage::Positions {
-            purpose: "DA".into(),
-            positions: da_positions.clone(),
-        },
-    );
-    // Bob encodes id_B on the partner qubits and announces the Bell results.
-    let idb_paulis: Vec<Pauli> = if impersonation == Impersonation::OfBob {
-        (0..l).map(|_| Pauli::random(rng)).collect()
-    } else {
-        identities.bob.as_paulis()
-    };
-    let mut announced: Vec<BellState> = Vec::with_capacity(l);
-    for (pauli, &pos) in idb_paulis.iter().zip(&da_positions) {
-        pairs[pos].apply_bob_pauli(*pauli);
-        announced.push(pairs[pos].bell_measure(rng).state);
-    }
-    classical.send(
-        Party::Bob,
-        ClassicalMessage::BellResults {
-            block: "DB-auth".into(),
-            results: announced
-                .iter()
-                .map(|s| s.encoding_pauli().to_index())
-                .collect(),
-        },
-    );
-    // Alice (the real one) verifies Bob. When Eve impersonates Alice she has no id_B to check
-    // against and simply continues, so the abort decision is skipped in that case.
-    let bob_report = auth::verify_bob(
-        &announced,
-        &covers,
-        &identities.bob,
-        config.auth_error_tolerance(),
-    );
-    if impersonation != Impersonation::OfAlice && !bob_report.passed() {
-        classical.send(
+        let (report1, records1) = run_di_check_at(
+            DiCheckRound::First,
+            pairs,
+            check1_positions,
+            config.chsh_abort_threshold(),
+            rng,
+        );
+        transcript.push(
             Party::Alice,
-            ClassicalMessage::Abort {
-                reason: format!("Bob authentication failed: {bob_report}"),
+            ClassicalMessage::BasisChoices {
+                round: 1,
+                settings: records1
+                    .iter()
+                    .map(|r| (r.alice_setting, r.bob_setting))
+                    .collect(),
             },
         );
-        return Ok(finish(
-            SessionStatus::Aborted {
-                stage: AbortStage::BobAuthentication,
-                reason: bob_report.to_string(),
-            },
-            Some(report1),
-            None,
-            Some(bob_report),
-            None,
-            None,
-            None,
-            &classical,
-            resources,
-        ));
-    }
-
-    // Alice reveals C_A; Bob verifies id_A. The Bell results are *not* announced.
-    classical.send(
-        Party::Alice,
-        ClassicalMessage::Positions {
-            purpose: "CA".into(),
-            positions: ca_positions.clone(),
-        },
-    );
-    let mut measured_ca: Vec<BellState> = Vec::with_capacity(l);
-    for &pos in &ca_positions {
-        measured_ca.push(pairs[pos].bell_measure(rng).state);
-    }
-    let alice_report = auth::verify_alice(
-        &measured_ca,
-        &identities.alice,
-        config.auth_error_tolerance(),
-    );
-    if impersonation != Impersonation::OfBob && !alice_report.passed() {
-        classical.send(
+        transcript.push(
             Party::Bob,
-            ClassicalMessage::Abort {
-                reason: format!("Alice authentication failed: {alice_report}"),
+            ClassicalMessage::CheckOutcomes {
+                round: 1,
+                outcomes: records1
+                    .iter()
+                    .map(|r| (r.alice_outcome.to_bit(), r.bob_outcome.to_bit()))
+                    .collect(),
             },
         );
-        return Ok(finish(
-            SessionStatus::Aborted {
-                stage: AbortStage::AliceAuthentication,
-                reason: alice_report.to_string(),
-            },
-            Some(report1),
-            None,
-            Some(bob_report),
-            Some(alice_report),
-            None,
-            None,
-            &classical,
-            resources,
-        ));
-    }
-    classical.send(
-        Party::Bob,
-        ClassicalMessage::Ack {
-            phase: "authentication".into(),
-        },
-    );
+        let report1 = &*outcome.di_check_round1.insert(report1);
+        if !report1.passed {
+            outcome.status = abort(
+                transcript,
+                Party::Alice,
+                format!("first DI check failed: {report1}"),
+                AbortStage::DiCheck1,
+                report1.to_string(),
+            );
+            break 'session;
+        }
 
-    // ------------------------------------------------------- phase 5: DI check round two --
-    classical.send(
-        Party::Alice,
-        ClassicalMessage::Positions {
-            purpose: "di-check-2".into(),
-            positions: check2_positions.clone(),
-        },
-    );
-    let (report2, _records2) = run_di_check_at(
-        DiCheckRound::Second,
-        pairs,
-        &check2_positions,
-        config.chsh_abort_threshold(),
-        rng,
-    );
-    classical.send(
-        Party::Bob,
-        ClassicalMessage::Ack {
-            phase: "di-check-2".into(),
-        },
-    );
-    if !report2.passed {
-        classical.send(
+        // ------------------------------------------------------- phase 3: Alice encoding --
+        all_positions[d..].shuffle(rng);
+        let rest = &all_positions[d..];
+        let check2_positions = &rest[..d];
+        let ma_positions = &rest[d..d + n_qubits];
+        let ca_positions = &rest[d + n_qubits..d + n_qubits + l];
+        let da_positions = &rest[d + n_qubits + l..d + n_qubits + 2 * l];
+
+        let message_paulis = padded.as_paulis();
+        for (pauli, &pos) in message_paulis.iter().zip(ma_positions) {
+            pairs[pos].apply_alice_pauli(*pauli);
+        }
+        // id_A encoding — Eve-as-Alice must guess.
+        let ida_paulis: Vec<Pauli> = if impersonation == Impersonation::OfAlice {
+            (0..l).map(|_| Pauli::random(rng)).collect()
+        } else {
+            identities.alice.as_paulis()
+        };
+        for (pauli, &pos) in ida_paulis.iter().zip(ca_positions) {
+            pairs[pos].apply_alice_pauli(*pauli);
+        }
+        // Cover operations on D_A.
+        let covers: Vec<Pauli> = (0..l).map(|_| Pauli::random(rng)).collect();
+        for (cover, &pos) in covers.iter().zip(da_positions) {
+            pairs[pos].apply_alice_pauli(*cover);
+        }
+
+        // --------------------------------------------------------- phase 4: transmission --
+        // Alice sends every qubit she still holds (check-2, message, identity and cover blocks).
+        for &pos in rest {
+            backend.transmit(channel, &mut pairs[pos], tap, rng);
+        }
+
+        // ------------------------------------------------------ phase 4b: authentication --
+        transcript.push(
+            Party::Alice,
+            ClassicalMessage::Positions {
+                purpose: "DA".into(),
+                positions: da_positions.to_vec(),
+            },
+        );
+        // Bob encodes id_B on the partner qubits and announces the Bell results.
+        let idb_paulis: Vec<Pauli> = if impersonation == Impersonation::OfBob {
+            (0..l).map(|_| Pauli::random(rng)).collect()
+        } else {
+            identities.bob.as_paulis()
+        };
+        let mut announced: Vec<BellState> = Vec::with_capacity(l);
+        for (pauli, &pos) in idb_paulis.iter().zip(da_positions) {
+            pairs[pos].apply_bob_pauli(*pauli);
+            announced.push(pairs[pos].bell_measure(rng).state);
+        }
+        transcript.push(
             Party::Bob,
-            ClassicalMessage::Abort {
-                reason: format!("second DI check failed: {report2}"),
+            ClassicalMessage::BellResults {
+                block: "DB-auth".into(),
+                results: announced
+                    .iter()
+                    .map(|s| s.encoding_pauli().to_index())
+                    .collect(),
             },
         );
-        return Ok(finish(
-            SessionStatus::Aborted {
-                stage: AbortStage::DiCheck2,
-                reason: report2.to_string(),
-            },
-            Some(report1),
-            Some(report2),
-            Some(bob_report),
-            Some(alice_report),
-            None,
-            None,
-            &classical,
-            resources,
+        // Alice (the real one) verifies Bob. When Eve impersonates Alice she has no id_B to
+        // check against and simply continues, so the abort decision is skipped in that case.
+        let bob_report = &*outcome.bob_auth.insert(auth::verify_bob(
+            &announced,
+            &covers,
+            &identities.bob,
+            config.auth_error_tolerance(),
         ));
-    }
+        if impersonation != Impersonation::OfAlice && !bob_report.passed() {
+            outcome.status = abort(
+                transcript,
+                Party::Alice,
+                format!("Bob authentication failed: {bob_report}"),
+                AbortStage::BobAuthentication,
+                bob_report.to_string(),
+            );
+            break 'session;
+        }
 
-    // ------------------------------------------------------------------ phase 6: decode --
-    let mut received_paulis: Vec<Pauli> = Vec::with_capacity(n_qubits);
-    for &pos in &ma_positions {
-        received_paulis.push(pairs[pos].bell_measure(rng).state.encoding_pauli());
-    }
-    let received_bits = PaddedMessage::bits_from_paulis(&received_paulis);
-    classical.send(
-        Party::Alice,
-        ClassicalMessage::CheckBitsReveal {
-            positions: padded.check_positions().to_vec(),
-            values: padded.check_values().to_vec(),
-        },
-    );
-    let check_error = padded.check_bit_error_rate(&received_bits);
-    if check_error > config.check_bit_error_tolerance() {
-        classical.send(
+        // Alice reveals C_A; Bob verifies id_A. The Bell results are *not* announced.
+        transcript.push(
+            Party::Alice,
+            ClassicalMessage::Positions {
+                purpose: "CA".into(),
+                positions: ca_positions.to_vec(),
+            },
+        );
+        let mut measured_ca: Vec<BellState> = Vec::with_capacity(l);
+        for &pos in ca_positions {
+            measured_ca.push(pairs[pos].bell_measure(rng).state);
+        }
+        let alice_report = &*outcome.alice_auth.insert(auth::verify_alice(
+            &measured_ca,
+            &identities.alice,
+            config.auth_error_tolerance(),
+        ));
+        if impersonation != Impersonation::OfBob && !alice_report.passed() {
+            outcome.status = abort(
+                transcript,
+                Party::Bob,
+                format!("Alice authentication failed: {alice_report}"),
+                AbortStage::AliceAuthentication,
+                alice_report.to_string(),
+            );
+            break 'session;
+        }
+        transcript.push(
             Party::Bob,
-            ClassicalMessage::Abort {
-                reason: format!("check-bit error rate {check_error:.3} exceeds tolerance"),
+            ClassicalMessage::Ack {
+                phase: "authentication".into(),
             },
         );
-        return Ok(finish(
-            SessionStatus::Aborted {
-                stage: AbortStage::IntegrityCheck,
-                reason: format!("check-bit error rate {check_error:.3}"),
+
+        // --------------------------------------------------- phase 5: DI check round two --
+        transcript.push(
+            Party::Alice,
+            ClassicalMessage::Positions {
+                purpose: "di-check-2".into(),
+                positions: check2_positions.to_vec(),
             },
-            Some(report1),
-            Some(report2),
-            Some(bob_report),
-            Some(alice_report),
-            None,
-            Some(check_error),
-            &classical,
-            resources,
-        ));
+        );
+        let (report2, _records2) = run_di_check_at(
+            DiCheckRound::Second,
+            pairs,
+            check2_positions,
+            config.chsh_abort_threshold(),
+            rng,
+        );
+        transcript.push(
+            Party::Bob,
+            ClassicalMessage::Ack {
+                phase: "di-check-2".into(),
+            },
+        );
+        let report2 = &*outcome.di_check_round2.insert(report2);
+        if !report2.passed {
+            outcome.status = abort(
+                transcript,
+                Party::Bob,
+                format!("second DI check failed: {report2}"),
+                AbortStage::DiCheck2,
+                report2.to_string(),
+            );
+            break 'session;
+        }
+
+        // -------------------------------------------------------------- phase 6: decode --
+        let mut received_paulis: Vec<Pauli> = Vec::with_capacity(n_qubits);
+        for &pos in ma_positions {
+            received_paulis.push(pairs[pos].bell_measure(rng).state.encoding_pauli());
+        }
+        let received_bits = PaddedMessage::bits_from_paulis(&received_paulis);
+        transcript.push(
+            Party::Alice,
+            ClassicalMessage::CheckBitsReveal {
+                positions: padded.check_positions().to_vec(),
+                values: padded.check_values().to_vec(),
+            },
+        );
+        let check_error = padded.check_bit_error_rate(&received_bits);
+        outcome.check_bit_error_rate = Some(check_error);
+        if check_error > config.check_bit_error_tolerance() {
+            outcome.status = abort(
+                transcript,
+                Party::Bob,
+                format!("check-bit error rate {check_error:.3} exceeds tolerance"),
+                AbortStage::IntegrityCheck,
+                format!("check-bit error rate {check_error:.3}"),
+            );
+            break 'session;
+        }
+        let received_message = padded.extract_message(&received_bits);
+        transcript.push(
+            Party::Bob,
+            ClassicalMessage::Ack {
+                phase: "message-received".into(),
+            },
+        );
+        outcome.message_bit_error_rate = Some(message.bit_error_rate(&received_message));
+        outcome.received_message = Some(received_message);
     }
-    let received_message = padded.extract_message(&received_bits);
-    classical.send(
-        Party::Bob,
-        ClassicalMessage::Ack {
-            phase: "message-received".into(),
+
+    outcome.resources.classical_messages = outcome.transcript.len();
+    Ok(outcome)
+}
+
+/// Announces an abort on the transcript (`announcement` is what `sender`
+/// says publicly) and returns the aborted status carrying `reason`.
+fn abort(
+    transcript: &mut Transcript,
+    sender: Party,
+    announcement: String,
+    stage: AbortStage,
+    reason: String,
+) -> SessionStatus {
+    transcript.push(
+        sender,
+        ClassicalMessage::Abort {
+            reason: announcement,
         },
     );
-
-    Ok(finish(
-        SessionStatus::Delivered,
-        Some(report1),
-        Some(report2),
-        Some(bob_report),
-        Some(alice_report),
-        Some(received_message),
-        Some(check_error),
-        &classical,
-        resources,
-    ))
+    SessionStatus::Aborted { stage, reason }
 }
 
 #[cfg(test)]
@@ -2078,6 +1981,91 @@ mod tests {
         // Round 1 ran before transmission, so it passed; the abort happened later.
         assert!(outcome.di_check_round1.as_ref().unwrap().passed);
         assert!(!outcome.aborted_at(AbortStage::DiCheck1));
+    }
+
+    #[test]
+    fn every_session_exit_counts_its_transcript() {
+        // Every exit, abort or delivery, must count the messages it
+        // published, and only an abort ends on an `abort` announcement.
+        /// Dephases Alice's half of every pair before the first DI check.
+        struct DephaseAtEmission;
+        impl ChannelTap for DephaseAtEmission {
+            fn on_pair_emitted(&mut self, pair: &mut EprPair, _rng: &mut dyn RngCore) {
+                noise::KrausChannel::phase_flip(0.5).apply(pair.density_mut(), &[0]);
+            }
+            fn acts_on_transmit(&self) -> bool {
+                false
+            }
+        }
+        /// Flips Alice's qubit in flight: mild enough for the first check to
+        /// pass, strong enough to reach the later checks.
+        struct BitFlipInFlight;
+        impl ChannelTap for BitFlipInFlight {
+            fn on_transmit(&mut self, pair: &mut EprPair, _rng: &mut dyn RngCore) {
+                noise::KrausChannel::bit_flip(0.15).apply(pair.density_mut(), &[0]);
+            }
+            fn acts_on_emission(&self) -> bool {
+                false
+            }
+        }
+        let identities = IdentityPair::generate(4, &mut rng(17));
+        let config = |auth_error_tolerance| {
+            SessionConfig::builder()
+                .message_bits(8)
+                .check_bits(4)
+                .di_check_pairs(64)
+                .auth_error_tolerance(auth_error_tolerance)
+                .build()
+                .unwrap()
+        };
+        let strict = Scenario::new(config(0.0), identities.clone());
+        let scenarios = [
+            strict.clone(),
+            strict
+                .clone()
+                .with_adversary(Adversary::custom("dephase-at-emission", || {
+                    Box::new(DephaseAtEmission)
+                })),
+            strict.clone().with_adversary(Adversary::ImpersonateBob),
+            strict.with_adversary(Adversary::ImpersonateAlice),
+            Scenario::new(config(1.0), identities)
+                .with_adversary(Adversary::custom("bit-flip-in-flight", || {
+                    Box::new(BitFlipInFlight)
+                })),
+        ];
+        let mut exits = Vec::new();
+        for scenario in &scenarios {
+            for outcome in SessionEngine::new(17).run_outcomes(scenario, 16).unwrap() {
+                assert_eq!(
+                    outcome.resources.classical_messages,
+                    outcome.transcript.len(),
+                    "{outcome}"
+                );
+                let last = outcome.transcript.iter().last().unwrap();
+                assert_eq!(
+                    last.message.kind() == "abort",
+                    !outcome.is_delivered(),
+                    "{outcome}"
+                );
+                let exit = match outcome.status {
+                    SessionStatus::Delivered => None,
+                    SessionStatus::Aborted { stage, .. } => Some(stage),
+                };
+                if !exits.contains(&exit) {
+                    exits.push(exit);
+                }
+            }
+        }
+        for exit in [
+            None,
+            Some(AbortStage::DiCheck1),
+            Some(AbortStage::BobAuthentication),
+            Some(AbortStage::AliceAuthentication),
+            Some(AbortStage::DiCheck2),
+            Some(AbortStage::IntegrityCheck),
+        ] {
+            assert!(exits.contains(&exit), "{exit:?} not reached: {exits:?}");
+        }
     }
 
     #[test]

@@ -1249,6 +1249,10 @@ impl CampaignRun {
                 .map_err(queue_err)?
             {
                 ClaimOutcome::Claimed(plan) => {
+                    // Renew the lease until the result is submitted, so a
+                    // shard that outlives `lease_ms` is not stolen by a
+                    // second run on the same directory.
+                    let _beat = queue.heartbeat(&options.worker, &plan, options.lease_ms);
                     if options.throttle_ms > 0 {
                         thread::sleep(Duration::from_millis(options.throttle_ms));
                     }

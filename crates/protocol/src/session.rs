@@ -3,9 +3,7 @@
 //! The six-phase session orchestration lives in [`crate::engine`]; this module
 //! keeps what a finished session *looks like* — [`SessionOutcome`],
 //! [`SessionStatus`], [`AbortStage`], [`ResourceUsage`], [`Impersonation`].
-//! All execution entry points live on [`crate::engine::SessionEngine`]
-//! (callers that thread their own RNG use
-//! [`run_with`](crate::engine::SessionEngine::run_with)).
+//! All execution entry points live on [`crate::engine::SessionEngine`].
 
 use crate::auth::AuthReport;
 use crate::config::SessionConfig;
@@ -206,9 +204,7 @@ mod tests {
     use super::*;
     use crate::config::SessionConfig;
     use crate::engine::{Scenario, SessionEngine};
-    use crate::error::ProtocolError;
     use crate::identity::IdentityPair;
-    use qchannel::quantum::NoTap;
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -222,93 +218,6 @@ mod tests {
             .di_check_pairs(220)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn run_with_executes_a_session_under_caller_controlled_rng() {
-        // `run_with` is the escape hatch for callers that thread their own
-        // RNG: identical streams must produce identical outcomes, and the
-        // scenario path accepts the same configuration.
-        let identities = IdentityPair::generate(4, &mut rng(21));
-        let config = small_config();
-        let message = SecretMessage::random(config.message_bits(), &mut rng(22));
-        let engine = SessionEngine::default();
-        let first = engine
-            .run_with(
-                &config,
-                &identities,
-                &message,
-                Impersonation::None,
-                &mut NoTap,
-                &mut rng(23),
-            )
-            .unwrap();
-        let second = engine
-            .run_with(
-                &config,
-                &identities,
-                &message,
-                Impersonation::None,
-                &mut NoTap,
-                &mut rng(23),
-            )
-            .unwrap();
-        assert_eq!(first, second);
-        assert!(first.is_delivered(), "{}", first.status);
-        assert_eq!(first.received_message.as_ref().unwrap(), &message);
-        let scenario = Scenario::new(config, identities).with_message(message);
-        assert!(engine.run(&scenario).unwrap().is_delivered());
-    }
-
-    #[test]
-    fn message_length_mismatch_is_an_error() {
-        let mut r = rng(5);
-        let identities = IdentityPair::generate(3, &mut r);
-        let message = SecretMessage::from_bitstring("101").unwrap();
-        let err = SessionEngine::default().run_with(
-            &small_config(),
-            &identities,
-            &message,
-            Impersonation::None,
-            &mut NoTap,
-            &mut r,
-        );
-        assert!(matches!(
-            err,
-            Err(ProtocolError::MessageLengthMismatch {
-                expected: 16,
-                actual: 3
-            })
-        ));
-    }
-
-    #[test]
-    fn impersonation_flows_through_run_with() {
-        let mut r = rng(71);
-        let identities = IdentityPair::generate(8, &mut r);
-        let config = SessionConfig::builder()
-            .message_bits(8)
-            .check_bits(2)
-            .di_check_pairs(64)
-            .auth_error_tolerance(0.0)
-            .build()
-            .unwrap();
-        let message = SecretMessage::random(8, &mut r);
-        let outcome = SessionEngine::default()
-            .run_with(
-                &config,
-                &identities,
-                &message,
-                Impersonation::OfBob,
-                &mut NoTap,
-                &mut r,
-            )
-            .unwrap();
-        assert!(
-            outcome.aborted_at(AbortStage::BobAuthentication),
-            "{}",
-            outcome.status
-        );
     }
 
     #[test]

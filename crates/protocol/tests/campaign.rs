@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 use protocol::engine::{
     derive_point_seed, Adversary, Axis, AxisValue, BackendKind, Campaign, CampaignError,
-    CampaignRun, CampaignSpace, CampaignWorkload, ClaimOutcome, NoSampler, Parallelism, Scenario,
-    SessionEngine, ShardQueue, SubmitOutcome,
+    CampaignRun, CampaignRunOptions, CampaignSpace, CampaignWorkload, ClaimOutcome, NoSampler,
+    Parallelism, Scenario, SessionEngine, ShardQueue, SubmitOutcome,
 };
 use protocol::identity::IdentityPair;
 use protocol::SessionConfig;
@@ -18,6 +18,7 @@ use qchannel::taps::InterceptBasis;
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// A unique campaign directory, removed on drop (also on assertion panics).
 struct TempCampaignDir(PathBuf);
@@ -145,6 +146,41 @@ fn campaign_fingerprint_is_stable() {
         Axis::Backend(BackendKind::ALL.to_vec()),
     ]);
     assert_ne!(widened.fingerprint(), campaign.fingerprint());
+}
+
+/// A campaign worker renews the lease on the shard it runs, so a shard
+/// that outlives `lease_ms` is not stolen by a second `campaign run` on the
+/// same directory and executed twice.
+#[test]
+fn a_running_campaign_shard_keeps_its_lease() {
+    let campaign = session_campaign(3, 4, 2, vec![Axis::Eta(vec![0])]);
+    let tmp = TempCampaignDir::new();
+    let run = CampaignRun::init(&tmp.0, &campaign, 2).expect("run initializes");
+    let options = CampaignRunOptions {
+        worker: "slow-worker".into(),
+        lease_ms: 1000,
+        poll_ms: 10,
+        throttle_ms: 3000,
+        parallelism: Parallelism::Serial,
+    };
+    let queue = run.point_queue(0).expect("session point queue");
+    std::thread::scope(|scope| {
+        let runner = scope.spawn(|| run.run(&options, &NoSampler));
+        while queue.status().expect("queue status").leased == 0 && !runner.is_finished() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // Twice the lease after the claim, still inside the 3 s throttle.
+        std::thread::sleep(Duration::from_millis(2000));
+        let claim = queue.claim("second-worker", 1000).expect("claim succeeds");
+        assert!(
+            matches!(claim, ClaimOutcome::Wait { .. }),
+            "a live worker's shard was handed out again: {claim:?}"
+        );
+        runner
+            .join()
+            .expect("runner thread")
+            .expect("campaign completes");
+    });
 }
 
 // ------------------------------------------------------- queue equivalence --

@@ -1,14 +1,13 @@
 //! The authenticated public classical channel.
 //!
 //! The protocol assumes an *authenticated* classical channel: Eve can read every message but
-//! cannot forge or alter them. [`ClassicalChannel`] is a shared, append-only [`Transcript`] of
-//! typed [`ClassicalMessage`]s; the information-leakage analysis (Section III-E of the paper)
-//! audits exactly this transcript to confirm that nothing message- or identity-correlated is
-//! ever published.
+//! cannot forge or alter them. Each session owns one append-only [`Transcript`] of typed
+//! [`ClassicalMessage`]s, pushed in the order the parties speak, and hands it to its outcome;
+//! the information-leakage analysis (Section III-E of the paper) audits exactly this
+//! transcript to confirm that nothing message- or identity-correlated is ever published.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Which protocol party sent a classical message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -195,72 +194,6 @@ impl<'a> IntoIterator for &'a Transcript {
     }
 }
 
-/// A shared handle to the authenticated classical channel.
-///
-/// Both parties (and the eavesdropper's audit) hold clones of the handle; all of them observe
-/// the same transcript.
-///
-/// # Examples
-///
-/// ```rust
-/// use qchannel::classical::{ClassicalChannel, ClassicalMessage, Party};
-///
-/// let channel = ClassicalChannel::new();
-/// channel.send(Party::Alice, ClassicalMessage::Ack { phase: "setup".into() });
-/// assert_eq!(channel.snapshot().len(), 1);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ClassicalChannel {
-    transcript: Arc<Mutex<Transcript>>,
-}
-
-impl ClassicalChannel {
-    /// Creates a channel with an empty transcript.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sends (appends) a message; returns its sequence number.
-    pub fn send(&self, sender: Party, message: ClassicalMessage) -> usize {
-        self.transcript
-            .lock()
-            .expect("transcript lock poisoned")
-            .push(sender, message)
-    }
-
-    /// Takes a snapshot of the transcript as seen by any party (or Eve).
-    pub fn snapshot(&self) -> Transcript {
-        self.transcript
-            .lock()
-            .expect("transcript lock poisoned")
-            .clone()
-    }
-
-    /// Number of messages exchanged so far.
-    pub fn len(&self) -> usize {
-        self.transcript
-            .lock()
-            .expect("transcript lock poisoned")
-            .len()
-    }
-
-    /// Returns `true` when nothing has been sent yet.
-    pub fn is_empty(&self) -> bool {
-        self.transcript
-            .lock()
-            .expect("transcript lock poisoned")
-            .is_empty()
-    }
-
-    /// Returns `true` when an abort has been announced.
-    pub fn aborted(&self) -> bool {
-        self.transcript
-            .lock()
-            .expect("transcript lock poisoned")
-            .contains_abort()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,32 +285,6 @@ mod tests {
         assert_eq!(len + 4, frame.len());
         assert_eq!(m.kind(), "positions");
         assert_eq!(m.to_string(), "positions");
-    }
-
-    #[test]
-    fn channel_handles_share_one_transcript() {
-        let alice_handle = ClassicalChannel::new();
-        let bob_handle = alice_handle.clone();
-        assert!(alice_handle.is_empty());
-        alice_handle.send(Party::Alice, positions_msg());
-        bob_handle.send(
-            Party::Bob,
-            ClassicalMessage::Ack {
-                phase: "di-check-1".into(),
-            },
-        );
-        assert_eq!(alice_handle.len(), 2);
-        assert_eq!(bob_handle.len(), 2);
-        let snapshot = bob_handle.snapshot();
-        assert_eq!(snapshot.len(), 2);
-        assert!(!alice_handle.aborted());
-        alice_handle.send(
-            Party::Alice,
-            ClassicalMessage::Abort {
-                reason: "identity mismatch".into(),
-            },
-        );
-        assert!(bob_handle.aborted());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!   of η noisy identity gates (60 ns each on `ibm_brisbane`) — see [`quantum::QuantumChannel`]
 //!   and [`quantum::ChannelSpec`];
 //! - an **authenticated public classical channel** used for position/basis/outcome
-//!   announcements, which an eavesdropper can read but not forge — see
-//!   [`classical::ClassicalChannel`] and [`classical::Transcript`].
+//!   announcements, which an eavesdropper can read but not forge — every message lands in a
+//!   session's [`classical::Transcript`] (see [`classical::ClassicalMessage`]).
 //!
 //! The crate also defines [`epr::EprPair`], the two-qubit working unit the whole protocol is
 //! built from, and [`quantum::ChannelTap`], the hook eavesdropper models implement to touch
@@ -37,7 +37,7 @@ pub mod epr;
 pub mod quantum;
 pub mod taps;
 
-pub use classical::{ClassicalChannel, ClassicalMessage, Transcript};
+pub use classical::{ClassicalMessage, Transcript};
 pub use compiled::{CompiledQuantumChannel, TwirledProgram};
 pub use epr::EprPair;
 pub use quantum::{ChannelSpec, ChannelTap, QuantumChannel};
@@ -48,7 +48,7 @@ pub use taps::{
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::classical::{ClassicalChannel, ClassicalMessage, Transcript};
+    pub use crate::classical::{ClassicalMessage, Transcript};
     pub use crate::compiled::{CompiledQuantumChannel, TwirledProgram};
     pub use crate::epr::EprPair;
     pub use crate::quantum::{ChannelSpec, ChannelTap, QuantumChannel};

@@ -86,6 +86,9 @@ struct State {
     next_client: u64,
     /// Rotation origin for fair scheduling; advances every `schedule` call.
     cursor: u64,
+    /// Bumped by every `add_job`, so a worker can tell whether work arrived
+    /// since it last looked (see `wait_for_work`).
+    work_epoch: u64,
 }
 
 /// The server's shared scheduling state. See the module docs.
@@ -184,6 +187,7 @@ impl Registry {
                 finalizing: false,
             },
         );
+        state.work_epoch += 1;
         drop(state);
         self.wake.notify_all();
     }
@@ -324,14 +328,23 @@ impl Registry {
         }
     }
 
-    /// Parks a worker until new work arrives or `timeout` passes (leases
-    /// expire on wall time, so workers must re-poll even without new
-    /// submissions).
-    pub fn wait_for_work(&self, timeout: Duration) {
+    /// The current work epoch. A worker reads it *before* calling
+    /// [`schedule`](Self::schedule) and hands it to
+    /// [`wait_for_work`](Self::wait_for_work), so a job added in between is
+    /// never slept through.
+    pub(crate) fn work_epoch(&self) -> u64 {
+        self.lock().work_epoch
+    }
+
+    /// Parks a worker until a job is added after the worker read
+    /// `seen_epoch`, or until `timeout` passes (leases expire on wall time,
+    /// so workers must re-poll even without new submissions). Returns at
+    /// once when a job already arrived since `seen_epoch`.
+    pub(crate) fn wait_for_work(&self, seen_epoch: u64, timeout: Duration) {
         let state = self.lock();
         let _unused = self
             .wake
-            .wait_timeout(state, timeout)
+            .wait_timeout_while(state, timeout, |state| state.work_epoch == seen_epoch)
             .unwrap_or_else(|poison| poison.into_inner());
     }
 
@@ -419,6 +432,23 @@ mod tests {
         // Rotation 1 starts at b's bucket: a cannot monopolize the front.
         assert_eq!(order(registry.schedule()), vec![3, 1, 2]);
         assert_eq!(order(registry.schedule()), vec![1, 3, 2]);
+    }
+
+    /// A job added between a worker's epoch read and its wait is not slept
+    /// through: the wait returns at once instead of after its timeout.
+    #[test]
+    fn a_job_added_before_the_wait_is_not_slept_through() {
+        let dir = TempDir::new("wakeup");
+        let registry = Registry::new();
+        let seen = registry.work_epoch();
+        registry.add_job(1, None, tiny_work(&dir.0, 1), 2, 0);
+        let started = std::time::Instant::now();
+        registry.wait_for_work(seen, Duration::from_secs(10));
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "waited {:?} with work already queued",
+            started.elapsed()
+        );
     }
 
     /// Quota slots are reserved atomically and released by completion and

@@ -162,6 +162,7 @@ fn io_other(error: SpoolError) -> io::Error {
 fn worker_loop(inner: &Arc<Inner>, index: usize) {
     let worker = format!("serve-worker-{index}");
     loop {
+        let epoch = inner.registry.work_epoch();
         let schedule = inner.registry.schedule();
         let mut claimed = false;
         for entry in schedule {
@@ -181,7 +182,7 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
         if !claimed {
             inner
                 .registry
-                .wait_for_work(Duration::from_millis(inner.config.poll_ms.max(1)));
+                .wait_for_work(epoch, Duration::from_millis(inner.config.poll_ms.max(1)));
         }
     }
 }
