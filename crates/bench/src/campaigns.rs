@@ -9,7 +9,7 @@
 //! from a [`CampaignReport`]. Sampled points seed their RNG with
 //! [`derive_seed`](crate::derive_seed) of the point index, and session
 //! campaigns plan under the master seed like
-//! [`SessionEngine::run_batch`](protocol::engine::SessionEngine::run_batch),
+//! [`SessionEngine::run_trials`](protocol::engine::SessionEngine::run_trials),
 //! so the figures match the hand-rolled loops they replaced bit-for-bit
 //! (`tests/figure_outputs.rs` holds those loops' outputs as golden fixtures).
 

@@ -7,9 +7,10 @@
 //! - [`SessionEngine`] knows *how* to run it: which [`Backend`] simulates the
 //!   quantum substrate and which master seed derives the per-trial RNG
 //!   streams. [`SessionEngine::run`] executes one session,
-//!   [`SessionEngine::run_trials`] aggregates `n` sessions into a
-//!   [`TrialSummary`], and [`SessionEngine::run_batch`] does so for many
-//!   scenarios at once.
+//!   [`SessionEngine::run_outcomes`] returns every outcome of `n` sessions,
+//!   [`SessionEngine::run_trials`] aggregates them into a [`TrialSummary`],
+//!   and [`SessionEngine::run_batch`] does so for each of many scenarios in
+//!   turn.
 //!
 //! Every trial draws its randomness from a stream derived from
 //! `(master seed, scenario fingerprint, trial index)`, so results are
@@ -18,18 +19,19 @@
 //! that property into wall-clock speed: configure the engine with a
 //! [`Parallelism`] policy (e.g.
 //! [`with_parallelism(Parallelism::Auto)`](SessionEngine::with_parallelism))
-//! and `run_outcomes` / `run_trials` / `run_batch` fan trials and scenarios
-//! across worker threads while returning exactly the serial results; the
-//! `*_with_stats` variants additionally report an [`ExecutorStats`] with
-//! per-worker trial counts and wall time.
+//! and every entry point fans a scenario's trials across worker threads while
+//! returning exactly the serial results;
+//! [`run_trials_with_stats`](SessionEngine::run_trials_with_stats) additionally
+//! reports an [`ExecutorStats`] with per-worker trial counts and wall time.
 //!
 //! The same contract extends beyond one process: every run decomposes into
 //! the explicit plan → execute → merge stages of the [`shard`] module — a
 //! serde [`ShardPlan`] splits a trial range across workers or machines,
 //! [`SessionEngine::execute_shard`] turns one shard into a [`ShardResult`],
 //! and a [`ShardMerger`] folds results back in trial order, byte-identical to
-//! the unsharded run. `run_outcomes` / `run_trials` are the whole-run special
-//! case of that pipeline. For a heterogeneous fleet, the [`queue`] module
+//! the unsharded run. Every entry point above is the whole-run special case
+//! of that pipeline: they all run their trials through the executor stage
+//! behind `execute_shard`. For a heterogeneous fleet, the [`queue`] module
 //! schedules those shards dynamically: a [`ShardQueue`] on a shared directory
 //! hands sub-plans out on a claim/lease basis and persists progress in a
 //! resumable, fingerprint-verified [`MergeCheckpoint`]. One level up, the
@@ -97,12 +99,10 @@ use qchannel::taps::{
 use qsim::bell::BellState;
 use qsim::density::DensityMatrix;
 use qsim::pauli::Pauli;
-use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 // ------------------------------------------------------------------ backend --
@@ -120,9 +120,9 @@ pub trait Backend: fmt::Debug + Send + Sync {
     /// Emits one entangled pair from the (possibly adversary-controlled)
     /// source and distributes it to the two parties.
     ///
-    /// The channel arrives **precompiled**: the engine compiles each
-    /// scenario's noise program once (at fingerprint time) and every trial
-    /// runs against the compiled placements, so backends never pay per-call
+    /// The channel arrives **precompiled**: the engine compiles a
+    /// scenario's noise program once per run or shard and every trial runs
+    /// against the compiled placements, so backends never pay per-call
     /// channel construction, validation, or embedding.
     fn emit_pair(
         &self,
@@ -1158,9 +1158,10 @@ impl SessionEngine {
         }
     }
 
-    /// Sets the execution policy for `run_outcomes` / `run_trials` /
-    /// `run_batch`. Results are identical under every policy; only wall time
-    /// changes.
+    /// Sets the execution policy: how many worker threads every entry point
+    /// (`run_outcomes`, `run_trials`, `run_batch`, `execute_shard`) fans one
+    /// scenario's trials across. Results are identical under every policy;
+    /// only wall time changes.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -1188,15 +1189,6 @@ impl SessionEngine {
         }
     }
 
-    /// The RNG for one trial of one scenario: a deterministic function of
-    /// `(master seed, scenario fingerprint, trial index)` only.
-    fn trial_rng(&self, fingerprint: u64, trial: u64) -> StdRng {
-        let mut state = self.master_seed ^ fingerprint.wrapping_mul(0xa24b_aed4_963e_e407);
-        let _ = rand::splitmix64(&mut state);
-        state ^= trial.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        StdRng::seed_from_u64(rand::splitmix64(&mut state))
-    }
-
     /// Runs trial 0 of the scenario.
     ///
     /// # Errors
@@ -1204,80 +1196,16 @@ impl SessionEngine {
     /// Returns a [`ProtocolError`] on configuration misuse; protocol aborts
     /// are reported inside the [`SessionOutcome`].
     pub fn run(&self, scenario: &Scenario) -> Result<SessionOutcome, ProtocolError> {
-        self.run_nth(scenario, 0)
-    }
-
-    /// Runs the trial with the given index. Each index has its own RNG
-    /// stream, so any subset of trials can be executed in any order and still
-    /// reproduce exactly the results of a full sequential run.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProtocolError`] on configuration misuse.
-    pub fn run_nth(
-        &self,
-        scenario: &Scenario,
-        trial: u64,
-    ) -> Result<SessionOutcome, ProtocolError> {
-        self.run_fingerprinted(scenario, scenario.fingerprint(), trial)
-    }
-
-    /// [`run_nth`](Self::run_nth) with the scenario fingerprint precomputed,
-    /// so trial loops hash the (immutable) scenario once instead of per trial.
-    /// Single-trial entry point: compiles the scenario's noise program for
-    /// this one trial. Trial loops go through
-    /// [`run_compiled`](Self::run_compiled) with a shared program instead.
-    fn run_fingerprinted(
-        &self,
-        scenario: &Scenario,
-        fingerprint: u64,
-        trial: u64,
-    ) -> Result<SessionOutcome, ProtocolError> {
-        let program = Self::compile_program(scenario);
-        self.run_compiled(scenario, fingerprint, &program, trial)
-    }
-
-    /// Compiles a scenario's noise program: every channel placement its
-    /// trials can apply, precompiled once so the per-trial loop is pure
-    /// arithmetic (see [`qchannel::compiled`]).
-    fn compile_program(scenario: &Scenario) -> CompiledQuantumChannel {
-        CompiledQuantumChannel::from(scenario.config.channel().clone())
-    }
-
-    /// The per-trial body: one session against a precompiled noise program.
-    /// Bit-identical to compiling per trial — compiled kernels replay the
-    /// legacy floating-point operation sequence exactly.
-    fn run_compiled(
-        &self,
-        scenario: &Scenario,
-        fingerprint: u64,
-        program: &CompiledQuantumChannel,
-        trial: u64,
-    ) -> Result<SessionOutcome, ProtocolError> {
-        scenario.adversary.validate()?;
-        let mut rng = self.trial_rng(fingerprint, trial);
-        let message = match &scenario.message {
-            Some(message) => message.clone(),
-            None => SecretMessage::random(scenario.config.message_bits(), &mut rng),
-        };
-        let mut tap = scenario.adversary.make_tap();
-        execute_session(
-            self.backend_for(scenario),
-            program,
-            &scenario.config,
-            &scenario.identities,
-            &message,
-            scenario.adversary.impersonation(),
-            tap.as_mut(),
-            &mut rng,
-        )
+        let mut outcomes = self.run_outcomes(scenario, 1)?;
+        Ok(outcomes.pop().expect("a one-trial run yields one outcome"))
     }
 
     /// Runs trials `0..trials` of the scenario and returns every outcome —
     /// the per-outcome sibling of [`run_trials`](Self::run_trials), for
-    /// callers that need more than the aggregate (e.g. transcripts). The
-    /// scenario is fingerprinted once for the whole loop, and trials fan out
-    /// across workers under the engine's [`Parallelism`] policy.
+    /// callers that need more than the aggregate (e.g. transcripts). Each
+    /// trial has its own RNG stream, so outcome `i` is the same whatever
+    /// `trials` is, and trials fan out across workers under the engine's
+    /// [`Parallelism`] policy.
     ///
     /// # Errors
     ///
@@ -1287,25 +1215,10 @@ impl SessionEngine {
         scenario: &Scenario,
         trials: usize,
     ) -> Result<Vec<SessionOutcome>, ProtocolError> {
-        self.run_outcomes_with_stats(scenario, trials)
-            .map(|(outcomes, _)| outcomes)
-    }
-
-    /// [`run_outcomes`](Self::run_outcomes) plus the [`ExecutorStats`] of the
-    /// fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first configuration error encountered.
-    pub fn run_outcomes_with_stats(
-        &self,
-        scenario: &Scenario,
-        trials: usize,
-    ) -> Result<(Vec<SessionOutcome>, ExecutorStats), ProtocolError> {
         // The whole-run special case of the shard pipeline: same executor
         // stage as `execute_shard`, with the plan elided (the scenario is
         // borrowed and fingerprinted exactly once; the merge is the identity).
-        let (payload, stats) = self.execute_trials(
+        let (payload, _) = self.execute_trials(
             scenario,
             scenario.fingerprint(),
             self.master_seed,
@@ -1316,7 +1229,7 @@ impl SessionEngine {
         let ShardPayload::Outcomes(outcomes) = payload else {
             unreachable!("an Outcomes execution produces an Outcomes payload")
         };
-        Ok((outcomes, stats))
+        Ok(outcomes)
     }
 
     /// Runs `trials` sessions of the scenario and aggregates the outcomes.
@@ -1365,92 +1278,25 @@ impl SessionEngine {
         Ok((builder.finish(), stats))
     }
 
-    /// Runs `trials` sessions of every scenario and returns one summary per
-    /// scenario, in order. Summaries are identical to running each scenario
-    /// alone — results do not depend on batch composition, order, or the
-    /// engine's [`Parallelism`] policy. Each scenario is fingerprinted once
-    /// for the whole batch, and the flattened `(scenario, trial)` task set
-    /// fans out across workers, so many-scenario/few-trial sweeps parallelize
-    /// as well as single-scenario/many-trial runs.
+    /// Runs `trials` sessions of every scenario, one scenario after another,
+    /// and returns one summary per scenario, in order. Each summary is
+    /// exactly [`run_trials`](Self::run_trials) on its scenario, so results
+    /// do not depend on batch composition, order, or the engine's
+    /// [`Parallelism`] policy.
     ///
     /// # Errors
     ///
-    /// Propagates the first configuration error encountered.
+    /// Propagates the first configuration error encountered, in scenario
+    /// order.
     pub fn run_batch(
         &self,
         scenarios: &[Scenario],
         trials: usize,
     ) -> Result<Vec<TrialSummary>, ProtocolError> {
-        self.run_batch_with_stats(scenarios, trials)
-            .map(|(summaries, _)| summaries)
-    }
-
-    /// [`run_batch`](Self::run_batch) plus the [`ExecutorStats`] of the
-    /// fan-out.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first configuration error encountered.
-    pub fn run_batch_with_stats(
-        &self,
-        scenarios: &[Scenario],
-        trials: usize,
-    ) -> Result<(Vec<TrialSummary>, ExecutorStats), ProtocolError> {
-        // Stage 1 — plan: one whole-run ShardPlan per scenario, so each
-        // scenario is fingerprinted exactly once for the batch.
-        let plans: Vec<ShardPlan> = scenarios.iter().map(|s| self.plan(s, trials)).collect();
-        // Stage 2 — execute: the plans' task sets are fused into a single
-        // scenario-major scatter, so many-scenario/few-trial sweeps fan out
-        // as well as single-scenario/many-trial runs. Stage 3 — merge: every
-        // outcome folds into its plan's summary partial in trial order (the
-        // in-process shortcut for `TrialSummaryBuilder::merge` over one-trial
-        // partials), so summaries are bit-identical to serial accumulation.
-        let mut builders: Vec<TrialSummaryBuilder> = plans
+        scenarios
             .iter()
-            .map(|p| {
-                TrialSummaryBuilder::new(p.scenario.label.clone(), p.scenario.adversary.name())
-            })
-            .collect();
-        // One compiled noise program per scenario, shared by all its trials.
-        let programs: Vec<CompiledQuantumChannel> = plans
-            .iter()
-            .map(|p| Self::compile_program(&p.scenario))
-            .collect();
-        let mut first_error: Option<ProtocolError> = None;
-        // `trials == 0` produces no tasks, so the index arithmetic below
-        // never divides by zero.
-        let stats = parallel::scatter_visit(
-            self.parallelism,
-            plans.len() * trials,
-            |index| {
-                let plan = &plans[index / trials];
-                self.run_compiled(
-                    &plan.scenario,
-                    plan.fingerprint,
-                    &programs[index / trials],
-                    plan.trial_start + (index % trials) as u64,
-                )
-            },
-            |index, outcome| match outcome {
-                Ok(outcome) => {
-                    builders[index / trials].record(&outcome);
-                    ControlFlow::Continue(())
-                }
-                Err(error) => {
-                    // Fail fast: the first in-order error cancels the rest.
-                    first_error.get_or_insert(error);
-                    ControlFlow::Break(())
-                }
-            },
-        );
-        match first_error {
-            Some(error) => Err(error),
-            None => {
-                let mut summaries = Vec::with_capacity(builders.len());
-                summaries.extend(builders.into_iter().map(TrialSummaryBuilder::finish));
-                Ok((summaries, stats))
-            }
-        }
+            .map(|scenario| self.run_trials(scenario, trials))
+            .collect()
     }
 }
 
@@ -1822,6 +1668,8 @@ mod tests {
     use super::*;
     use noise::DeviceModel;
     use qchannel::quantum::ChannelSpec;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -2109,10 +1957,10 @@ mod tests {
     #[test]
     fn identical_engines_replay_identical_outcomes() {
         let scenario = small_scenario(7);
-        let a = SessionEngine::new(2024).run_nth(&scenario, 3).unwrap();
-        let b = SessionEngine::new(2024).run_nth(&scenario, 3).unwrap();
+        let a = &SessionEngine::new(2024).run_outcomes(&scenario, 4).unwrap()[3];
+        let b = &SessionEngine::new(2024).run_outcomes(&scenario, 4).unwrap()[3];
         assert_eq!(a, b);
-        let c = SessionEngine::new(2025).run_nth(&scenario, 3).unwrap();
+        let c = &SessionEngine::new(2025).run_outcomes(&scenario, 4).unwrap()[3];
         assert_ne!(
             a.sent_message, c.sent_message,
             "different master seeds diverge"
@@ -2268,12 +2116,6 @@ mod tests {
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 7);
         assert!(stats.workers <= 3);
         assert!(stats.wall_time > std::time::Duration::ZERO);
-
-        let (summaries, batch_stats) = engine
-            .run_batch_with_stats(&[scenario.clone(), scenario.clone()], 2)
-            .unwrap();
-        assert_eq!(summaries.len(), 2);
-        assert_eq!(batch_stats.tasks, 4, "tasks = scenarios × trials");
     }
 
     #[test]

@@ -238,9 +238,10 @@ pub struct Campaign {
     /// Human-readable name. Excluded from [`Campaign::fingerprint`], like
     /// [`Scenario::label`].
     pub label: String,
-    /// Master seed: session points plan under it directly (matching
-    /// [`SessionEngine::run_batch`]), sampled points derive per-point seeds
-    /// from it via [`derive_point_seed`].
+    /// Master seed: session points plan under it directly (each point's
+    /// summary is [`SessionEngine::run_trials`] on an engine with this
+    /// seed), sampled points derive per-point seeds from it via
+    /// [`derive_point_seed`].
     pub master_seed: u64,
     /// Default trial (session) / shot (sampled) budget per point; an
     /// [`Axis::Trials`] coordinate overrides it.
@@ -498,7 +499,7 @@ pub struct CampaignPoint {
     /// Per-point seed, [`derive_point_seed`] of the master seed and
     /// [`index`](Self::index). Sampled workloads seed their RNG from it;
     /// session workloads ignore it (their streams derive from the master
-    /// seed and the scenario fingerprint, matching `run_batch`).
+    /// seed and the scenario fingerprint, as in `run_trials`).
     pub seed: u64,
     /// The concrete scenario (session workloads only).
     pub scenario: Option<Scenario>,

@@ -152,8 +152,10 @@ impl FromStr for Parallelism {
 // ------------------------------------------------------------------- stats --
 
 /// How one parallel execution actually unfolded: worker utilisation and wall
-/// time. Returned by the `*_with_stats` variants on
-/// [`SessionEngine`](super::SessionEngine).
+/// time. Returned by
+/// [`SessionEngine::run_trials_with_stats`](super::SessionEngine::run_trials_with_stats)
+/// and
+/// [`SessionEngine::execute_shard_with_stats`](super::SessionEngine::execute_shard_with_stats).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutorStats {
     /// Worker threads used (1 for a serial run).

@@ -72,7 +72,10 @@
 //! operations between processes: `init`, `claim`, `submit`, `status`,
 //! `resume`, and the `work` loop a fleet worker runs.
 
-use super::shard::{MergeError, MergedRun, ShardMerger, ShardOutput, ShardPlan, ShardResult};
+use super::shard::{
+    MergeError, MergedRun, RunHeader, ShardMerger, ShardOutput, ShardPayload, ShardPlan,
+    ShardResult,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -944,6 +947,39 @@ impl ShardQueue {
         fold_results(self.verified_done_results(&checkpoint)?)
     }
 
+    /// Folds the contiguous run of done shards at the front of the queue
+    /// into one payload: `(prefix_trials, payload)`, or `None` while the
+    /// first shard is not done. Each result file is verified exactly as
+    /// [`merge`](Self::merge) verifies it, so the prefix is byte-identical to
+    /// the same trials merged from a finished sweep. Takes no lock: the
+    /// checkpoint is read atomically and done result files never change.
+    ///
+    /// # Errors
+    ///
+    /// Checkpoint load failures, or file faults ([`QueueError::Missing`] /
+    /// [`QueueError::Corrupt`] / [`QueueError::Parse`] /
+    /// [`QueueError::Merge`]) naming the offending result file.
+    pub fn done_prefix(&self) -> Result<Option<(u64, ShardPayload)>, QueueError> {
+        let checkpoint = self.load()?;
+        let mut prefix: Option<(u64, ShardPayload)> = None;
+        for slot in &checkpoint.shards {
+            let SlotState::Done { result_fingerprint } = slot.state else {
+                break;
+            };
+            let (path, result) = self.verified_result_bytes(slot, result_fingerprint)?;
+            validate_result_header(&checkpoint, &result, Some(path))?;
+            let trials = slot.trial_count as u64;
+            match &mut prefix {
+                None => prefix = Some((trials, result.payload)),
+                Some((done, payload)) => {
+                    *done += trials;
+                    payload.append(result.payload);
+                }
+            }
+        }
+        Ok(prefix)
+    }
+
     /// Reads, checksum-verifies, parses and header-checks every completed
     /// slot's result file, in trial order.
     fn verified_done_results(
@@ -1174,46 +1210,17 @@ fn validate_result_header(
     result: &ShardResult,
     path: Option<PathBuf>,
 ) -> Result<(), QueueError> {
-    let plan = &checkpoint.plan;
-    let merge = |error: MergeError| QueueError::Merge {
-        path: path.clone(),
-        error,
-    };
-    if result.backend != plan.backend() {
-        return Err(merge(MergeError::BackendMismatch {
-            expected: plan.backend(),
-            found: result.backend,
-        }));
-    }
-    if result.fingerprint != plan.fingerprint {
-        return Err(merge(MergeError::FingerprintMismatch {
-            expected: plan.fingerprint,
-            found: result.fingerprint,
-        }));
-    }
-    if result.master_seed != plan.master_seed {
-        return Err(merge(MergeError::SeedMismatch {
-            expected: plan.master_seed,
-            found: result.master_seed,
-        }));
-    }
-    if result.total_trials != plan.total_trials {
-        return Err(merge(MergeError::TotalMismatch {
-            expected: plan.total_trials,
-            found: result.total_trials,
-        }));
-    }
-    if result.payload.trials() != result.trial_count {
-        return Err(merge(MergeError::PayloadLength {
-            expected: result.trial_count,
-            found: result.payload.trials(),
-        }));
-    }
-    let expected_kind = checkpoint.output.as_str();
-    if result.payload.kind() != expected_kind {
-        return Err(merge(MergeError::MixedPayloads));
-    }
-    Ok(())
+    RunHeader::of_plan(&checkpoint.plan)
+        .check(result)
+        .and_then(|()| {
+            // The queue knows its payload kind up front, from the checkpoint.
+            if result.payload.kind() == checkpoint.output.as_str() {
+                Ok(())
+            } else {
+                Err(MergeError::MixedPayloads)
+            }
+        })
+        .map_err(|error| QueueError::Merge { path, error })
 }
 
 /// Writes `bytes` to `path` atomically: write a sibling temp file, then

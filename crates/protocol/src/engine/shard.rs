@@ -22,10 +22,11 @@
 //!    the summary of the unsharded run; the same holds trivially for merged
 //!    outcome lists.
 //!
-//! Single-machine execution is the degenerate case: `run_outcomes` /
-//! `run_trials` / `run_batch` on [`SessionEngine`] are built on these stages
-//! with whole-range plans. The `shardctl` binary (in the `bench` crate) ships
-//! the same three stages as JSON between processes:
+//! Single-machine execution is the degenerate case: `run`, `run_outcomes`,
+//! `run_trials` and `run_batch` on [`SessionEngine`] run whole ranges through
+//! the same executor stage, with the plan elided and the merge the identity.
+//! The `shardctl` binary (in the `bench` crate) ships the same three stages
+//! as JSON between processes:
 //!
 //! ```text
 //! shardctl plan --scenario scenario.json --trials 1000 --seed 42 --shards 4 \
@@ -63,9 +64,15 @@
 //! ```
 
 use super::parallel::{self, ExecutorStats};
-use super::{BackendKind, Scenario, SessionEngine, TrialSummary, TrialSummaryBuilder};
+use super::{
+    execute_session, BackendKind, Scenario, SessionEngine, TrialSummary, TrialSummaryBuilder,
+};
 use crate::error::ProtocolError;
+use crate::message::SecretMessage;
 use crate::session::SessionOutcome;
+use qchannel::compiled::CompiledQuantumChannel;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -351,6 +358,18 @@ impl ShardPayload {
             ShardPayload::Summary(builder) => builder.trials_recorded(),
         }
     }
+
+    /// Folds `next`, the payload of the trials immediately following this
+    /// one's, onto this payload. Callers check first that the kinds match.
+    pub(super) fn append(&mut self, next: ShardPayload) {
+        match (self, next) {
+            (ShardPayload::Outcomes(all), ShardPayload::Outcomes(mut outcomes)) => {
+                all.append(&mut outcomes);
+            }
+            (ShardPayload::Summary(partial), ShardPayload::Summary(other)) => partial.merge(other),
+            _ => unreachable!("payload kinds are checked before they are folded"),
+        }
+    }
 }
 
 /// The executed form of one [`ShardPlan`]: the plan's header (seed,
@@ -466,13 +485,16 @@ impl SessionEngine {
         ))
     }
 
-    /// The executor stage proper: runs one contiguous trial range of a
-    /// scenario with a precomputed fingerprint under an explicit master seed.
+    /// The executor stage proper, and the engine's only trial loop: runs one
+    /// contiguous trial range of a scenario with a precomputed fingerprint
+    /// under an explicit master seed.
     ///
-    /// Both entry points share it — `execute_shard` after validating a
-    /// deserialized plan, and `run_outcomes` / `run_trials` directly for the
+    /// Every entry point reaches the session body through here —
+    /// `execute_shard` after validating a deserialized plan, and `run`,
+    /// `run_outcomes`, `run_trials` and `run_batch` directly for the
     /// in-process whole-run case (the scenario is borrowed and already
     /// fingerprinted there, so no plan needs to be built or re-validated).
+    /// It is also the one place a scenario's noise program is compiled.
     pub(super) fn execute_trials(
         &self,
         scenario: &Scenario,
@@ -482,14 +504,6 @@ impl SessionEngine {
         trial_count: usize,
         output: ShardOutput,
     ) -> Result<(ShardPayload, ExecutorStats), ProtocolError> {
-        // A shard is self-contained: execute under the *run's* master seed
-        // (from the plan), not this engine's, so it reproduces identically on
-        // any engine.
-        let executor = SessionEngine {
-            master_seed,
-            backend: self.backend.clone(),
-            parallelism: self.parallelism,
-        };
         let mut payload = match output {
             ShardOutput::Outcomes => ShardPayload::Outcomes(Vec::with_capacity(trial_count)),
             ShardOutput::Summary => ShardPayload::Summary(TrialSummaryBuilder::new(
@@ -498,14 +512,34 @@ impl SessionEngine {
             )),
         };
         let mut first_error: Option<ProtocolError> = None;
-        // Compile the scenario's noise program once for the whole shard; the
+        // Compile the scenario's noise program once for the whole range; the
         // compiled placements are immutable, so workers share them freely.
-        let program = SessionEngine::compile_program(scenario);
+        let program = CompiledQuantumChannel::from(scenario.config.channel().clone());
+        let backend = self.backend_for(scenario);
         let stats = parallel::scatter_visit(
             self.parallelism,
             trial_count,
             |index| {
-                executor.run_compiled(scenario, fingerprint, &program, trial_start + index as u64)
+                scenario.adversary.validate()?;
+                // A shard is self-contained: every stream derives from the
+                // *run's* master seed (from the plan), not this engine's, so
+                // it reproduces identically on any engine.
+                let mut rng = trial_rng(master_seed, fingerprint, trial_start + index as u64);
+                let message = match &scenario.message {
+                    Some(message) => message.clone(),
+                    None => SecretMessage::random(scenario.config.message_bits(), &mut rng),
+                };
+                let mut tap = scenario.adversary.make_tap();
+                execute_session(
+                    backend,
+                    &program,
+                    &scenario.config,
+                    &scenario.identities,
+                    &message,
+                    scenario.adversary.impersonation(),
+                    tap.as_mut(),
+                    &mut rng,
+                )
             },
             |_, outcome| match outcome {
                 Ok(outcome) => {
@@ -527,6 +561,15 @@ impl SessionEngine {
             None => Ok((payload, stats)),
         }
     }
+}
+
+/// The RNG for one trial of one scenario: a deterministic function of
+/// `(master seed, scenario fingerprint, trial index)` only.
+fn trial_rng(master_seed: u64, fingerprint: u64, trial: u64) -> StdRng {
+    let mut state = master_seed ^ fingerprint.wrapping_mul(0xa24b_aed4_963e_e407);
+    let _ = rand::splitmix64(&mut state);
+    state ^= trial.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    StdRng::seed_from_u64(rand::splitmix64(&mut state))
 }
 
 // ------------------------------------------------------------------- merger --
@@ -703,12 +746,74 @@ pub struct ShardMerger {
     next_trial: u64,
 }
 
-#[derive(Debug)]
-struct RunHeader {
+/// The identity every shard of one run shares: what a result's header must
+/// match before its payload may be folded into the run.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct RunHeader {
     master_seed: u64,
     fingerprint: u64,
     backend: BackendKind,
     total_trials: usize,
+}
+
+impl RunHeader {
+    /// The identity of the run `plan` belongs to.
+    pub(super) fn of_plan(plan: &ShardPlan) -> Self {
+        Self {
+            master_seed: plan.master_seed,
+            fingerprint: plan.fingerprint,
+            backend: plan.backend(),
+            total_trials: plan.total_trials,
+        }
+    }
+
+    /// The identity `result` claims for its run.
+    fn of_result(result: &ShardResult) -> Self {
+        Self {
+            master_seed: result.master_seed,
+            fingerprint: result.fingerprint,
+            backend: result.backend,
+            total_trials: result.total_trials,
+        }
+    }
+
+    /// Rejects a result that belongs to another run, or whose payload holds
+    /// a different number of trials than its header claims.
+    pub(super) fn check(&self, result: &ShardResult) -> Result<(), MergeError> {
+        // Backend first: two backends imply two fingerprints as well, and
+        // the substrate mismatch is the actionable diagnosis.
+        if result.backend != self.backend {
+            return Err(MergeError::BackendMismatch {
+                expected: self.backend,
+                found: result.backend,
+            });
+        }
+        if result.fingerprint != self.fingerprint {
+            return Err(MergeError::FingerprintMismatch {
+                expected: self.fingerprint,
+                found: result.fingerprint,
+            });
+        }
+        if result.master_seed != self.master_seed {
+            return Err(MergeError::SeedMismatch {
+                expected: self.master_seed,
+                found: result.master_seed,
+            });
+        }
+        if result.total_trials != self.total_trials {
+            return Err(MergeError::TotalMismatch {
+                expected: self.total_trials,
+                found: result.total_trials,
+            });
+        }
+        if result.payload.trials() != result.trial_count {
+            return Err(MergeError::PayloadLength {
+                expected: result.trial_count,
+                found: result.payload.trials(),
+            });
+        }
+        Ok(())
+    }
 }
 
 impl ShardMerger {
@@ -733,40 +838,10 @@ impl ShardMerger {
         // Every check runs before any state mutates: a rejected shard must
         // leave the merger exactly as it was (in particular, a bad *first*
         // shard must not establish the run's identity).
-        if let Some(header) = &self.expected {
-            // Backend first: two backends imply two fingerprints as well, and
-            // the substrate mismatch is the actionable diagnosis.
-            if result.backend != header.backend {
-                return Err(MergeError::BackendMismatch {
-                    expected: header.backend,
-                    found: result.backend,
-                });
-            }
-            if result.fingerprint != header.fingerprint {
-                return Err(MergeError::FingerprintMismatch {
-                    expected: header.fingerprint,
-                    found: result.fingerprint,
-                });
-            }
-            if result.master_seed != header.master_seed {
-                return Err(MergeError::SeedMismatch {
-                    expected: header.master_seed,
-                    found: result.master_seed,
-                });
-            }
-            if result.total_trials != header.total_trials {
-                return Err(MergeError::TotalMismatch {
-                    expected: header.total_trials,
-                    found: result.total_trials,
-                });
-            }
-        }
-        if result.payload.trials() != result.trial_count {
-            return Err(MergeError::PayloadLength {
-                expected: result.trial_count,
-                found: result.payload.trials(),
-            });
-        }
+        let header = self
+            .expected
+            .unwrap_or_else(|| RunHeader::of_result(&result));
+        header.check(&result)?;
         match result.trial_start.cmp(&self.next_trial) {
             std::cmp::Ordering::Greater => {
                 return Err(MergeError::Gap {
@@ -788,26 +863,12 @@ impl ShardMerger {
             }
         }
         // All checks passed — commit.
-        if self.expected.is_none() {
-            self.expected = Some(RunHeader {
-                master_seed: result.master_seed,
-                fingerprint: result.fingerprint,
-                backend: result.backend,
-                total_trials: result.total_trials,
-            });
+        self.expected = Some(header);
+        self.next_trial = result.trial_end();
+        match &mut self.merged {
+            None => self.merged = Some(result.payload),
+            Some(merged) => merged.append(result.payload),
         }
-        let trial_end = result.trial_end();
-        match (&mut self.merged, result.payload) {
-            (merged @ None, payload) => *merged = Some(payload),
-            (Some(ShardPayload::Outcomes(all)), ShardPayload::Outcomes(mut outcomes)) => {
-                all.append(&mut outcomes);
-            }
-            (Some(ShardPayload::Summary(partial)), ShardPayload::Summary(other)) => {
-                partial.merge(other);
-            }
-            _ => unreachable!("payload kinds were checked above"),
-        }
-        self.next_trial = trial_end;
         Ok(())
     }
 

@@ -23,8 +23,7 @@
 use protocol::engine::queue::write_atomically;
 use protocol::engine::{
     Campaign, CampaignError, CampaignReport, CampaignRun, CampaignWorkload, ClaimOutcome,
-    QueueError, SessionEngine, ShardOutput, ShardPayload, ShardPlan, ShardQueue, SlotState,
-    TrialSummary, TrialSummaryBuilder,
+    QueueError, SessionEngine, ShardOutput, ShardPayload, ShardPlan, ShardQueue, TrialSummary,
 };
 use protocol::wire::{JobManifest, JobSpec};
 use std::fmt;
@@ -508,40 +507,16 @@ impl Spool {
     ///
     /// # Errors
     ///
-    /// Checkpoint/result-file read failures.
+    /// Checkpoint/result-file failures from [`ShardQueue::done_prefix`],
+    /// naming the offending file.
     pub fn snapshot(&self, queue: &ShardQueue) -> Result<Option<(u64, TrialSummary)>, SpoolError> {
-        let checkpoint = queue.checkpoint()?;
-        let mut builder: Option<TrialSummaryBuilder> = None;
-        let mut trials = 0u64;
-        for slot in &checkpoint.shards {
-            if !matches!(slot.state, SlotState::Done { .. }) {
-                break;
-            }
-            let path = queue.result_path(slot);
-            let text = fs::read_to_string(&path).map_err(|e| SpoolError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
-            let result: protocol::engine::ShardResult =
-                serde::json::from_str(&text).map_err(|e| SpoolError::Manifest {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?;
-            let ShardPayload::Summary(partial) = result.payload else {
-                return Err(SpoolError::Unsupported {
-                    reason: "snapshots need summary payloads".to_string(),
-                });
-            };
-            trials += slot.trial_count as u64;
-            builder = Some(match builder {
-                None => partial,
-                Some(mut merged) => {
-                    merged.merge(partial);
-                    merged
-                }
-            });
+        match queue.done_prefix()? {
+            None => Ok(None),
+            Some((trials, ShardPayload::Summary(partial))) => Ok(Some((trials, partial.finish()))),
+            Some((_, ShardPayload::Outcomes(_))) => Err(SpoolError::Unsupported {
+                reason: "snapshots need summary payloads".to_string(),
+            }),
         }
-        Ok(builder.map(|b| (trials, b.finish())))
     }
 }
 

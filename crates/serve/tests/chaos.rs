@@ -8,10 +8,10 @@
 mod common;
 
 use common::{campaign, scenario, TempDir};
-use protocol::engine::{SessionEngine, ShardOutput};
+use protocol::engine::{QueueError, SessionEngine, ShardOutput};
 use protocol::env_keys;
 use protocol::wire::{JobManifest, JobSpec, JobState, Request, Response, MANIFEST_VERSION};
-use serve::spool::{Spool, WorkClaim};
+use serve::spool::{Spool, SpoolError, WorkClaim};
 use serve::Client;
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -266,5 +266,57 @@ fn sigkill_and_restart_finish_every_job_byte_identically() {
     assert!(
         rescanned.is_empty(),
         "every job is finished or cancelled; nothing should rescan"
+    );
+}
+
+#[test]
+fn tampered_result_files_fail_the_snapshot_by_name() {
+    // A done shard's result file edited into different but valid JSON must
+    // fail the streaming snapshot by name, as it fails `recover` and
+    // `merge`, instead of streaming counts the shard never produced.
+    let dir = TempDir::new("chaos-tamper");
+    let spool = Spool::open(&dir.0).expect("spool opens");
+    let job = scenario(5);
+    let manifest = JobManifest {
+        version: MANIFEST_VERSION,
+        job: 1,
+        client: "tamper".to_string(),
+        spec: JobSpec::Session {
+            scenario: job.clone(),
+            trials: 8,
+            seed: 17,
+        },
+        shard_trials: SHARD_TRIALS,
+    };
+    let work = spool.lower(&manifest).expect("job lowers");
+    let WorkClaim::Claimed { queue, plan } = work.claim("tamper", 60_000).expect("claims") else {
+        panic!("a fresh job has a claimable shard");
+    };
+    let result = SessionEngine::new(0)
+        .execute_shard(&plan, ShardOutput::Summary)
+        .expect("shard executes");
+    queue.submit(&result).expect("submit succeeds");
+    let prefix = SessionEngine::new(17)
+        .run_trials(&job, SHARD_TRIALS)
+        .unwrap();
+    assert_eq!(
+        spool.snapshot(&queue).expect("intact snapshot"),
+        Some((SHARD_TRIALS as u64, prefix))
+    );
+
+    let path = queue.result_path(&queue.checkpoint().expect("checkpoint loads").shards[0]);
+    let text = std::fs::read_to_string(&path).expect("result file reads");
+    let tampered = text.replacen("\"delivered\":", "\"delivered\":1", 1);
+    assert_ne!(tampered, text, "the result file records deliveries");
+    std::fs::write(&path, tampered).expect("result file rewrites");
+
+    let error = spool.snapshot(&queue).expect_err("tampered snapshot");
+    assert!(
+        matches!(&error, SpoolError::Queue(QueueError::Corrupt { path: named, .. }) if *named == path),
+        "{error}"
+    );
+    assert!(
+        error.to_string().contains(&path.display().to_string()),
+        "{error}"
     );
 }

@@ -45,15 +45,15 @@
 //!     .clone()
 //!     .with_label("impersonation")
 //!     .with_adversary(Adversary::ImpersonateBob);
-//! let summaries = engine.run_batch(&[honest.clone(), attacked.clone()], 3)?;
+//! let summaries = engine.run_batch(&[honest, attacked.clone()], 3)?;
 //! assert_eq!(summaries[0].delivered, 3);
 //! assert!(summaries[1].detection_rate() > 0.9);
 //!
-//! // The same batch across all cores: bit-identical summaries, plus executor stats.
+//! // The same trials across all cores: a bit-identical summary, plus executor stats.
 //! let threaded = engine.with_parallelism(Parallelism::Auto);
-//! let (parallel_summaries, stats) = threaded.run_batch_with_stats(&[honest, attacked], 3)?;
-//! assert_eq!(parallel_summaries, summaries);
-//! assert_eq!(stats.tasks, 6); // 2 scenarios × 3 trials
+//! let (parallel_summary, stats) = threaded.run_trials_with_stats(&attacked, 3)?;
+//! assert_eq!(parallel_summary, summaries[1]);
+//! assert_eq!(stats.tasks, 3);
 //! # Ok(())
 //! # }
 //! ```
