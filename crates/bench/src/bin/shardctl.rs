@@ -35,8 +35,8 @@
 use bench::campaigns::{figure_sampler, stored_campaign};
 use bench::shard_io::{self, MergeFileError};
 use protocol::engine::{
-    BackendKind, Campaign, CampaignRun, CampaignRunOptions, ClaimOutcome, MergedRun, Scenario,
-    SessionEngine, ShardOutput, ShardPlan, ShardQueue, ShardResult, SubmitOutcome,
+    BackendKind, Campaign, CampaignRun, ClaimOutcome, MergedRun, Scenario, SessionEngine,
+    ShardOutput, ShardPlan, ShardQueue, ShardResult, ShardWorker, SubmitOutcome,
 };
 use std::process::ExitCode;
 
@@ -48,7 +48,7 @@ USAGE:
         Write a deterministic demo scenario to stdout.
         Presets: honest, impersonate-alice, impersonate-bob, intercept,
         mitm, entangle (default: honest).
-        Backends: density-matrix (default), statevector.
+        Backends: density-matrix (default), statevector, pauli-twirled.
 
     shardctl plan --trials N [--seed N] [--shards K | --shard-trials M]
                   [--scenario FILE] [--backend KIND]
@@ -268,23 +268,21 @@ fn run_cmd(mut args: Args) {
     let engine = SessionEngine::new(0).with_parallelism(parallelism);
     let results: Vec<ShardResult> = selected
         .into_iter()
-        .map(|plan| execute_plan(&engine, plan, output))
+        .map(|plan| {
+            let (result, stats) = engine
+                .execute_shard_with_stats(plan, output)
+                .unwrap_or_else(|e| fail(format_args!("shard execution failed: {e}")));
+            eprintln!(
+                "executed trials {}..{} on the {} backend: {stats} ({:.1} trials/s)",
+                plan.trial_start,
+                plan.trial_end(),
+                plan.backend(),
+                stats.throughput()
+            );
+            result
+        })
         .collect();
     println!("{}", serde::json::to_string(&results));
-}
-
-fn execute_plan(engine: &SessionEngine, plan: &ShardPlan, output: ShardOutput) -> ShardResult {
-    let (result, stats) = engine
-        .execute_shard_with_stats(plan, output)
-        .unwrap_or_else(|e| fail(format_args!("shard execution failed: {e}")));
-    eprintln!(
-        "executed trials {}..{} on the {} backend: {stats} ({:.1} trials/s)",
-        plan.trial_start,
-        plan.trial_end(),
-        plan.backend(),
-        stats.throughput()
-    );
-    result
 }
 
 fn merge_cmd(args: Args) {
@@ -417,54 +415,39 @@ fn queue_status_cmd(mut args: Args) {
     println!("{}", serde::json::to_string(&status));
 }
 
-fn queue_work_cmd(mut args: Args) {
-    let worker = args
+/// The shard worker of `queue work` and `campaign run/resume`: `--worker`
+/// (required when `name` is `None`), `--lease-ms` and `--poll-ms` over the
+/// given defaults, an engine with the environment's parallelism, and the
+/// `UA_DI_QSDC_QUEUE_THROTTLE_MS` chaos hook, which stalls each shard
+/// between claim and execute so a test can SIGKILL this process while it
+/// provably holds a lease.
+fn shard_worker(args: &mut Args, name: Option<&str>, lease_ms: u64, poll_ms: u64) -> ShardWorker {
+    let name = args
         .take_flag("--worker")
+        .or(name.map(String::from))
         .unwrap_or_else(|| fail("queue work requires --worker"));
-    let lease_ms: u64 = args.take_parsed("--lease-ms").unwrap_or(60_000);
-    let poll_ms: u64 = args.take_parsed("--poll-ms").unwrap_or(500);
+    ShardWorker {
+        engine: SessionEngine::new(0).with_parallelism(bench::announce_parallelism()),
+        name,
+        lease_ms: args.take_parsed("--lease-ms").unwrap_or(lease_ms),
+        poll_ms: args.take_parsed("--poll-ms").unwrap_or(poll_ms),
+        throttle_ms: std::env::var(protocol::env_keys::QUEUE_THROTTLE_MS)
+            .ok()
+            .and_then(|raw| raw.parse().ok())
+            .unwrap_or(0),
+    }
+}
+
+fn queue_work_cmd(mut args: Args) {
+    let worker = shard_worker(&mut args, None, 60_000, 500);
     let queue = open_queue(&mut args);
     args.finish();
-    let parallelism = bench::announce_parallelism();
-    let engine = SessionEngine::new(0).with_parallelism(parallelism);
     let output = queue.checkpoint().unwrap_or_else(|e| fail(e)).output;
-    let throttle_ms: u64 = std::env::var(protocol::env_keys::QUEUE_THROTTLE_MS)
-        .ok()
-        .and_then(|raw| raw.parse().ok())
-        .unwrap_or(0);
-    let mut executed = 0usize;
-    loop {
-        match queue.claim(&worker, lease_ms).unwrap_or_else(|e| fail(e)) {
-            ClaimOutcome::Claimed(plan) => {
-                // Heartbeat for the whole claim→submit window: a shard whose
-                // execution outlives the lease is extended, not stolen.
-                let _beat = queue.heartbeat(&worker, &plan, lease_ms);
-                if throttle_ms > 0 {
-                    // Chaos hook: hold the lease without submitting, so a
-                    // test can SIGKILL this worker in the claim→submit window.
-                    eprintln!("[{worker}] throttling {throttle_ms} ms before {plan}");
-                    std::thread::sleep(std::time::Duration::from_millis(throttle_ms));
-                }
-                let result = execute_plan(&engine, &plan, output);
-                match queue.submit(&result).unwrap_or_else(|e| fail(e)) {
-                    SubmitOutcome::Recorded => executed += 1,
-                    SubmitOutcome::AlreadyDone => eprintln!(
-                        "[{worker}] trials {}..{} were stolen and completed elsewhere",
-                        result.trial_start,
-                        result.trial_end()
-                    ),
-                }
-            }
-            ClaimOutcome::Wait { leased } => {
-                eprintln!("[{worker}] waiting: {leased} shard(s) leased elsewhere");
-                std::thread::sleep(std::time::Duration::from_millis(poll_ms));
-            }
-            ClaimOutcome::Drained => {
-                eprintln!("[{worker}] queue drained after {executed} shard(s); exiting");
-                return;
-            }
-        }
-    }
+    let recorded = worker.drain(&queue, output).unwrap_or_else(|e| fail(e));
+    eprintln!(
+        "[{}] queue drained after {recorded} shard(s); exiting",
+        worker.name
+    );
 }
 
 fn queue_resume_cmd(mut args: Args) -> ExitCode {
@@ -508,29 +491,6 @@ fn campaign_dir(args: &mut Args) -> String {
         .unwrap_or_else(|| fail("campaign commands require --dir"))
 }
 
-fn campaign_options(args: &mut Args) -> CampaignRunOptions {
-    let mut options = CampaignRunOptions {
-        parallelism: bench::announce_parallelism(),
-        ..CampaignRunOptions::default()
-    };
-    if let Some(worker) = args.take_flag("--worker") {
-        options.worker = worker;
-    }
-    if let Some(lease_ms) = args.take_parsed("--lease-ms") {
-        options.lease_ms = lease_ms;
-    }
-    if let Some(poll_ms) = args.take_parsed("--poll-ms") {
-        options.poll_ms = poll_ms;
-    }
-    // The same chaos hook as `queue work`: stall between claim and execute so
-    // a test can SIGKILL this process while it provably holds work.
-    options.throttle_ms = std::env::var(protocol::env_keys::QUEUE_THROTTLE_MS)
-        .ok()
-        .and_then(|raw| raw.parse().ok())
-        .unwrap_or(0);
-    options
-}
-
 fn campaign_init(dir: &str, campaign: &Campaign, shard_trials: usize) -> CampaignRun {
     if shard_trials == 0 {
         fail("--shard-trials must be at least 1");
@@ -557,7 +517,7 @@ fn campaign_run_cmd(mut args: Args) {
     let dir = campaign_dir(&mut args);
     let campaign = take_campaign(&mut args);
     let shard_trials: usize = args.take_parsed("--shard-trials").unwrap_or(8);
-    let options = campaign_options(&mut args);
+    let worker = shard_worker(&mut args, Some("campaign-worker"), 30_000, 200);
     args.finish();
     let run = match campaign {
         // A campaign was given: initialise the directory unless it already is.
@@ -576,7 +536,7 @@ fn campaign_run_cmd(mut args: Args) {
         None => CampaignRun::open(&dir).unwrap_or_else(|e| fail(e)),
     };
     let report = run
-        .run(&options, &figure_sampler())
+        .run(&worker, &figure_sampler())
         .unwrap_or_else(|e| fail(e));
     eprintln!(
         "campaign `{}` drained: {} point(s)",
@@ -588,11 +548,11 @@ fn campaign_run_cmd(mut args: Args) {
 
 fn campaign_resume_cmd(mut args: Args) {
     let dir = campaign_dir(&mut args);
-    let options = campaign_options(&mut args);
+    let worker = shard_worker(&mut args, Some("campaign-worker"), 30_000, 200);
     args.finish();
     let run = CampaignRun::open(&dir).unwrap_or_else(|e| fail(e));
     let report = run
-        .resume(&options, &figure_sampler())
+        .resume(&worker, &figure_sampler())
         .unwrap_or_else(|e| fail(e));
     eprintln!(
         "campaign `{}` resumed and drained: {} point(s)",

@@ -551,7 +551,7 @@ pub fn ablation_rows(report: &CampaignReport) -> Result<Vec<BackendAblationRow>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protocol::engine::{CampaignRun, CampaignRunOptions};
+    use protocol::engine::{CampaignRun, ShardWorker};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -647,7 +647,7 @@ mod tests {
         let dir = TempDir::new("fig2-run");
         let run = CampaignRun::init(&dir.0, &campaign, 8).expect("run initialises");
         let report = run
-            .run(&CampaignRunOptions::default(), &figure_sampler())
+            .run(&ShardWorker::default(), &figure_sampler())
             .expect("run drains");
         assert_eq!(
             serde::json::to_string(&report),

@@ -68,13 +68,13 @@ pub mod shard;
 
 pub use campaign::{
     derive_point_seed, Axis, AxisValue, Campaign, CampaignError, CampaignPoint,
-    CampaignPointReport, CampaignReport, CampaignRun, CampaignRunOptions, CampaignSpace,
-    CampaignStatus, CampaignWorkload, NoSampler, RateInterval, Sampler,
+    CampaignPointReport, CampaignReport, CampaignRun, CampaignSpace, CampaignStatus,
+    CampaignWorkload, NoSampler, RateInterval, Sampler,
 };
 pub use parallel::{ExecutorStats, Parallelism};
 pub use queue::{
     ClaimOutcome, LeaseHeartbeat, MergeCheckpoint, QueueError, QueueStatus, ShardQueue, ShardSlot,
-    SlotState, SubmitOutcome, MIN_LEASE_MS,
+    ShardWorker, SlotState, SubmitOutcome, WorkerError, MIN_LEASE_MS,
 };
 pub use shard::{
     merge_shard_results, MergeError, MergedRun, ShardMerger, ShardOutput, ShardPayload, ShardPlan,

@@ -53,7 +53,7 @@
 //! ```
 
 use super::parallel::scatter;
-use super::queue::{write_atomically, QueueError, ShardQueue};
+use super::queue::{write_atomically, QueueError, ShardQueue, ShardWorker, WorkerError};
 use super::shard::ShardOutput;
 use super::{fnv1a64, Adversary, BackendKind, Parallelism, Scenario, SessionEngine, TrialSummary};
 use crate::config::SessionConfig;
@@ -863,36 +863,6 @@ impl fmt::Display for CampaignStatus {
     }
 }
 
-/// Knobs for [`CampaignRun::run`] / [`CampaignRun::resume`].
-#[derive(Debug, Clone)]
-pub struct CampaignRunOptions {
-    /// Worker name recorded on queue leases.
-    pub worker: String,
-    /// Lease duration for claimed shards, in milliseconds.
-    pub lease_ms: u64,
-    /// Sleep between claim attempts while other workers hold leases, in
-    /// milliseconds.
-    pub poll_ms: u64,
-    /// Fault-injection hook: sleep this long between claiming a shard and
-    /// executing it (0 = disabled). Chaos tests use it to widen the window
-    /// in which a worker can be killed while holding a lease.
-    pub throttle_ms: u64,
-    /// Intra-shard parallelism of the executing engine.
-    pub parallelism: Parallelism,
-}
-
-impl Default for CampaignRunOptions {
-    fn default() -> Self {
-        Self {
-            worker: "campaign-worker".into(),
-            lease_ms: 30_000,
-            poll_ms: 200,
-            throttle_ms: 0,
-            parallelism: Parallelism::Auto,
-        }
-    }
-}
-
 /// A record of one executed sampled point, persisted atomically so a killed
 /// campaign never re-runs finished points.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -1114,10 +1084,11 @@ impl CampaignRun {
     /// Executes every remaining shard / sampled point, then folds the
     /// report.
     ///
-    /// Session points drain their queues with the claim/execute/submit loop
-    /// (waiting out other workers' leases); sampled points that already have
-    /// a valid result file are skipped. Any number of processes can run the
-    /// same directory concurrently.
+    /// Each session point's queue is drained by `worker`
+    /// ([`ShardWorker::drain`], which waits out other workers' leases);
+    /// sampled points that already have a valid result file are skipped,
+    /// and the rest are sampled after `worker.throttle_ms`. Any number of
+    /// processes can run the same directory concurrently.
     ///
     /// # Errors
     ///
@@ -1125,15 +1096,19 @@ impl CampaignRun {
     /// anything [`report`](Self::report) can return.
     pub fn run(
         &self,
-        options: &CampaignRunOptions,
+        worker: &ShardWorker,
         sampler: &dyn Sampler,
     ) -> Result<CampaignReport, CampaignError> {
         match &self.campaign.workload {
             CampaignWorkload::Session { .. } => {
-                let engine = SessionEngine::new(self.campaign.master_seed)
-                    .with_parallelism(options.parallelism);
                 for point in &self.points {
-                    self.drain_point(point.index, &engine, options)?;
+                    let index = point.index;
+                    worker
+                        .drain(&self.point_queue(index)?, ShardOutput::Summary)
+                        .map_err(|error| match error {
+                            WorkerError::Queue(error) => CampaignError::Queue { index, error },
+                            WorkerError::Execute(error) => CampaignError::Protocol { index, error },
+                        })?;
                 }
             }
             CampaignWorkload::Sampled { kind, params } => {
@@ -1141,8 +1116,8 @@ impl CampaignRun {
                     if self.read_sample(point.index).is_ok() {
                         continue;
                     }
-                    if options.throttle_ms > 0 {
-                        thread::sleep(Duration::from_millis(options.throttle_ms));
+                    if worker.throttle_ms > 0 {
+                        thread::sleep(Duration::from_millis(worker.throttle_ms));
                     }
                     let payload = sampler.sample(kind, params, point).map_err(|reason| {
                         CampaignError::Sampler {
@@ -1170,15 +1145,15 @@ impl CampaignRun {
     }
 
     /// Expires stale leases and re-verifies done shards on every session
-    /// point, then [`run`](Self::run)s whatever remains — the one call a
-    /// fleet needs after losing workers.
+    /// point, then [`run`](Self::run)s whatever remains with `worker` — the
+    /// one call a fleet needs after losing workers.
     ///
     /// # Errors
     ///
     /// As [`run`](Self::run), plus recovery errors.
     pub fn resume(
         &self,
-        options: &CampaignRunOptions,
+        worker: &ShardWorker,
         sampler: &dyn Sampler,
     ) -> Result<CampaignReport, CampaignError> {
         if matches!(self.campaign.workload, CampaignWorkload::Session { .. }) {
@@ -1191,7 +1166,7 @@ impl CampaignRun {
                     })?;
             }
         }
-        self.run(options, sampler)
+        self.run(worker, sampler)
     }
 
     /// Folds the finished campaign into its report without executing
@@ -1232,42 +1207,6 @@ impl CampaignRun {
             }
         }
         Ok(build_report(&self.campaign, &self.points, payloads))
-    }
-
-    /// Claim/execute/submit until session point `index` is drained.
-    fn drain_point(
-        &self,
-        index: usize,
-        engine: &SessionEngine,
-        options: &CampaignRunOptions,
-    ) -> Result<(), CampaignError> {
-        use super::queue::ClaimOutcome;
-        let queue = self.point_queue(index)?;
-        let queue_err = |error| CampaignError::Queue { index, error };
-        loop {
-            match queue
-                .claim(&options.worker, options.lease_ms)
-                .map_err(queue_err)?
-            {
-                ClaimOutcome::Claimed(plan) => {
-                    // Renew the lease until the result is submitted, so a
-                    // shard that outlives `lease_ms` is not stolen by a
-                    // second run on the same directory.
-                    let _beat = queue.heartbeat(&options.worker, &plan, options.lease_ms);
-                    if options.throttle_ms > 0 {
-                        thread::sleep(Duration::from_millis(options.throttle_ms));
-                    }
-                    let result = engine
-                        .execute_shard(&plan, ShardOutput::Summary)
-                        .map_err(|error| CampaignError::Protocol { index, error })?;
-                    queue.submit(&result).map_err(queue_err)?;
-                }
-                ClaimOutcome::Wait { .. } => {
-                    thread::sleep(Duration::from_millis(options.poll_ms.max(1)));
-                }
-                ClaimOutcome::Drained => return Ok(()),
-            }
-        }
     }
 
     /// Reads and validates one sampled point's record.

@@ -37,8 +37,11 @@
 //! final [`merge`](ShardQueue::merge) is byte-identical to an uninterrupted
 //! single-process run.
 //!
+//! A [`ShardWorker`] is the worker loop: claim, execute under a lease
+//! heartbeat, submit, until the queue is drained.
+//!
 //! ```rust
-//! use protocol::engine::{Scenario, SessionEngine, ShardOutput, ShardQueue, ClaimOutcome};
+//! use protocol::engine::{Scenario, SessionEngine, ShardOutput, ShardQueue, ShardWorker};
 //! use protocol::prelude::*;
 //! use rand::SeedableRng;
 //!
@@ -57,10 +60,8 @@
 //! let queue = ShardQueue::init(&dir, &engine.plan(&scenario, 6), 2, ShardOutput::Summary)?;
 //!
 //! // Any number of workers, possibly on other machines, drain the queue:
-//! while let ClaimOutcome::Claimed(plan) = queue.claim("worker-1", 60_000)? {
-//!     let result = engine.execute_shard(&plan, ShardOutput::Summary)?;
-//!     queue.submit(&result)?;
-//! }
+//! let worker = ShardWorker { name: "worker-1".into(), ..ShardWorker::default() };
+//! assert_eq!(worker.drain(&queue, ShardOutput::Summary)?, 3);
 //! let merged = queue.merge()?.into_summary().unwrap();
 //! assert_eq!(merged, engine.run_trials(&scenario, 6)?);
 //! # std::fs::remove_dir_all(&dir)?;
@@ -70,12 +71,14 @@
 //!
 //! The `shardctl queue` subcommands (in the `bench` crate) expose the same
 //! operations between processes: `init`, `claim`, `submit`, `status`,
-//! `resume`, and the `work` loop a fleet worker runs.
+//! `resume`, and `work`, which runs a [`ShardWorker`].
 
 use super::shard::{
     MergeError, MergedRun, RunHeader, ShardMerger, ShardOutput, ShardPayload, ShardPlan,
     ShardResult,
 };
+use super::SessionEngine;
+use crate::error::ProtocolError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -1146,6 +1149,110 @@ impl Drop for LeaseHeartbeat {
         if let Some(handle) = self.handle.take() {
             handle.thread().unpark();
             let _ = handle.join();
+        }
+    }
+}
+
+// ------------------------------------------------------------------ worker --
+
+/// Why a [`ShardWorker`] stopped.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkerError {
+    /// A claim or submit failed.
+    Queue(QueueError),
+    /// The engine could not execute a claimed shard.
+    Execute(ProtocolError),
+}
+
+impl fmt::Display for WorkerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WorkerError::Queue(error) => write!(f, "{error}"),
+            WorkerError::Execute(error) => write!(f, "shard execution failed: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for WorkerError {}
+
+/// The one consumer of a [`ShardQueue`]: claim a shard, hold its lease
+/// [`heartbeat`](ShardQueue::heartbeat), execute, submit. The campaign
+/// runner, `shardctl queue work` and `qsdc-serve` all drain their queues
+/// through it, so the lease protocol has one owner.
+#[derive(Debug, Clone)]
+pub struct ShardWorker {
+    /// Executes claimed shards (each plan carries its run's master seed).
+    pub engine: SessionEngine,
+    /// Worker name recorded on leases.
+    pub name: String,
+    /// Lease length in milliseconds; the heartbeat renews it.
+    pub lease_ms: u64,
+    /// Sleep between claims while every open shard is leased, in ms.
+    pub poll_ms: u64,
+    /// Chaos hook: sleep this long between claim and execute (0 = off), so
+    /// a test can kill the worker while it provably holds a lease.
+    pub throttle_ms: u64,
+}
+
+impl Default for ShardWorker {
+    fn default() -> Self {
+        Self {
+            engine: SessionEngine::new(0),
+            name: "shard-worker".into(),
+            lease_ms: 30_000,
+            poll_ms: 200,
+            throttle_ms: 0,
+        }
+    }
+}
+
+impl ShardWorker {
+    /// Executes the claimed shard `plan` and submits its result to `queue`,
+    /// heartbeating the lease from before the throttle until the submit
+    /// returns, so a shard that outlives `lease_ms` is never stolen.
+    ///
+    /// # Errors
+    ///
+    /// The engine's or the submit's failure.
+    pub fn execute(
+        &self,
+        queue: &ShardQueue,
+        plan: &ShardPlan,
+        output: ShardOutput,
+    ) -> Result<SubmitOutcome, WorkerError> {
+        let _beat = queue.heartbeat(&self.name, plan, self.lease_ms);
+        if self.throttle_ms > 0 {
+            thread::sleep(Duration::from_millis(self.throttle_ms));
+        }
+        let result = self
+            .engine
+            .execute_shard(plan, output)
+            .map_err(WorkerError::Execute)?;
+        queue.submit(&result).map_err(WorkerError::Queue)
+    }
+
+    /// Claims and [`execute`](Self::execute)s shards until `queue` is
+    /// drained, sleeping `poll_ms` while other workers hold every open
+    /// shard. Returns the number of results this worker recorded.
+    ///
+    /// # Errors
+    ///
+    /// The first claim, execute or submit failure.
+    pub fn drain(&self, queue: &ShardQueue, output: ShardOutput) -> Result<usize, WorkerError> {
+        let mut recorded = 0;
+        loop {
+            let claim = queue.claim(&self.name, self.lease_ms);
+            match claim.map_err(WorkerError::Queue)? {
+                ClaimOutcome::Claimed(plan) => {
+                    if self.execute(queue, &plan, output)? == SubmitOutcome::Recorded {
+                        recorded += 1;
+                    }
+                }
+                ClaimOutcome::Wait { .. } => {
+                    thread::sleep(Duration::from_millis(self.poll_ms.max(1)));
+                }
+                ClaimOutcome::Drained => return Ok(recorded),
+            }
         }
     }
 }

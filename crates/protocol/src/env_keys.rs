@@ -19,7 +19,9 @@ pub const PARALLELISM: &str = "UA_DI_QSDC_PARALLELISM";
 
 /// Chaos-testing hook: stalls a fleet worker for N milliseconds between
 /// claiming and executing each shard, so a test can SIGKILL it while it
-/// provably holds a lease. Read by the `shardctl` binary only.
+/// provably holds a lease. Read once by the `shardctl` binary into the
+/// [`ShardWorker::throttle_ms`](crate::engine::ShardWorker::throttle_ms)
+/// of `queue work` and `campaign run/resume`.
 pub const QUEUE_THROTTLE_MS: &str = "UA_DI_QSDC_QUEUE_THROTTLE_MS";
 
 /// When set, golden-fixture tests rewrite their checked-in fixtures instead
@@ -36,8 +38,8 @@ pub const SERVE_ADDR: &str = "UA_DI_QSDC_SERVE_ADDR";
 /// Read by the `qsdc-serve` binary only.
 pub const SERVE_SPOOL: &str = "UA_DI_QSDC_SERVE_SPOOL";
 
-/// Worker-pool size of the `qsdc-serve` binary (default: one per available
-/// CPU). Read by the `qsdc-serve` binary only.
+/// Worker-pool size of the `qsdc-serve` binary (default 2). Read by the
+/// `qsdc-serve` binary only.
 pub const SERVE_WORKERS: &str = "UA_DI_QSDC_SERVE_WORKERS";
 
 /// Per-client in-flight job quota of the `qsdc-serve` binary; submissions
@@ -46,8 +48,8 @@ pub const SERVE_WORKERS: &str = "UA_DI_QSDC_SERVE_WORKERS";
 pub const SERVE_QUOTA: &str = "UA_DI_QSDC_SERVE_QUOTA";
 
 /// Shard granularity (and therefore snapshot-streaming interval, in trials)
-/// the `qsdc-serve` binary lowers session jobs with. Read by the
-/// `qsdc-serve` binary only.
+/// the `qsdc-serve` binary lowers session jobs with; a positive integer.
+/// Read by the `qsdc-serve` binary only.
 pub const SERVE_SNAPSHOT_TRIALS: &str = "UA_DI_QSDC_SERVE_SNAPSHOT_TRIALS";
 
 #[cfg(test)]

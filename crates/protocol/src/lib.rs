@@ -172,11 +172,11 @@ pub mod prelude {
     pub use crate::engine::{
         derive_point_seed, merge_shard_results, Adversary, Axis, AxisValue, Backend, BackendKind,
         Campaign, CampaignError, CampaignPoint, CampaignPointReport, CampaignReport, CampaignRun,
-        CampaignRunOptions, CampaignSpace, CampaignStatus, CampaignWorkload, ClaimOutcome,
-        DensityMatrixBackend, ExecutorStats, MergeCheckpoint, MergeError, MergedRun, NoSampler,
-        Parallelism, PauliTwirledBackend, QueueError, QueueStatus, RateInterval, Sampler, Scenario,
+        CampaignSpace, CampaignStatus, CampaignWorkload, ClaimOutcome, DensityMatrixBackend,
+        ExecutorStats, MergeCheckpoint, MergeError, MergedRun, NoSampler, Parallelism,
+        PauliTwirledBackend, QueueError, QueueStatus, RateInterval, Sampler, Scenario,
         SessionEngine, ShardMerger, ShardOutput, ShardPayload, ShardPlan, ShardQueue, ShardResult,
-        ShardSlot, SlotState, StatevectorBackend, SubmitOutcome, TrialSummary,
+        ShardSlot, ShardWorker, SlotState, StatevectorBackend, SubmitOutcome, TrialSummary,
     };
     pub use crate::error::ProtocolError;
     pub use crate::identity::{IdentityPair, IdentityString};

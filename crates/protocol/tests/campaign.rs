@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 use protocol::engine::{
     derive_point_seed, Adversary, Axis, AxisValue, BackendKind, Campaign, CampaignError,
-    CampaignRun, CampaignRunOptions, CampaignSpace, CampaignWorkload, ClaimOutcome, NoSampler,
-    Parallelism, Scenario, SessionEngine, ShardQueue, SubmitOutcome,
+    CampaignRun, CampaignSpace, CampaignWorkload, ClaimOutcome, NoSampler, Parallelism, Scenario,
+    SessionEngine, ShardQueue, ShardWorker, SubmitOutcome,
 };
 use protocol::identity::IdentityPair;
 use protocol::SessionConfig;
@@ -156,16 +156,16 @@ fn a_running_campaign_shard_keeps_its_lease() {
     let campaign = session_campaign(3, 4, 2, vec![Axis::Eta(vec![0])]);
     let tmp = TempCampaignDir::new();
     let run = CampaignRun::init(&tmp.0, &campaign, 2).expect("run initializes");
-    let options = CampaignRunOptions {
-        worker: "slow-worker".into(),
+    let worker = ShardWorker {
+        engine: SessionEngine::new(0),
+        name: "slow-worker".into(),
         lease_ms: 1000,
         poll_ms: 10,
         throttle_ms: 3000,
-        parallelism: Parallelism::Serial,
     };
     let queue = run.point_queue(0).expect("session point queue");
     std::thread::scope(|scope| {
-        let runner = scope.spawn(|| run.run(&options, &NoSampler));
+        let runner = scope.spawn(|| run.run(&worker, &NoSampler));
         while queue.status().expect("queue status").leased == 0 && !runner.is_finished() {
             std::thread::sleep(Duration::from_millis(5));
         }

@@ -61,12 +61,7 @@ fn parse_config() -> Result<ServerConfig, String> {
         config.quota = parse_count(env_keys::SERVE_QUOTA, &quota)?;
     }
     if let Ok(trials) = env::var(env_keys::SERVE_SNAPSHOT_TRIALS) {
-        config.snapshot_trials = trials.parse().map_err(|_| {
-            format!(
-                "{} must be an integer, got {trials:?}",
-                env_keys::SERVE_SNAPSHOT_TRIALS
-            )
-        })?;
+        config.snapshot_trials = parse_count(env_keys::SERVE_SNAPSHOT_TRIALS, &trials)?;
     }
 
     let mut args = env::args().skip(1);
@@ -78,10 +73,8 @@ fn parse_config() -> Result<ServerConfig, String> {
             "--workers" => config.workers = parse_count("--workers", &value_for("--workers")?)?,
             "--quota" => config.quota = parse_count("--quota", &value_for("--quota")?)?,
             "--snapshot-trials" => {
-                let value = value_for("--snapshot-trials")?;
-                config.snapshot_trials = value
-                    .parse()
-                    .map_err(|_| format!("--snapshot-trials must be an integer, got {value:?}"))?;
+                config.snapshot_trials =
+                    parse_count("--snapshot-trials", &value_for("--snapshot-trials")?)?;
             }
             "--help" | "-h" => {
                 println!(

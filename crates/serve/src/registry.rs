@@ -357,8 +357,10 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protocol::engine::{Scenario, SessionEngine, ShardOutput, ShardQueue};
+    use crate::spool::Spool;
+    use protocol::engine::Scenario;
     use protocol::identity::IdentityPair;
+    use protocol::wire::{JobManifest, JobSpec, MANIFEST_VERSION};
     use protocol::SessionConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -399,15 +401,19 @@ mod tests {
     }
 
     fn tiny_work(dir: &std::path::Path, tag: u64) -> Arc<JobWork> {
-        let plan = SessionEngine::new(tag).plan(&tiny_scenario(), 2);
-        let queue = ShardQueue::init(
-            dir.join(format!("job-{tag}")),
-            &plan,
-            2,
-            ShardOutput::Summary,
-        )
-        .expect("queue inits");
-        Arc::new(JobWork::Session { queue })
+        let manifest = JobManifest {
+            version: MANIFEST_VERSION,
+            job: tag,
+            client: "test".to_string(),
+            spec: JobSpec::Session {
+                scenario: tiny_scenario(),
+                trials: 2,
+                seed: tag,
+            },
+            shard_trials: 2,
+        };
+        let spool = Spool::open(dir).expect("spool opens");
+        Arc::new(spool.lower(&manifest).expect("job lowers"))
     }
 
     /// The schedule interleaves clients — one job each in rotation before

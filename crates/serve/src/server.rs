@@ -6,9 +6,9 @@
 //! an oversized or malformed line earns an
 //! [`Error`](protocol::wire::Response::Error) response, never a panic or a
 //! dropped connection); `workers` pool threads repeatedly ask the
-//! [`Registry`] for the fair schedule, claim one shard, execute it with a
-//! lease [heartbeat](protocol::engine::ShardQueue::heartbeat) held (so a
-//! slow shard is never stolen from a live worker), submit, stream a
+//! [`Registry`] for the fair schedule, claim one shard, run it on their
+//! own serial [`ShardWorker`] (which heartbeats the lease until the submit
+//! returns, so a slow shard is never stolen from a live worker), stream a
 //! snapshot if the job crossed its cadence, and finalize jobs whose last
 //! shard just landed.
 //!
@@ -19,7 +19,7 @@
 use crate::registry::{CancelOutcome, Registry, ResponseSink};
 use crate::spool::{JobOutcome, JobWork, Spool, SpoolError, WorkClaim};
 use protocol::engine::{
-    Axis, AxisValue, CampaignSpace, SessionEngine, ShardOutput, ShardPlan, ShardQueue,
+    Axis, AxisValue, CampaignSpace, ShardOutput, ShardPlan, ShardQueue, ShardWorker,
 };
 use protocol::wire::{
     ErrorKind, JobManifest, JobSpec, JobState, Request, Response, MANIFEST_VERSION, WIRE_VERSION,
@@ -44,6 +44,12 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// default 256-trial cadence it admits sessions of up to ~10⁶ trials.
 pub const MAX_JOB_SHARDS: u64 = 4096;
 
+/// Shard lease length in milliseconds; a live worker's heartbeat renews it.
+const LEASE_MS: u64 = 5_000;
+
+/// How long an idle worker waits for a new job before re-polling, in ms.
+const POLL_MS: u64 = 25;
+
 /// Tunables for one server instance. All fields have serving defaults; the
 /// binary overrides them from `UA_DI_QSDC_SERVE_*` (see
 /// [`protocol::env_keys`]).
@@ -58,14 +64,9 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Max unfinished jobs per client before [`Response::Busy`].
     pub quota: usize,
-    /// Streaming-snapshot cadence in trials (also the shard granularity
-    /// jobs are split at); `0` disables streaming.
+    /// Streaming-snapshot cadence in trials, which is also the shard
+    /// granularity jobs are split at. Must be at least 1.
     pub snapshot_trials: usize,
-    /// Shard lease length in milliseconds (heartbeats renew it while a
-    /// worker is alive).
-    pub lease_ms: u64,
-    /// Worker re-poll interval when nothing is claimable.
-    pub poll_ms: u64,
 }
 
 impl Default for ServerConfig {
@@ -76,8 +77,6 @@ impl Default for ServerConfig {
             workers: 2,
             quota: 4,
             snapshot_trials: 256,
-            lease_ms: 5_000,
-            poll_ms: 25,
         }
     }
 }
@@ -96,9 +95,16 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Bind failures, or a damaged spool (reported loudly rather than
-    /// silently skipping jobs).
+    /// [`io::ErrorKind::InvalidInput`] when `snapshot_trials` is 0, bind
+    /// failures, or a damaged spool (reported loudly rather than silently
+    /// skipping jobs).
     pub fn start(config: ServerConfig) -> io::Result<Server> {
+        if config.snapshot_trials == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "snapshot_trials must be at least 1",
+            ));
+        }
         let spool = Spool::open(&config.spool_dir).map_err(io_other)?;
         let recovered = spool.scan().map_err(io_other)?;
         let next_job = spool.next_job_id().map_err(io_other)?;
@@ -160,13 +166,19 @@ fn io_other(error: SpoolError) -> io::Error {
 // ------------------------------------------------------------ worker pool --
 
 fn worker_loop(inner: &Arc<Inner>, index: usize) {
-    let worker = format!("serve-worker-{index}");
+    // Serial: the pool already runs one shard per worker thread.
+    let worker = ShardWorker {
+        name: format!("serve-worker-{index}"),
+        lease_ms: LEASE_MS,
+        poll_ms: POLL_MS,
+        ..ShardWorker::default()
+    };
     loop {
         let epoch = inner.registry.work_epoch();
         let schedule = inner.registry.schedule();
         let mut claimed = false;
         for entry in schedule {
-            match entry.work.claim(&worker, inner.config.lease_ms) {
+            match entry.work.claim(&worker.name, worker.lease_ms) {
                 Ok(WorkClaim::Claimed { queue, plan }) => {
                     claimed = true;
                     run_shard(inner, &worker, entry.job, &entry.work, &queue, &plan);
@@ -182,42 +194,29 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
         if !claimed {
             inner
                 .registry
-                .wait_for_work(epoch, Duration::from_millis(inner.config.poll_ms.max(1)));
+                .wait_for_work(epoch, Duration::from_millis(worker.poll_ms));
         }
     }
 }
 
-/// Executes one claimed shard under a lease heartbeat, submits it, streams
-/// a snapshot if the job crossed its cadence, and finalizes a completed
-/// job.
+/// Executes and submits one claimed shard, streams a snapshot if the job
+/// crossed its cadence, and finalizes a completed job.
 fn run_shard(
     inner: &Arc<Inner>,
-    worker: &str,
+    worker: &ShardWorker,
     job: u64,
     work: &Arc<JobWork>,
     queue: &ShardQueue,
     plan: &ShardPlan,
 ) {
-    let beat = queue.heartbeat(worker, plan, inner.config.lease_ms);
-    // The master seed is irrelevant here: a shard plan carries its own
-    // derived trial seeds. Every spooled queue is initialized with summary
-    // payloads (see Spool::lower).
-    let engine = SessionEngine::new(0);
-    let result = match engine.execute_shard(plan, ShardOutput::Summary) {
-        Ok(result) => result,
-        Err(error) => {
-            drop(beat);
-            fail_job(inner, job, &error);
-            return;
-        }
-    };
-    drop(beat);
-    if let Err(error) = queue.submit(&result) {
+    // Every spooled queue is initialized with summary payloads (see
+    // Spool::lower).
+    if let Err(error) = worker.execute(queue, plan, ShardOutput::Summary) {
         fail_job(inner, job, &error);
         return;
     }
 
-    if matches!(work.as_ref(), JobWork::Session { .. }) {
+    if work.is_session() {
         stream_snapshot(inner, job, work, queue);
     }
     try_finalize(inner, job, work);
@@ -416,7 +415,7 @@ fn dispatch(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, reque
 }
 
 fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: JobSpec) {
-    let shard_trials = inner.config.snapshot_trials.max(1);
+    let shard_trials = inner.config.snapshot_trials;
     let slots = shard_slots(&spec, shard_trials);
     if slots > MAX_JOB_SHARDS {
         sink.send(&Response::Error {
@@ -446,10 +445,11 @@ fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: J
         .and_then(|work| work.progress().map(|(_, total)| (work, total)));
     match lowered {
         Ok((work, trials_total)) => {
-            let snapshot_trials = match work {
-                JobWork::Session { .. } => inner.config.snapshot_trials as u64,
-                // Campaign reports fold per-point; no incremental stream.
-                JobWork::Campaign { .. } => 0,
+            // Campaign reports fold per-point; no incremental stream.
+            let snapshot_trials = if work.is_session() {
+                inner.config.snapshot_trials as u64
+            } else {
+                0
             };
             // The job is durable, so it can be acknowledged; doing so before
             // the workers can see it puts `Accepted` ahead of its `Snapshot`s
@@ -513,7 +513,7 @@ fn status(inner: &Arc<Inner>, sink: &Arc<dyn ResponseSink>, job: u64) {
     }
     match inner.spool.lookup(job) {
         Ok(crate::spool::SpoolLookup::Done { manifest }) => {
-            let total = spec_trials(inner, &manifest);
+            let total = spec_trials(&manifest);
             sink.send(&Response::Status {
                 job,
                 state: JobState::Done,
@@ -522,7 +522,7 @@ fn status(inner: &Arc<Inner>, sink: &Arc<dyn ResponseSink>, job: u64) {
             });
         }
         Ok(crate::spool::SpoolLookup::Cancelled { manifest }) => {
-            let total = spec_trials(inner, &manifest);
+            let total = spec_trials(&manifest);
             sink.send(&Response::Status {
                 job,
                 state: JobState::Cancelled,
@@ -594,20 +594,13 @@ fn shard_slots(spec: &JobSpec, shard_trials: usize) -> u64 {
 
 /// Total trials a manifest's spec describes, for status answers about jobs
 /// whose queues are gone or not worth reopening.
-fn spec_trials(inner: &Arc<Inner>, manifest: &JobManifest) -> u64 {
+fn spec_trials(manifest: &JobManifest) -> u64 {
     match &manifest.spec {
         JobSpec::Session { trials, .. } => *trials as u64,
-        JobSpec::Campaign { campaign } => inner
-            .spool
-            .reopen(manifest)
-            .and_then(|work| work.progress())
-            .map(|(_, total)| total)
-            .unwrap_or_else(|_| {
-                campaign
-                    .expand()
-                    .map(|points| points.iter().map(|p| p.trials as u64).sum())
-                    .unwrap_or(0)
-            }),
+        JobSpec::Campaign { campaign } => campaign
+            .expand()
+            .map(|points| points.iter().map(|p| p.trials as u64).sum())
+            .unwrap_or(0),
     }
 }
 

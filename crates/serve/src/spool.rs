@@ -101,22 +101,16 @@ impl From<CampaignError> for SpoolError {
     }
 }
 
-/// The executable form of one lowered job: the on-disk queues a worker
-/// claims shards from. Shared across the worker pool behind an `Arc`.
-/// (Size skew between variants is irrelevant: one allocation per job.)
+/// The executable form of one lowered job: its on-disk shard queues,
+/// opened once when the job is lowered or reopened. Shared across the
+/// worker pool behind an `Arc`.
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
-pub enum JobWork {
-    /// A single-scenario sweep draining one queue.
-    Session {
-        /// The queue under `job-N/queue/`.
-        queue: ShardQueue,
-    },
-    /// A campaign draining one queue per session point.
-    Campaign {
-        /// The run under `job-N/campaign/`.
-        run: CampaignRun,
-    },
+pub struct JobWork {
+    /// The job's queues in sweep order: a session job's one queue, or one
+    /// per campaign point.
+    queues: Vec<ShardQueue>,
+    /// A campaign job's run, which folds the report; `None` for a session.
+    campaign: Option<CampaignRun>,
 }
 
 /// What a worker got when asking a job for work.
@@ -146,42 +140,58 @@ pub enum JobOutcome {
 }
 
 impl JobWork {
-    /// Claims the next available shard across the job's queues: session
-    /// jobs have one, campaigns try each point in sweep order (so several
-    /// workers naturally spread over several points).
+    /// A session job draining `queue`.
+    fn session(queue: ShardQueue) -> JobWork {
+        JobWork {
+            queues: vec![queue],
+            campaign: None,
+        }
+    }
+
+    /// A campaign job draining one queue per point of `run`.
+    fn campaign(run: CampaignRun) -> Result<JobWork, SpoolError> {
+        let queues = run
+            .points()
+            .iter()
+            .map(|point| run.point_queue(point.index))
+            .collect::<Result<_, _>>()?;
+        Ok(JobWork {
+            queues,
+            campaign: Some(run),
+        })
+    }
+
+    /// True for a session job, false for a campaign job.
+    pub fn is_session(&self) -> bool {
+        self.campaign.is_none()
+    }
+
+    /// Claims the next available shard across the job's queues, trying
+    /// them in sweep order (so several workers naturally spread over a
+    /// campaign's points).
     ///
     /// # Errors
     ///
-    /// Queue/campaign errors from the claim path.
+    /// Queue errors from the claim path.
     pub fn claim(&self, worker: &str, lease_ms: u64) -> Result<WorkClaim, SpoolError> {
-        match self {
-            JobWork::Session { queue } => match queue.claim(worker, lease_ms)? {
-                ClaimOutcome::Claimed(plan) => Ok(WorkClaim::Claimed {
-                    queue: queue.clone(),
-                    plan,
-                }),
-                ClaimOutcome::Wait { .. } => Ok(WorkClaim::Wait),
-                ClaimOutcome::Drained => Ok(WorkClaim::Drained),
-            },
-            JobWork::Campaign { run } => {
-                let mut waiting = false;
-                for point in run.points() {
-                    let queue = run.point_queue(point.index)?;
-                    match queue.claim(worker, lease_ms)? {
-                        ClaimOutcome::Claimed(plan) => {
-                            return Ok(WorkClaim::Claimed { queue, plan });
-                        }
-                        ClaimOutcome::Wait { .. } => waiting = true,
-                        ClaimOutcome::Drained => {}
-                    }
+        let mut waiting = false;
+        for queue in &self.queues {
+            match queue.claim(worker, lease_ms)? {
+                ClaimOutcome::Claimed(plan) => {
+                    return Ok(WorkClaim::Claimed {
+                        queue: queue.clone(),
+                        plan,
+                    });
                 }
-                Ok(if waiting {
-                    WorkClaim::Wait
-                } else {
-                    WorkClaim::Drained
-                })
+                ClaimOutcome::Wait { .. } => waiting = true,
+                ClaimOutcome::Drained => {}
             }
         }
+        Ok(if waiting {
+            WorkClaim::Wait
+        } else {
+            WorkClaim::Drained
+        })
     }
 
     /// `(trials_done, trials_total)` across the job's queues.
@@ -190,16 +200,13 @@ impl JobWork {
     ///
     /// Checkpoint load failures.
     pub fn progress(&self) -> Result<(u64, u64), SpoolError> {
-        match self {
-            JobWork::Session { queue } => {
-                let status = queue.status()?;
-                Ok((status.trials_done, status.trials_total as u64))
-            }
-            JobWork::Campaign { run } => {
-                let status = run.status()?;
-                Ok((status.trials_done, status.trials_total))
-            }
+        let mut progress = (0, 0);
+        for queue in &self.queues {
+            let status = queue.status()?;
+            progress.0 += status.trials_done;
+            progress.1 += status.trials_total as u64;
         }
+        Ok(progress)
     }
 
     /// True once every shard of every queue is done.
@@ -208,13 +215,12 @@ impl JobWork {
     ///
     /// Checkpoint load failures.
     pub fn complete(&self) -> Result<bool, SpoolError> {
-        match self {
-            JobWork::Session { queue } => Ok(queue.status()?.complete()),
-            JobWork::Campaign { run } => {
-                let status = run.status()?;
-                Ok(status.points_done == status.points_total)
+        for queue in &self.queues {
+            if !queue.status()?.complete() {
+                return Ok(false);
             }
         }
+        Ok(true)
     }
 
     /// Recovers every queue of the job: verifies completed result files and
@@ -224,15 +230,8 @@ impl JobWork {
     ///
     /// Verification failures naming the damaged file, or checkpoint errors.
     pub fn recover(&self) -> Result<(), SpoolError> {
-        match self {
-            JobWork::Session { queue } => {
-                queue.recover()?;
-            }
-            JobWork::Campaign { run } => {
-                for point in run.points() {
-                    run.point_queue(point.index)?.recover()?;
-                }
-            }
+        for queue in &self.queues {
+            queue.recover()?;
         }
         Ok(())
     }
@@ -340,18 +339,20 @@ impl Spool {
             } => {
                 let engine = SessionEngine::new(*seed);
                 let plan = engine.plan(scenario, *trials);
-                let queue = ShardQueue::init(
+                JobWork::session(ShardQueue::init(
                     job_dir.join(QUEUE_DIR),
                     &plan,
                     shard_trials,
                     ShardOutput::Summary,
-                )?;
-                JobWork::Session { queue }
+                )?)
             }
             JobSpec::Campaign { campaign } => {
                 reject_unservable(campaign)?;
-                let run = CampaignRun::init(job_dir.join(CAMPAIGN_DIR), campaign, shard_trials)?;
-                JobWork::Campaign { run }
+                JobWork::campaign(CampaignRun::init(
+                    job_dir.join(CAMPAIGN_DIR),
+                    campaign,
+                    shard_trials,
+                )?)?
             }
         };
         let manifest_path = job_dir.join(MANIFEST_FILE);
@@ -397,14 +398,14 @@ impl Spool {
     /// Queue/campaign open errors.
     pub fn reopen(&self, manifest: &JobManifest) -> Result<JobWork, SpoolError> {
         let job_dir = self.job_dir(manifest.job);
-        Ok(match &manifest.spec {
-            JobSpec::Session { .. } => JobWork::Session {
-                queue: ShardQueue::open(job_dir.join(QUEUE_DIR))?,
-            },
-            JobSpec::Campaign { .. } => JobWork::Campaign {
-                run: CampaignRun::open(job_dir.join(CAMPAIGN_DIR))?,
-            },
-        })
+        match &manifest.spec {
+            JobSpec::Session { .. } => {
+                Ok(JobWork::session(ShardQueue::open(job_dir.join(QUEUE_DIR))?))
+            }
+            JobSpec::Campaign { .. } => {
+                JobWork::campaign(CampaignRun::open(job_dir.join(CAMPAIGN_DIR))?)
+            }
+        }
     }
 
     /// Reads and validates one job manifest.
@@ -455,9 +456,11 @@ impl Spool {
     /// Merge/report errors (including incompleteness), or I/O errors
     /// writing the result.
     pub fn finalize(&self, id: u64, work: &JobWork) -> Result<JobOutcome, SpoolError> {
-        let outcome = match work {
-            JobWork::Session { queue } => {
-                let merged = queue.merge()?;
+        let outcome = match &work.campaign {
+            Some(run) => JobOutcome::Campaign(run.report()?),
+            None => {
+                // A session job has exactly one queue.
+                let merged = work.queues[0].merge()?;
                 let summary =
                     merged
                         .into_summary()
@@ -467,7 +470,6 @@ impl Spool {
                         }))?;
                 JobOutcome::Session(summary)
             }
-            JobWork::Campaign { run } => JobOutcome::Campaign(run.report()?),
         };
         let bytes = match &outcome {
             JobOutcome::Session(summary) => serde::json::to_string(summary),

@@ -19,9 +19,24 @@ fn start_server(spool: &TempDir, workers: usize, quota: usize, snapshot_trials: 
         workers,
         quota,
         snapshot_trials,
-        ..ServerConfig::default()
     })
     .expect("server starts")
+}
+
+/// A zero cadence would split every job into 1-trial shards, so the server
+/// refuses to start with it, naming the field.
+#[test]
+fn a_zero_snapshot_cadence_is_refused_at_start() {
+    let spool = TempDir::new("zero-cadence");
+    let error = Server::start(ServerConfig {
+        spool_dir: spool.0.clone(),
+        snapshot_trials: 0,
+        ..ServerConfig::default()
+    })
+    .err()
+    .expect("a zero cadence is refused");
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(error.to_string().contains("snapshot_trials"), "{error}");
 }
 
 #[test]

@@ -122,11 +122,9 @@
 //!
 //! let dir = std::env::temp_dir().join(format!("ua-qsdc-quickstart-{}", std::process::id()));
 //! let queue = ShardQueue::init(&dir, &engine.plan(&scenario, 6), 2, ShardOutput::Summary)?;
-//! // Each worker loops: claim a lease, execute, submit. (Normally many
-//! // processes on many machines; the claim/submit API is identical.)
-//! while let ClaimOutcome::Claimed(plan) = queue.claim("worker-1", 60_000)? {
-//!     queue.submit(&engine.execute_shard(&plan, ShardOutput::Summary)?)?;
-//! }
+//! // A worker loops: claim a lease, execute, submit. (Normally many
+//! // processes on many machines share the directory.)
+//! ShardWorker::default().drain(&queue, ShardOutput::Summary)?;
 //! assert_eq!(
 //!     queue.merge()?.into_summary().unwrap(),
 //!     engine.run_trials(&scenario, 6)?, // == the uninterrupted run, byte for byte
