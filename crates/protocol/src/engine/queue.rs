@@ -874,7 +874,8 @@ impl ShardQueue {
     }
 
     /// [`recover`](Self::recover) with an explicit clock for deterministic
-    /// tests.
+    /// tests. `u64::MAX` expires every lease: the restart path of a process
+    /// that is the queue's only user.
     ///
     /// # Errors
     ///

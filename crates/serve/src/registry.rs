@@ -1,8 +1,13 @@
 //! In-memory multiplexing state: which clients are connected, which jobs
-//! are live, and in what order workers should try them.
+//! are live, how far each live job has got, and in what order workers
+//! should try them.
 //!
 //! The registry is the only mutable shared state of the server; everything
-//! durable lives in the [`Spool`](crate::spool::Spool). Its scheduling
+//! durable lives in the [`Spool`](crate::spool::Spool). Workers count
+//! each shard they record here ([`Registry::record_shard`]), so a live
+//! job's progress is never re-read from disk. Idle workers park here until
+//! a job is added: a server is its spool's only user, so nothing else makes
+//! a shard claimable. Its scheduling
 //! policy is **fair round-robin across clients**: [`Registry::schedule`]
 //! interleaves one job from each client bucket in rotation before moving to
 //! anyone's second job, and the rotation origin advances on every call — a
@@ -20,7 +25,6 @@ use crate::spool::JobWork;
 use protocol::wire::Response;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Where a job's asynchronous responses (snapshots, completion) are
 /// written. The server implements this over a shared TCP write half; tests
@@ -49,6 +53,17 @@ pub struct ScheduleEntry {
     pub work: Arc<JobWork>,
 }
 
+/// What a job needs after one of its shards was recorded; see
+/// [`Registry::record_shard`].
+pub struct ShardRecord {
+    /// The job's total trial count.
+    pub trials_total: u64,
+    /// Every trial of the job is recorded: it is ready to finalize.
+    pub complete: bool,
+    /// The owner's sink when a snapshot is due.
+    pub snapshot_to: Option<Arc<dyn ResponseSink>>,
+}
+
 /// Why a cancellation request was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelOutcome {
@@ -62,11 +77,10 @@ struct JobEntry {
     /// Owning client, or `None` for jobs recovered from the spool.
     client: Option<u64>,
     work: Arc<JobWork>,
+    /// Trials of the job's recorded shards: seeded when the job is added,
+    /// then counted by the workers that record them.
+    trials_done: u64,
     trials_total: u64,
-    /// Snapshot cadence in trials (0 disables streaming for the job).
-    snapshot_trials: u64,
-    /// Trials covered by the last streamed snapshot.
-    last_snapshot: u64,
     /// Set by the first worker that sees the job complete; later workers
     /// (and the racing drain of a just-finished queue) skip finalization.
     finalizing: bool,
@@ -166,14 +180,14 @@ impl Registry {
     }
 
     /// Adds a lowered job to the schedule and wakes the worker pool.
-    /// `client: None` marks a job recovered from the spool.
+    /// `client: None` marks a job recovered from the spool; `progress` is
+    /// its `(trials_done, trials_total)` so far.
     pub fn add_job(
         &self,
         job: u64,
         client: Option<u64>,
         work: Arc<JobWork>,
-        trials_total: u64,
-        snapshot_trials: u64,
+        (trials_done, trials_total): (u64, u64),
     ) {
         let mut state = self.lock();
         state.jobs.insert(
@@ -181,9 +195,8 @@ impl Registry {
             JobEntry {
                 client,
                 work,
+                trials_done,
                 trials_total,
-                snapshot_trials,
-                last_snapshot: 0,
                 finalizing: false,
             },
         );
@@ -235,22 +248,18 @@ impl Registry {
         order
     }
 
-    /// The executable work of a live job, if any.
-    pub fn job_work(&self, job: u64) -> Option<Arc<JobWork>> {
-        self.lock().jobs.get(&job).map(|e| Arc::clone(&e.work))
+    /// `(trials_done, trials_total)` of a live job, if any.
+    pub fn progress(&self, job: u64) -> Option<(u64, u64)> {
+        self.lock()
+            .jobs
+            .get(&job)
+            .map(|entry| (entry.trials_done, entry.trials_total))
     }
 
     /// Whether `job` is still scheduled: not yet finished, failed or
     /// cancelled.
     pub fn is_live(&self, job: u64) -> bool {
         self.lock().jobs.contains_key(&job)
-    }
-
-    /// The sink of the client owning `job`, when both are still around.
-    pub fn sink_for_job(&self, job: u64) -> Option<Arc<dyn ResponseSink>> {
-        let state = self.lock();
-        let client = state.jobs.get(&job)?.client?;
-        state.clients.get(&client)?.sink.clone()
     }
 
     /// True exactly once per job: the calling worker owns finalization
@@ -264,15 +273,6 @@ impl Registry {
                 true
             }
             _ => false,
-        }
-    }
-
-    /// Undoes [`begin_finalize`](Self::begin_finalize) after a finalization
-    /// failure, so another worker can retry.
-    pub fn abort_finalize(&self, job: u64) {
-        let mut state = self.lock();
-        if let Some(entry) = state.jobs.get_mut(&job) {
-            entry.finalizing = false;
         }
     }
 
@@ -309,23 +309,35 @@ impl Registry {
         CancelOutcome::Cancelled
     }
 
-    /// Snapshot gate: true when `trials_done` crossed the job's cadence
-    /// since the last streamed snapshot (and records the new watermark).
-    pub fn snapshot_due(&self, job: u64, trials_done: u64) -> bool {
-        let mut state = self.lock();
-        let Some(entry) = state.jobs.get_mut(&job) else {
-            return false;
+    /// Counts a shard of `job` that recorded `trials` trials (0 when
+    /// another worker had already recorded it) and reports what the job
+    /// needs next, or `None` once the job was cancelled or failed while
+    /// the shard ran.
+    ///
+    /// Exactly one of the workers recording a job's last shards sees
+    /// `complete`; a record of 0 trials never does. A snapshot is due after
+    /// every shard that records trials without completing a session job
+    /// whose owner is still connected: every shard is one snapshot cadence
+    /// long, so each crosses a cadence boundary, and completion is
+    /// announced by `Done` instead.
+    pub fn record_shard(&self, job: u64, trials: u64) -> Option<ShardRecord> {
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        let entry = state.jobs.get_mut(&job)?;
+        entry.trials_done += trials;
+        let complete = trials > 0 && entry.trials_done >= entry.trials_total;
+        let snapshot_to = match entry.client {
+            Some(client) if trials > 0 && !complete && entry.work.is_session() => state
+                .clients
+                .get(&client)
+                .and_then(|client| client.sink.clone()),
+            _ => None,
         };
-        if entry.snapshot_trials == 0 || trials_done >= entry.trials_total {
-            // Completion is announced by `Done`, not a trailing snapshot.
-            return false;
-        }
-        if trials_done >= entry.last_snapshot + entry.snapshot_trials {
-            entry.last_snapshot = trials_done;
-            true
-        } else {
-            false
-        }
+        Some(ShardRecord {
+            trials_total: entry.trials_total,
+            complete,
+            snapshot_to,
+        })
     }
 
     /// The current work epoch. A worker reads it *before* calling
@@ -337,14 +349,15 @@ impl Registry {
     }
 
     /// Parks a worker until a job is added after the worker read
-    /// `seen_epoch`, or until `timeout` passes (leases expire on wall time,
-    /// so workers must re-poll even without new submissions). Returns at
-    /// once when a job already arrived since `seen_epoch`.
-    pub(crate) fn wait_for_work(&self, seen_epoch: u64, timeout: Duration) {
+    /// `seen_epoch`; returns at once when one already was. No timeout is
+    /// needed: leases expire only when their holder dies, and a restart
+    /// re-issues every lease a dead process held (see
+    /// [`JobWork::recover`]).
+    pub(crate) fn wait_for_work(&self, seen_epoch: u64) {
         let state = self.lock();
         let _unused = self
             .wake
-            .wait_timeout_while(state, timeout, |state| state.work_epoch == seen_epoch)
+            .wait_while(state, |state| state.work_epoch == seen_epoch)
             .unwrap_or_else(|poison| poison.into_inner());
     }
 
@@ -358,13 +371,15 @@ impl Registry {
 mod tests {
     use super::*;
     use crate::spool::Spool;
-    use protocol::engine::Scenario;
+    use protocol::engine::{Axis, Campaign, CampaignSpace, CampaignWorkload, Scenario};
     use protocol::identity::IdentityPair;
     use protocol::wire::{JobManifest, JobSpec, MANIFEST_VERSION};
     use protocol::SessionConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::path::PathBuf;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
 
     struct NullSink;
 
@@ -400,20 +415,45 @@ mod tests {
         Scenario::new(config, IdentityPair::generate(2, &mut rng))
     }
 
-    fn tiny_work(dir: &std::path::Path, tag: u64) -> Arc<JobWork> {
+    fn lowered(dir: &std::path::Path, job: u64, spec: JobSpec) -> Arc<JobWork> {
         let manifest = JobManifest {
             version: MANIFEST_VERSION,
-            job: tag,
+            job,
             client: "test".to_string(),
-            spec: JobSpec::Session {
-                scenario: tiny_scenario(),
-                trials: 2,
-                seed: tag,
-            },
+            spec,
             shard_trials: 2,
         };
         let spool = Spool::open(dir).expect("spool opens");
         Arc::new(spool.lower(&manifest).expect("job lowers"))
+    }
+
+    /// A session job of 4 trials in two 2-trial shards.
+    fn tiny_work(dir: &std::path::Path, tag: u64) -> Arc<JobWork> {
+        let spec = JobSpec::Session {
+            scenario: tiny_scenario(),
+            trials: 4,
+            seed: tag,
+        };
+        lowered(dir, tag, spec)
+    }
+
+    /// A one-point campaign job of 4 trials in two 2-trial shards.
+    fn tiny_campaign_work(dir: &std::path::Path, tag: u64) -> Arc<JobWork> {
+        let campaign = Campaign {
+            label: "registry-test".to_string(),
+            master_seed: tag,
+            trials: 4,
+            workload: CampaignWorkload::Session {
+                base: tiny_scenario(),
+            },
+            space: CampaignSpace::Grid(vec![Axis::Eta(vec![0])]),
+        };
+        lowered(dir, tag, JobSpec::Campaign { campaign })
+    }
+
+    /// Whether a record asks for a snapshot.
+    fn streams(record: &ShardRecord) -> bool {
+        record.snapshot_to.is_some()
     }
 
     /// The schedule interleaves clients — one job each in rotation before
@@ -425,9 +465,9 @@ mod tests {
         let a = registry.register_client(Arc::new(NullSink));
         let b = registry.register_client(Arc::new(NullSink));
         // Client a holds jobs 1 and 2; client b holds job 3.
-        registry.add_job(1, Some(a), tiny_work(&dir.0, 1), 2, 0);
-        registry.add_job(2, Some(a), tiny_work(&dir.0, 2), 2, 0);
-        registry.add_job(3, Some(b), tiny_work(&dir.0, 3), 2, 0);
+        registry.add_job(1, Some(a), tiny_work(&dir.0, 1), (0, 4));
+        registry.add_job(2, Some(a), tiny_work(&dir.0, 2), (0, 4));
+        registry.add_job(3, Some(b), tiny_work(&dir.0, 3), (0, 4));
 
         let order = |entries: Vec<ScheduleEntry>| -> Vec<u64> {
             entries.into_iter().map(|e| e.job).collect()
@@ -441,20 +481,118 @@ mod tests {
     }
 
     /// A job added between a worker's epoch read and its wait is not slept
-    /// through: the wait returns at once instead of after its timeout.
+    /// through: the wait returns at once. The wait has no timeout, so it
+    /// runs on its own thread and a lost wake-up fails the test instead of
+    /// hanging it.
     #[test]
     fn a_job_added_before_the_wait_is_not_slept_through() {
         let dir = TempDir::new("wakeup");
-        let registry = Registry::new();
+        let registry = Arc::new(Registry::new());
         let seen = registry.work_epoch();
-        registry.add_job(1, None, tiny_work(&dir.0, 1), 2, 0);
-        let started = std::time::Instant::now();
-        registry.wait_for_work(seen, Duration::from_secs(10));
+        registry.add_job(1, None, tiny_work(&dir.0, 1), (0, 4));
+        let (woke, wakeups) = mpsc::channel();
+        let waiter = {
+            let registry = Arc::clone(&registry);
+            std::thread::spawn(move || {
+                registry.wait_for_work(seen);
+                let _ = woke.send(());
+            })
+        };
         assert!(
-            started.elapsed() < Duration::from_secs(1),
-            "waited {:?} with work already queued",
-            started.elapsed()
+            wakeups.recv_timeout(Duration::from_secs(10)).is_ok(),
+            "the wait slept through a job already queued"
         );
+        waiter.join().expect("the waiter does not panic");
+    }
+
+    /// Progress is the workers' count: a recorded shard advances it and
+    /// asks for a snapshot; a shard another worker already recorded (0
+    /// trials) does neither, and never completes the job.
+    #[test]
+    fn an_already_done_record_neither_advances_nor_snapshots() {
+        let dir = TempDir::new("already-done");
+        let registry = Registry::new();
+        let client = registry.register_client(Arc::new(NullSink));
+        registry.add_job(1, Some(client), tiny_work(&dir.0, 1), (0, 4));
+        assert_eq!(registry.progress(1), Some((0, 4)));
+
+        let first = registry.record_shard(1, 2).expect("the job is live");
+        assert!(streams(&first) && !first.complete);
+        assert_eq!(first.trials_total, 4);
+        assert_eq!(registry.progress(1), Some((2, 4)));
+
+        let duplicate = registry.record_shard(1, 0).expect("the job is live");
+        assert!(!streams(&duplicate) && !duplicate.complete);
+        assert_eq!(registry.progress(1), Some((2, 4)));
+
+        let last = registry.record_shard(1, 2).expect("the job is live");
+        assert!(last.complete);
+        let late = registry.record_shard(1, 0).expect("the job is live");
+        assert!(!late.complete, "a 0-trial record completed the job again");
+        assert_eq!(registry.progress(1), Some((4, 4)));
+    }
+
+    /// When two workers record a job's last two shards at once, exactly one
+    /// of them sees the job complete.
+    #[test]
+    fn racing_last_shards_complete_the_job_exactly_once() {
+        let dir = TempDir::new("race");
+        let registry = Arc::new(Registry::new());
+        registry.add_job(1, None, tiny_work(&dir.0, 1), (0, 4));
+        let start = Arc::new(Barrier::new(2));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let registry = Arc::clone(&registry);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    registry
+                        .record_shard(1, 2)
+                        .expect("the job is live")
+                        .complete
+                })
+            })
+            .collect();
+        let completions = workers
+            .into_iter()
+            .map(|worker| worker.join().expect("the worker does not panic"))
+            .filter(|&complete| complete)
+            .count();
+        assert_eq!(completions, 1);
+    }
+
+    /// A job cancelled (or failed) while its shard ran is not counted.
+    #[test]
+    fn recording_a_cancelled_job_returns_none() {
+        let dir = TempDir::new("cancelled");
+        let registry = Registry::new();
+        let client = registry.register_client(Arc::new(NullSink));
+        registry.add_job(1, Some(client), tiny_work(&dir.0, 1), (0, 4));
+        assert_eq!(registry.cancel(1, client), CancelOutcome::Cancelled);
+        assert!(registry.record_shard(1, 2).is_none());
+        assert_eq!(registry.progress(1), None);
+    }
+
+    /// Snapshots stream only mid-run, only for session jobs, and only to a
+    /// connected owner.
+    #[test]
+    fn snapshots_are_due_only_mid_session_to_a_connected_owner() {
+        let dir = TempDir::new("snapshots");
+        let registry = Registry::new();
+        let client = registry.register_client(Arc::new(NullSink));
+        let gone = registry.register_client(Arc::new(NullSink));
+        registry.add_job(1, Some(client), tiny_campaign_work(&dir.0, 1), (0, 4));
+        registry.add_job(2, None, tiny_work(&dir.0, 2), (0, 4));
+        registry.add_job(3, Some(client), tiny_work(&dir.0, 3), (2, 4));
+        registry.add_job(4, Some(gone), tiny_work(&dir.0, 4), (0, 4));
+        registry.client_gone(gone);
+
+        let record = |job| registry.record_shard(job, 2).expect("the job is live");
+        assert!(!streams(&record(1)), "a campaign job streamed");
+        assert!(!streams(&record(2)), "a recovered job streamed");
+        let last = record(3);
+        assert!(last.complete && !streams(&last), "the last shard streamed");
+        assert!(!streams(&record(4)), "a disconnected owner streamed");
     }
 
     /// Quota slots are reserved atomically and released by completion and
@@ -467,8 +605,8 @@ mod tests {
         assert_eq!(registry.reserve_slot(client, 2), Ok(()));
         assert_eq!(registry.reserve_slot(client, 2), Ok(()));
         assert_eq!(registry.reserve_slot(client, 2), Err((2, 2)));
-        registry.add_job(1, Some(client), tiny_work(&dir.0, 1), 2, 0);
-        registry.add_job(2, Some(client), tiny_work(&dir.0, 2), 2, 0);
+        registry.add_job(1, Some(client), tiny_work(&dir.0, 1), (0, 4));
+        registry.add_job(2, Some(client), tiny_work(&dir.0, 2), (0, 4));
 
         // Finishing one job frees one slot.
         assert!(registry.begin_finalize(1));

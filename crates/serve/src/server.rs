@@ -8,18 +8,20 @@
 //! dropped connection); `workers` pool threads repeatedly ask the
 //! [`Registry`] for the fair schedule, claim one shard, run it on their
 //! own serial [`ShardWorker`] (which heartbeats the lease until the submit
-//! returns, so a slow shard is never stolen from a live worker), stream a
-//! snapshot if the job crossed its cadence, and finalize jobs whose last
-//! shard just landed.
+//! returns, so a slow shard is never stolen from a live worker), count the
+//! recorded shard in the registry, stream a snapshot when one is due, and
+//! finalize the job whose last shard just landed. A worker that finds
+//! nothing to claim parks until a job is submitted.
 //!
 //! All durable state lives in the [`Spool`]; the process can be SIGKILLed
 //! at any instant and a restarted server ([`Server::start`] rescans the
-//! spool) finishes every accepted job byte-identically.
+//! spool and re-issues every lease it finds) finishes every accepted job
+//! byte-identically. A spool must have one server at a time.
 
 use crate::registry::{CancelOutcome, Registry, ResponseSink};
 use crate::spool::{JobOutcome, JobWork, Spool, SpoolError, WorkClaim};
 use protocol::engine::{
-    Axis, AxisValue, CampaignSpace, ShardOutput, ShardPlan, ShardQueue, ShardWorker,
+    Axis, AxisValue, CampaignSpace, ShardOutput, ShardPlan, ShardQueue, ShardWorker, SubmitOutcome,
 };
 use protocol::wire::{
     ErrorKind, JobManifest, JobSpec, JobState, Request, Response, MANIFEST_VERSION, WIRE_VERSION,
@@ -30,7 +32,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
 
 /// Hard cap on one request line's length. A line past this is answered
 /// with [`ErrorKind::Oversized`] and discarded up to its newline; the
@@ -46,9 +47,6 @@ pub const MAX_JOB_SHARDS: u64 = 4096;
 
 /// Shard lease length in milliseconds; a live worker's heartbeat renews it.
 const LEASE_MS: u64 = 5_000;
-
-/// How long an idle worker waits for a new job before re-polling, in ms.
-const POLL_MS: u64 = 25;
 
 /// Tunables for one server instance. All fields have serving defaults; the
 /// binary overrides them from `UA_DI_QSDC_SERVE_*` (see
@@ -118,12 +116,11 @@ impl Server {
             next_job: AtomicU64::new(next_job),
         });
         for (manifest, work) in recovered {
-            let work = Arc::new(work);
-            let trials_total = work.progress().map_err(io_other)?.1;
+            let progress = work.progress().map_err(io_other)?;
             // Recovered jobs have no connected client: no snapshots stream.
             inner
                 .registry
-                .add_job(manifest.job, None, work, trials_total, 0);
+                .add_job(manifest.job, None, Arc::new(work), progress);
         }
 
         for index in 0..inner.config.workers.max(1) {
@@ -170,7 +167,6 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
     let worker = ShardWorker {
         name: format!("serve-worker-{index}"),
         lease_ms: LEASE_MS,
-        poll_ms: POLL_MS,
         ..ShardWorker::default()
     };
     loop {
@@ -192,15 +188,13 @@ fn worker_loop(inner: &Arc<Inner>, index: usize) {
             }
         }
         if !claimed {
-            inner
-                .registry
-                .wait_for_work(epoch, Duration::from_millis(worker.poll_ms));
+            inner.registry.wait_for_work(epoch);
         }
     }
 }
 
-/// Executes and submits one claimed shard, streams a snapshot if the job
-/// crossed its cadence, and finalizes a completed job.
+/// Executes and submits one claimed shard, counts it in the registry,
+/// streams a snapshot when one is due, and finalizes a completed job.
 fn run_shard(
     inner: &Arc<Inner>,
     worker: &ShardWorker,
@@ -211,33 +205,38 @@ fn run_shard(
 ) {
     // Every spooled queue is initialized with summary payloads (see
     // Spool::lower).
-    if let Err(error) = worker.execute(queue, plan, ShardOutput::Summary) {
-        fail_job(inner, job, &error);
+    let trials = match worker.execute(queue, plan, ShardOutput::Summary) {
+        Ok(SubmitOutcome::Recorded) => plan.trial_count as u64,
+        Ok(SubmitOutcome::AlreadyDone) => 0,
+        Err(error) => {
+            fail_job(inner, job, &error);
+            return;
+        }
+    };
+    let Some(record) = inner.registry.record_shard(job, trials) else {
         return;
+    };
+    if let Some(sink) = record.snapshot_to {
+        stream_snapshot(inner, job, &sink, queue, record.trials_total);
     }
-
-    if work.is_session() {
-        stream_snapshot(inner, job, work, queue);
+    if record.complete {
+        try_finalize(inner, job, work);
     }
-    try_finalize(inner, job, work);
 }
 
-/// Streams an incremental summary if the job just crossed its snapshot
-/// cadence and its client is still connected.
-fn stream_snapshot(inner: &Arc<Inner>, job: u64, work: &Arc<JobWork>, queue: &ShardQueue) {
-    let Ok((trials_done, trials_total)) = work.progress() else {
-        return;
-    };
-    if !inner.registry.snapshot_due(job, trials_done) {
-        return;
-    }
-    let Some(sink) = inner.registry.sink_for_job(job) else {
-        return;
-    };
+/// Streams the incremental summary of a session job's done prefix to its
+/// owner.
+fn stream_snapshot(
+    inner: &Arc<Inner>,
+    job: u64,
+    sink: &Arc<dyn ResponseSink>,
+    queue: &ShardQueue,
+    trials_total: u64,
+) {
     match inner.spool.snapshot(queue) {
         // A fold that already covers the whole run is not streamed: that
         // state is announced by `Done` (racing workers may finish the last
-        // shard between the cadence gate and the fold).
+        // shard between the record and the fold).
         Ok(Some((prefix_trials, _))) if prefix_trials >= trials_total => {}
         // A job cancelled (or finished) while its shard ran must not stream
         // after its `Cancelled`: liveness is checked under the write lock.
@@ -255,16 +254,10 @@ fn stream_snapshot(inner: &Arc<Inner>, job: u64, work: &Arc<JobWork>, queue: &Sh
     }
 }
 
-/// Merges and persists a job whose every shard is done, exactly once.
+/// Merges and persists a job whose every shard is done, exactly once. The
+/// caller knows the job is complete: its claim found every queue drained,
+/// or its record completed the job.
 fn try_finalize(inner: &Arc<Inner>, job: u64, work: &Arc<JobWork>) {
-    match work.complete() {
-        Ok(true) => {}
-        Ok(false) => return,
-        Err(error) => {
-            fail_job(inner, job, &error);
-            return;
-        }
-    }
     if !inner.registry.begin_finalize(job) {
         return;
     }
@@ -286,7 +279,6 @@ fn try_finalize(inner: &Arc<Inner>, job: u64, work: &Arc<JobWork>) {
         Err(error) => {
             // Leave the job on disk (a restart can retry the merge); stop
             // scheduling it and tell the owner.
-            inner.registry.abort_finalize(job);
             fail_job(inner, job, &error);
         }
     }
@@ -439,29 +431,16 @@ fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: J
         spec,
         shard_trials,
     };
-    let lowered = inner
-        .spool
-        .lower(&manifest)
-        .and_then(|work| work.progress().map(|(_, total)| (work, total)));
-    match lowered {
-        Ok((work, trials_total)) => {
-            // Campaign reports fold per-point; no incremental stream.
-            let snapshot_trials = if work.is_session() {
-                inner.config.snapshot_trials as u64
-            } else {
-                0
-            };
+    match inner.spool.lower(&manifest) {
+        Ok(work) => {
             // The job is durable, so it can be acknowledged; doing so before
             // the workers can see it puts `Accepted` ahead of its `Snapshot`s
             // and `Done` on the wire.
             sink.send(&Response::Accepted { job });
-            inner.registry.add_job(
-                job,
-                Some(client),
-                Arc::new(work),
-                trials_total,
-                snapshot_trials,
-            );
+            let progress = (0, spec_trials(&manifest));
+            inner
+                .registry
+                .add_job(job, Some(client), Arc::new(work), progress);
         }
         Err(SpoolError::Unsupported { reason }) => {
             inner.registry.release_slot(client);
@@ -496,19 +475,13 @@ fn cancel(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, job: u6
 }
 
 fn status(inner: &Arc<Inner>, sink: &Arc<dyn ResponseSink>, job: u64) {
-    if let Some(work) = inner.registry.job_work(job) {
-        match work.progress() {
-            Ok((trials_done, trials_total)) => sink.send(&Response::Status {
-                job,
-                state: JobState::Running,
-                trials_done,
-                trials_total,
-            }),
-            Err(error) => sink.send(&Response::Error {
-                kind: ErrorKind::Internal,
-                message: format!("could not read job {job} progress: {error}"),
-            }),
-        }
+    if let Some((trials_done, trials_total)) = inner.registry.progress(job) {
+        sink.send(&Response::Status {
+            job,
+            state: JobState::Running,
+            trials_done,
+            trials_total,
+        });
         return;
     }
     match inner.spool.lookup(job) {
@@ -532,17 +505,22 @@ fn status(inner: &Arc<Inner>, sink: &Arc<dyn ResponseSink>, job: u64) {
         }
         Ok(crate::spool::SpoolLookup::InFlight { manifest }) => {
             // Lowered but not scheduled (e.g. a failed job awaiting restart).
-            let progress = inner
+            match inner
                 .spool
                 .reopen(&manifest)
-                .and_then(|work| work.progress());
-            let (trials_done, trials_total) = progress.unwrap_or((0, 0));
-            sink.send(&Response::Status {
-                job,
-                state: JobState::Running,
-                trials_done,
-                trials_total,
-            });
+                .and_then(|work| work.progress())
+            {
+                Ok((trials_done, trials_total)) => sink.send(&Response::Status {
+                    job,
+                    state: JobState::Running,
+                    trials_done,
+                    trials_total,
+                }),
+                Err(error) => sink.send(&Response::Error {
+                    kind: ErrorKind::Internal,
+                    message: format!("could not read job {job} progress: {error}"),
+                }),
+            }
         }
         Ok(crate::spool::SpoolLookup::Absent) => sink.send(&Response::Error {
             kind: ErrorKind::UnknownJob,
@@ -592,8 +570,9 @@ fn shard_slots(spec: &JobSpec, shard_trials: usize) -> u64 {
     points.saturating_mul(shards(budget))
 }
 
-/// Total trials a manifest's spec describes, for status answers about jobs
-/// whose queues are gone or not worth reopening.
+/// Total trials a manifest's spec describes: the total of a job just
+/// lowered, and of status answers about jobs whose queues are gone or not
+/// worth reopening.
 fn spec_trials(manifest: &JobManifest) -> u64 {
     match &manifest.spec {
         JobSpec::Session { trials, .. } => *trials as u64,
@@ -724,6 +703,21 @@ mod tests {
         }
     }
 
+    fn temp_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("ua-di-qsdc-server-{tag}-{}", std::process::id()))
+    }
+
+    /// Server state over a spool at `dir`, with no worker or connection
+    /// threads.
+    fn inner_at(dir: &std::path::Path) -> Arc<Inner> {
+        Arc::new(Inner {
+            registry: Registry::new(),
+            spool: Spool::open(dir).expect("spool opens"),
+            config: ServerConfig::default(),
+            next_job: AtomicU64::new(1),
+        })
+    }
+
     /// `Accepted` goes out before the workers can see the job, so it
     /// precedes every `Snapshot` and `Done` of that job on the wire.
     #[test]
@@ -741,14 +735,8 @@ mod tests {
             }
         }
 
-        let dir =
-            std::env::temp_dir().join(format!("ua-di-qsdc-server-ack-{}", std::process::id()));
-        let inner = Arc::new(Inner {
-            registry: Registry::new(),
-            spool: Spool::open(&dir).expect("spool opens"),
-            config: ServerConfig::default(),
-            next_job: AtomicU64::new(1),
-        });
+        let dir = temp_dir("ack");
+        let inner = inner_at(&dir);
         let recorder = Arc::new(Recorder {
             inner: Arc::clone(&inner),
             scheduled_at_ack: Mutex::new(None),
@@ -766,6 +754,62 @@ mod tests {
         assert!(
             inner.registry.is_live(1),
             "the job is scheduled after its ack"
+        );
+    }
+
+    /// A job on disk but not live answers `Status` from its checkpoint, and
+    /// a damaged checkpoint is reported as an internal error rather than
+    /// hidden behind `Running 0/0`.
+    #[test]
+    fn status_of_a_damaged_spooled_job_is_an_internal_error() {
+        #[derive(Default)]
+        struct Responses(Mutex<Vec<Response>>);
+        impl ResponseSink for Responses {
+            fn send_if(&self, response: &Response, _live: &dyn Fn() -> bool) {
+                self.0.lock().expect("not poisoned").push(response.clone());
+            }
+        }
+
+        let dir = temp_dir("status");
+        let inner = inner_at(&dir);
+        let manifest = JobManifest {
+            version: MANIFEST_VERSION,
+            job: 1,
+            client: "test".to_string(),
+            spec: session(2),
+            shard_trials: 2,
+        };
+        inner.spool.lower(&manifest).expect("job lowers");
+        let responses = Arc::new(Responses::default());
+        let sink: Arc<dyn ResponseSink> = responses.clone();
+        status(&inner, &sink, 1);
+        let checkpoint = inner
+            .spool
+            .job_dir(1)
+            .join(crate::spool::QUEUE_DIR)
+            .join(protocol::engine::queue::CHECKPOINT_FILE);
+        std::fs::write(checkpoint, b"not a checkpoint").expect("overwrites the checkpoint");
+        status(&inner, &sink, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let answered = responses.0.lock().expect("not poisoned").clone();
+        assert!(
+            matches!(
+                answered.as_slice(),
+                [
+                    Response::Status {
+                        state: JobState::Running,
+                        trials_done: 0,
+                        trials_total: 2,
+                        ..
+                    },
+                    Response::Error {
+                        kind: ErrorKind::Internal,
+                        ..
+                    },
+                ]
+            ),
+            "answered {answered:?}"
         );
     }
 

@@ -17,8 +17,8 @@
 //! The shard queue **is** the persistence layer: every claim, lease and
 //! completed shard lives in its checkpoint, so a SIGKILLed server loses at
 //! most the leased-but-unsubmitted shards, and a restarted server rescans
-//! the spool ([`Spool::scan`]), recovers the expired leases, and finishes
-//! every job byte-identically to an uninterrupted run.
+//! the spool ([`Spool::scan`]), re-issues every lease the dead process
+//! held, and finishes every job byte-identically to an uninterrupted run.
 
 use protocol::engine::queue::write_atomically;
 use protocol::engine::{
@@ -209,29 +209,17 @@ impl JobWork {
         Ok(progress)
     }
 
-    /// True once every shard of every queue is done.
-    ///
-    /// # Errors
-    ///
-    /// Checkpoint load failures.
-    pub fn complete(&self) -> Result<bool, SpoolError> {
-        for queue in &self.queues {
-            if !queue.status()?.complete() {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     /// Recovers every queue of the job: verifies completed result files and
-    /// returns expired leases to pending (the restart path).
+    /// returns **every** lease to pending (the restart path). A spool has
+    /// one server, so a lease found at startup belongs to a dead process,
+    /// whether or not it has expired.
     ///
     /// # Errors
     ///
     /// Verification failures naming the damaged file, or checkpoint errors.
     pub fn recover(&self) -> Result<(), SpoolError> {
         for queue in &self.queues {
-            queue.recover()?;
+            queue.recover_at(u64::MAX)?;
         }
         Ok(())
     }
@@ -363,7 +351,7 @@ impl Spool {
 
     /// Rescans the spool after a restart: every fully-lowered job that is
     /// neither finished nor cancelled is reopened, its queues recovered
-    /// (expired leases back to pending, completed results verified), and
+    /// (every lease back to pending, completed results verified), and
     /// returned for re-scheduling — in job-id order, so the restart
     /// schedule is deterministic.
     ///

@@ -1,19 +1,19 @@
 //! Spool-level tests of a lowered job's work: a session job and a 2-point
 //! campaign job drained shard by shard through `JobWork::claim` and
 //! `ShardWorker::execute`, with the job's progress checked against the
-//! queues' and the campaign's own status after every step.
+//! queues' and the campaign's own status after every step, and a session
+//! job whose restart re-issues a lease its dead holder never gave back.
 
 mod common;
 
 use common::{campaign, scenario, TempDir};
 use protocol::engine::{
     CampaignRun, NoSampler, Parallelism, SessionEngine, ShardOutput, ShardQueue, ShardWorker,
-    SubmitOutcome, MIN_LEASE_MS,
+    SubmitOutcome,
 };
 use protocol::wire::{JobManifest, JobSpec, MANIFEST_VERSION};
 use serve::spool::{WorkClaim, CAMPAIGN_DIR, QUEUE_DIR};
 use serve::{JobOutcome, JobWork, Spool};
-use std::time::Duration;
 
 fn manifest(job: u64, spec: JobSpec) -> JobManifest {
     JobManifest {
@@ -46,7 +46,6 @@ fn a_campaign_job_drains_its_points_in_sweep_order() {
             work.progress().expect("progress"),
             (status.trials_done, status.trials_total)
         );
-        assert_eq!(work.complete().expect("complete"), status.complete());
     };
     agrees(&work);
 
@@ -70,7 +69,7 @@ fn a_campaign_job_drains_its_points_in_sweep_order() {
         }
     }
     assert_eq!(claimed, vec![(0, 0), (0, 2), (1, 0), (1, 2)]);
-    assert!(work.complete().expect("complete"));
+    assert_eq!(work.progress().expect("progress"), (8, 8));
 
     let JobOutcome::Campaign(report) = spool.finalize(1, &work).expect("finalizes") else {
         panic!("a campaign job finalizes to a report");
@@ -107,18 +106,17 @@ fn a_session_job_recovers_an_expired_lease() {
             work.progress().expect("progress"),
             (status.trials_done, status.trials_total as u64)
         );
-        assert_eq!(work.complete().expect("complete"), status.complete());
     };
     agrees(&work);
 
-    // A worker claims the first shard and dies holding it.
-    let WorkClaim::Claimed { plan: lost, .. } = work.claim("dead", MIN_LEASE_MS).expect("claim")
-    else {
+    // A worker claims the first shard on a lease that has long to run, and
+    // its process dies holding it. The restart re-issues the lease at once:
+    // a spool has one server, so no live worker can hold it.
+    let WorkClaim::Claimed { plan: lost, .. } = work.claim("dead", 60_000).expect("claim") else {
         panic!("the first shard is claimable");
     };
     assert_eq!(queue.status().expect("queue status").leased, 1);
     agrees(&work);
-    std::thread::sleep(Duration::from_millis(5 * MIN_LEASE_MS));
     work.recover().expect("recovers");
     let status = queue.status().expect("queue status");
     assert_eq!((status.leased, status.pending), (0, 2));
@@ -136,7 +134,7 @@ fn a_session_job_recovers_an_expired_lease() {
         agrees(&work);
     }
     assert_eq!(starts, vec![lost.trial_start, 2]);
-    assert!(work.complete().expect("complete"));
+    assert_eq!(work.progress().expect("progress"), (4, 4));
 
     let JobOutcome::Session(summary) = spool.finalize(2, &work).expect("finalizes") else {
         panic!("a session job finalizes to a summary");
