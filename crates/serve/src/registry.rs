@@ -7,7 +7,16 @@
 //! each shard they record here ([`Registry::record_shard`]), so a live
 //! job's progress is never re-read from disk. Idle workers park here until
 //! a job is added: a server is its spool's only user, so nothing else makes
-//! a shard claimable. Its scheduling
+//! a shard claimable.
+//!
+//! The registry also sends a live job's asynchronous messages to its
+//! owner: snapshots ([`Registry::stream_snapshot`]) and the final `Done`
+//! or `Error` ([`Registry::finish_job`]). A snapshot is admitted under the
+//! owner's write lock only while the job is live and past the last one
+//! sent, so snapshots strictly increase and none follows `Done` or
+//! `Cancelled`.
+//!
+//! Its scheduling
 //! policy is **fair round-robin across clients**: [`Registry::schedule`]
 //! interleaves one job from each client bucket in rotation before moving to
 //! anyone's second job, and the rotation origin advances on every call — a
@@ -22,6 +31,7 @@
 //! spool for later [`Status`](protocol::wire::Request::Status) polls).
 
 use crate::spool::JobWork;
+use protocol::engine::TrialSummary;
 use protocol::wire::Response;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -30,13 +40,13 @@ use std::sync::{Arc, Condvar, Mutex};
 /// written. The server implements this over a shared TCP write half; tests
 /// implement it over a vector.
 pub trait ResponseSink: Send + Sync {
-    /// Delivers one response if `live()` still holds when the sink is about
-    /// to write it. The check runs under the sink's write lock, so a
-    /// response made stale by a concurrent writer (a snapshot racing its
-    /// job's `Cancelled`) is dropped rather than sent after it. Delivery
-    /// is best-effort: a sink whose client vanished silently discards (the
+    /// Delivers one response if `admit()`, called exactly once under the
+    /// sink's write lock, returns true: a response made stale by a
+    /// concurrent writer (a snapshot racing its job's `Cancelled` or a
+    /// longer snapshot) is dropped rather than sent after it. Delivery is
+    /// best-effort: a sink whose client vanished silently discards (the
     /// job itself keeps running — its result is in the spool).
-    fn send_if(&self, response: &Response, live: &dyn Fn() -> bool);
+    fn send_if(&self, response: &Response, admit: &dyn Fn() -> bool);
 
     /// Delivers one response unconditionally.
     fn send(&self, response: &Response) {
@@ -55,13 +65,14 @@ pub struct ScheduleEntry {
 
 /// What a job needs after one of its shards was recorded; see
 /// [`Registry::record_shard`].
-pub struct ShardRecord {
-    /// The job's total trial count.
-    pub trials_total: u64,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardRecord {
+    /// Nothing more to do.
+    Counted,
+    /// Fold the done prefix for [`Registry::stream_snapshot`].
+    SnapshotDue,
     /// Every trial of the job is recorded: it is ready to finalize.
-    pub complete: bool,
-    /// The owner's sink when a snapshot is due.
-    pub snapshot_to: Option<Arc<dyn ResponseSink>>,
+    Complete,
 }
 
 /// Why a cancellation request was refused.
@@ -81,6 +92,9 @@ struct JobEntry {
     /// then counted by the workers that record them.
     trials_done: u64,
     trials_total: u64,
+    /// `trials_done` of the last snapshot sent to the owner (0 before the
+    /// first).
+    streamed: u64,
     /// Set by the first worker that sees the job complete; later workers
     /// (and the racing drain of a just-finished queue) skip finalization.
     finalizing: bool,
@@ -103,6 +117,25 @@ struct State {
     /// Bumped by every `add_job`, so a worker can tell whether work arrived
     /// since it last looked (see `wait_for_work`).
     work_epoch: u64,
+}
+
+impl State {
+    /// The sink of `job`'s owner while the owner is connected.
+    fn owner_sink(&self, job: &JobEntry) -> Option<Arc<dyn ResponseSink>> {
+        self.clients.get(&job.client?)?.sink.clone()
+    }
+
+    /// Returns one of `client`'s quota slots (forgetting a disconnected
+    /// client left with none) and the client's sink while it is connected.
+    fn release(&mut self, client: u64) -> Option<Arc<dyn ResponseSink>> {
+        let entry = self.clients.get_mut(&client)?;
+        entry.in_flight = entry.in_flight.saturating_sub(1);
+        let sink = entry.sink.clone();
+        if sink.is_none() && entry.in_flight == 0 {
+            self.clients.remove(&client);
+        }
+        sink
+    }
 }
 
 /// The server's shared scheduling state. See the module docs.
@@ -173,10 +206,7 @@ impl Registry {
 
     /// Returns a reserved slot after a failed lowering.
     pub fn release_slot(&self, client: u64) {
-        let mut state = self.lock();
-        if let Some(entry) = state.clients.get_mut(&client) {
-            entry.in_flight = entry.in_flight.saturating_sub(1);
-        }
+        self.lock().release(client);
     }
 
     /// Adds a lowered job to the schedule and wakes the worker pool.
@@ -197,6 +227,7 @@ impl Registry {
                 work,
                 trials_done,
                 trials_total,
+                streamed: 0,
                 finalizing: false,
             },
         );
@@ -256,12 +287,6 @@ impl Registry {
             .map(|entry| (entry.trials_done, entry.trials_total))
     }
 
-    /// Whether `job` is still scheduled: not yet finished, failed or
-    /// cancelled.
-    pub fn is_live(&self, job: u64) -> bool {
-        self.lock().jobs.contains_key(&job)
-    }
-
     /// True exactly once per job: the calling worker owns finalization
     /// (merging and writing `result.json`). Returns `false` for unknown
     /// jobs and for jobs someone else is already finalizing.
@@ -276,20 +301,19 @@ impl Registry {
         }
     }
 
-    /// Removes a finished job, releases its quota slot, and returns the
-    /// owner's sink (if the client is still connected) for the final
-    /// [`Done`](Response::Done) delivery.
-    pub fn finish_job(&self, job: u64) -> Option<Arc<dyn ResponseSink>> {
-        let mut state = self.lock();
-        let entry = state.jobs.remove(&job)?;
-        let client = entry.client?;
-        let client_entry = state.clients.get_mut(&client)?;
-        client_entry.in_flight = client_entry.in_flight.saturating_sub(1);
-        let sink = client_entry.sink.clone();
-        if client_entry.sink.is_none() && client_entry.in_flight == 0 {
-            state.clients.remove(&client);
+    /// Removes a finished or failed job, releases its quota slot, and sends
+    /// `response` (its `Done` or `Error`) to the owner if it is still
+    /// connected. A job no longer live (cancelled, or already failed)
+    /// sends nothing.
+    pub fn finish_job(&self, job: u64, response: &Response) {
+        let owner = {
+            let mut state = self.lock();
+            let client = state.jobs.remove(&job).and_then(|entry| entry.client);
+            client.and_then(|client| state.release(client))
+        };
+        if let Some(sink) = owner {
+            sink.send(response);
         }
-        sink
     }
 
     /// Cancels a live job owned by `client`: removes it from scheduling and
@@ -303,41 +327,65 @@ impl Registry {
             return CancelOutcome::Unknown;
         }
         state.jobs.remove(&job);
-        if let Some(client_entry) = state.clients.get_mut(&client) {
-            client_entry.in_flight = client_entry.in_flight.saturating_sub(1);
-        }
+        state.release(client);
         CancelOutcome::Cancelled
     }
 
     /// Counts a shard of `job` that recorded `trials` trials (0 when
     /// another worker had already recorded it) and reports what the job
-    /// needs next, or `None` once the job was cancelled or failed while
-    /// the shard ran.
+    /// needs next.
     ///
     /// Exactly one of the workers recording a job's last shards sees
-    /// `complete`; a record of 0 trials never does. A snapshot is due after
-    /// every shard that records trials without completing a session job
-    /// whose owner is still connected: every shard is one snapshot cadence
-    /// long, so each crosses a cadence boundary, and completion is
-    /// announced by `Done` instead.
-    pub fn record_shard(&self, job: u64, trials: u64) -> Option<ShardRecord> {
-        let mut guard = self.lock();
-        let state = &mut *guard;
-        let entry = state.jobs.get_mut(&job)?;
-        entry.trials_done += trials;
-        let complete = trials > 0 && entry.trials_done >= entry.trials_total;
-        let snapshot_to = match entry.client {
-            Some(client) if trials > 0 && !complete && entry.work.is_session() => state
-                .clients
-                .get(&client)
-                .and_then(|client| client.sink.clone()),
-            _ => None,
+    /// [`Complete`](ShardRecord::Complete); a record of 0 trials, or of a
+    /// job cancelled or failed while the shard ran, never does. A snapshot
+    /// is due after every shard that records trials without completing a
+    /// session job whose owner is still connected: every shard is one
+    /// snapshot cadence long, so each crosses a cadence boundary, and
+    /// completion is announced by `Done` instead.
+    pub fn record_shard(&self, job: u64, trials: u64) -> ShardRecord {
+        let mut state = self.lock();
+        let Some(entry) = state.jobs.get_mut(&job).filter(|_| trials > 0) else {
+            return ShardRecord::Counted;
         };
-        Some(ShardRecord {
-            trials_total: entry.trials_total,
-            complete,
-            snapshot_to,
-        })
+        entry.trials_done += trials;
+        if entry.trials_done >= entry.trials_total {
+            return ShardRecord::Complete;
+        }
+        let entry = &state.jobs[&job];
+        if entry.work.is_session() && state.owner_sink(entry).is_some() {
+            ShardRecord::SnapshotDue
+        } else {
+            ShardRecord::Counted
+        }
+    }
+
+    /// Sends the fold of `job`'s first `trials_done` trials to its
+    /// connected owner as a [`Snapshot`](Response::Snapshot), admitted
+    /// under the owner's write lock only while the job is live and
+    /// `streamed < trials_done < trials_total`; admitting it advances
+    /// `streamed`. A stale fold is dropped.
+    pub fn stream_snapshot(&self, job: u64, trials_done: u64, summary: TrialSummary) {
+        let owner = {
+            let state = self.lock();
+            let entry = state.jobs.get(&job);
+            entry.and_then(|entry| Some((state.owner_sink(entry)?, entry.trials_total)))
+        };
+        let Some((sink, trials_total)) = owner else {
+            return;
+        };
+        let snapshot = Response::Snapshot {
+            job,
+            trials_done,
+            trials_total,
+            summary,
+        };
+        sink.send_if(&snapshot, &|| match self.lock().jobs.get_mut(&job) {
+            Some(entry) if entry.streamed < trials_done && trials_done < entry.trials_total => {
+                entry.streamed = trials_done;
+                true
+            }
+            _ => false,
+        });
     }
 
     /// The current work epoch. A worker reads it *before* calling
@@ -360,15 +408,10 @@ impl Registry {
             .wait_while(state, |state| state.work_epoch == seen_epoch)
             .unwrap_or_else(|poison| poison.into_inner());
     }
-
-    /// Number of live jobs (diagnostics and tests).
-    pub fn live_jobs(&self) -> usize {
-        self.lock().jobs.len()
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spool::Spool;
     use protocol::engine::{Axis, Campaign, CampaignSpace, CampaignWorkload, Scenario};
@@ -384,7 +427,27 @@ mod tests {
     struct NullSink;
 
     impl ResponseSink for NullSink {
-        fn send_if(&self, _response: &Response, _live: &dyn Fn() -> bool) {}
+        fn send_if(&self, _response: &Response, _admit: &dyn Fn() -> bool) {}
+    }
+
+    /// Keeps every response its check admits, in write order.
+    #[derive(Default)]
+    pub(crate) struct Recorder(Mutex<Vec<Response>>);
+
+    impl ResponseSink for Recorder {
+        fn send_if(&self, response: &Response, admit: &dyn Fn() -> bool) {
+            let mut sent = self.0.lock().expect("not poisoned");
+            if admit() {
+                sent.push(response.clone());
+            }
+        }
+    }
+
+    impl Recorder {
+        /// The responses written so far.
+        pub(crate) fn sent(&self) -> Vec<Response> {
+            self.0.lock().expect("not poisoned").clone()
+        }
     }
 
     struct TempDir(PathBuf);
@@ -451,11 +514,6 @@ mod tests {
         lowered(dir, tag, JobSpec::Campaign { campaign })
     }
 
-    /// Whether a record asks for a snapshot.
-    fn streams(record: &ShardRecord) -> bool {
-        record.snapshot_to.is_some()
-    }
-
     /// The schedule interleaves clients — one job each in rotation before
     /// anyone's second — and the rotation origin advances per call.
     #[test]
@@ -516,19 +574,18 @@ mod tests {
         registry.add_job(1, Some(client), tiny_work(&dir.0, 1), (0, 4));
         assert_eq!(registry.progress(1), Some((0, 4)));
 
-        let first = registry.record_shard(1, 2).expect("the job is live");
-        assert!(streams(&first) && !first.complete);
-        assert_eq!(first.trials_total, 4);
+        assert_eq!(registry.record_shard(1, 2), ShardRecord::SnapshotDue);
         assert_eq!(registry.progress(1), Some((2, 4)));
 
-        let duplicate = registry.record_shard(1, 0).expect("the job is live");
-        assert!(!streams(&duplicate) && !duplicate.complete);
+        assert_eq!(registry.record_shard(1, 0), ShardRecord::Counted);
         assert_eq!(registry.progress(1), Some((2, 4)));
 
-        let last = registry.record_shard(1, 2).expect("the job is live");
-        assert!(last.complete);
-        let late = registry.record_shard(1, 0).expect("the job is live");
-        assert!(!late.complete, "a 0-trial record completed the job again");
+        assert_eq!(registry.record_shard(1, 2), ShardRecord::Complete);
+        assert_eq!(
+            registry.record_shard(1, 0),
+            ShardRecord::Counted,
+            "a 0-trial record completed the job again"
+        );
         assert_eq!(registry.progress(1), Some((4, 4)));
     }
 
@@ -546,10 +603,7 @@ mod tests {
                 let start = Arc::clone(&start);
                 std::thread::spawn(move || {
                     start.wait();
-                    registry
-                        .record_shard(1, 2)
-                        .expect("the job is live")
-                        .complete
+                    registry.record_shard(1, 2) == ShardRecord::Complete
                 })
             })
             .collect();
@@ -563,13 +617,13 @@ mod tests {
 
     /// A job cancelled (or failed) while its shard ran is not counted.
     #[test]
-    fn recording_a_cancelled_job_returns_none() {
+    fn recording_a_cancelled_job_counts_nothing() {
         let dir = TempDir::new("cancelled");
         let registry = Registry::new();
         let client = registry.register_client(Arc::new(NullSink));
         registry.add_job(1, Some(client), tiny_work(&dir.0, 1), (0, 4));
         assert_eq!(registry.cancel(1, client), CancelOutcome::Cancelled);
-        assert!(registry.record_shard(1, 2).is_none());
+        assert_eq!(registry.record_shard(1, 2), ShardRecord::Counted);
         assert_eq!(registry.progress(1), None);
     }
 
@@ -587,12 +641,15 @@ mod tests {
         registry.add_job(4, Some(gone), tiny_work(&dir.0, 4), (0, 4));
         registry.client_gone(gone);
 
-        let record = |job| registry.record_shard(job, 2).expect("the job is live");
-        assert!(!streams(&record(1)), "a campaign job streamed");
-        assert!(!streams(&record(2)), "a recovered job streamed");
-        let last = record(3);
-        assert!(last.complete && !streams(&last), "the last shard streamed");
-        assert!(!streams(&record(4)), "a disconnected owner streamed");
+        let record = |job| registry.record_shard(job, 2);
+        assert_eq!(record(1), ShardRecord::Counted, "a campaign job streamed");
+        assert_eq!(record(2), ShardRecord::Counted, "a recovered job streamed");
+        assert_eq!(record(3), ShardRecord::Complete, "the last shard streamed");
+        assert_eq!(
+            record(4),
+            ShardRecord::Counted,
+            "a disconnected owner streamed"
+        );
     }
 
     /// Quota slots are reserved atomically and released by completion and
@@ -611,16 +668,55 @@ mod tests {
         // Finishing one job frees one slot.
         assert!(registry.begin_finalize(1));
         assert!(!registry.begin_finalize(1), "finalize is exactly-once");
-        assert!(registry.finish_job(1).is_some());
-        assert!(!registry.is_live(1));
+        registry.finish_job(1, &Response::Pong);
+        assert!(registry.progress(1).is_none());
         assert_eq!(registry.reserve_slot(client, 2), Ok(()));
 
         // Cancelling is identity-checked and frees the slot too.
         let intruder = registry.register_client(Arc::new(NullSink));
         assert_eq!(registry.cancel(2, intruder), CancelOutcome::Unknown);
-        assert!(registry.is_live(2));
+        assert!(registry.progress(2).is_some());
         assert_eq!(registry.cancel(2, client), CancelOutcome::Cancelled);
-        assert!(!registry.is_live(2));
+        assert!(registry.progress(2).is_none());
         assert_eq!(registry.reserve_slot(client, 2), Ok(()));
+    }
+
+    /// A snapshot goes out only past the last one sent and short of the
+    /// whole run, and nothing goes out after the job's `Done`, which its
+    /// owner receives exactly once.
+    #[test]
+    fn the_registry_admits_only_strictly_increasing_partial_snapshots() {
+        let dir = TempDir::new("admission");
+        let registry = Registry::new();
+        let recorder = Arc::new(Recorder::default());
+        let client = registry.register_client(recorder.clone());
+        let scenario = tiny_scenario();
+        // The folds are never compared here; any summary does.
+        let summary = protocol::engine::SessionEngine::new(1)
+            .run_trials(&scenario, 1)
+            .expect("runs");
+        registry.add_job(1, Some(client), tiny_work(&dir.0, 1), (0, 4));
+
+        for trials_done in [2, 2, 1, 4, 3] {
+            registry.stream_snapshot(1, trials_done, summary.clone());
+        }
+        let done = Response::Done {
+            job: 1,
+            summary: None,
+            report: None,
+        };
+        registry.finish_job(1, &done);
+        registry.finish_job(1, &done);
+        registry.stream_snapshot(1, 3, summary);
+
+        let sent: Vec<Option<u64>> = recorder
+            .sent()
+            .iter()
+            .map(|response| match response {
+                Response::Snapshot { trials_done, .. } => Some(*trials_done),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent, vec![Some(2), Some(3), None]);
     }
 }

@@ -9,17 +9,23 @@
 //! [`Registry`] for the fair schedule, claim one shard, run it on their
 //! own serial [`ShardWorker`] (which heartbeats the lease until the submit
 //! returns, so a slow shard is never stolen from a live worker), count the
-//! recorded shard in the registry, stream a snapshot when one is due, and
+//! recorded shard in the registry, fold a snapshot when one is due, and
 //! finalize the job whose last shard just landed. A worker that finds
 //! nothing to claim parks until a job is submitted.
+//!
+//! Workers never write to a connection themselves: they hand each fold,
+//! `Done` and job failure to the [`Registry`], which sends a live job's
+//! asynchronous messages to its owner (and drops a stale snapshot). The
+//! connection thread writes only its direct answers, `Cancelled` among
+//! them.
 //!
 //! All durable state lives in the [`Spool`]; the process can be SIGKILLed
 //! at any instant and a restarted server ([`Server::start`] rescans the
 //! spool and re-issues every lease it finds) finishes every accepted job
 //! byte-identically. A spool must have one server at a time.
 
-use crate::registry::{CancelOutcome, Registry, ResponseSink};
-use crate::spool::{JobOutcome, JobWork, Spool, SpoolError, WorkClaim};
+use crate::registry::{CancelOutcome, Registry, ResponseSink, ShardRecord};
+use crate::spool::{JobOutcome, JobWork, Spool, SpoolError, SpoolLookup, WorkClaim};
 use protocol::engine::{
     Axis, AxisValue, CampaignSpace, ShardOutput, ShardPlan, ShardQueue, ShardWorker, SubmitOutcome,
 };
@@ -84,7 +90,6 @@ impl Default for ServerConfig {
 /// shutdown).
 pub struct Server {
     local_addr: SocketAddr,
-    inner: Arc<Inner>,
 }
 
 impl Server {
@@ -115,8 +120,7 @@ impl Server {
             config,
             next_job: AtomicU64::new(next_job),
         });
-        for (manifest, work) in recovered {
-            let progress = work.progress().map_err(io_other)?;
+        for (manifest, work, progress) in recovered {
             // Recovered jobs have no connected client: no snapshots stream.
             inner
                 .registry
@@ -135,17 +139,12 @@ impl Server {
                 .name("serve-accept".to_string())
                 .spawn(move || accept_loop(&inner, listener))?;
         }
-        Ok(Server { local_addr, inner })
+        Ok(Server { local_addr })
     }
 
     /// The bound address (resolves ephemeral ports for tests/tools).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// Number of jobs currently live in the scheduler.
-    pub fn live_jobs(&self) -> usize {
-        self.inner.registry.live_jobs()
     }
 }
 
@@ -213,68 +212,44 @@ fn run_shard(
             return;
         }
     };
-    let Some(record) = inner.registry.record_shard(job, trials) else {
-        return;
-    };
-    if let Some(sink) = record.snapshot_to {
-        stream_snapshot(inner, job, &sink, queue, record.trials_total);
-    }
-    if record.complete {
-        try_finalize(inner, job, work);
+    match inner.registry.record_shard(job, trials) {
+        ShardRecord::Counted => {}
+        ShardRecord::SnapshotDue => stream_snapshot(inner, job, queue),
+        ShardRecord::Complete => try_finalize(inner, job, work),
     }
 }
 
-/// Streams the incremental summary of a session job's done prefix to its
-/// owner.
-fn stream_snapshot(
-    inner: &Arc<Inner>,
-    job: u64,
-    sink: &Arc<dyn ResponseSink>,
-    queue: &ShardQueue,
-    trials_total: u64,
-) {
+/// Folds a session job's done prefix and hands it to the registry, which
+/// streams it to the owner unless it is stale.
+fn stream_snapshot(inner: &Arc<Inner>, job: u64, queue: &ShardQueue) {
     match inner.spool.snapshot(queue) {
-        // A fold that already covers the whole run is not streamed: that
-        // state is announced by `Done` (racing workers may finish the last
-        // shard between the record and the fold).
-        Ok(Some((prefix_trials, _))) if prefix_trials >= trials_total => {}
-        // A job cancelled (or finished) while its shard ran must not stream
-        // after its `Cancelled`: liveness is checked under the write lock.
-        Ok(Some((prefix_trials, summary))) => sink.send_if(
-            &Response::Snapshot {
-                job,
-                trials_done: prefix_trials,
-                trials_total,
-                summary,
-            },
-            &|| inner.registry.is_live(job),
-        ),
+        Ok(Some((trials_done, summary))) => {
+            inner.registry.stream_snapshot(job, trials_done, summary);
+        }
         Ok(None) => {}
         Err(error) => eprintln!("serve: snapshot of job {job} failed: {error}"),
     }
 }
 
-/// Merges and persists a job whose every shard is done, exactly once. The
-/// caller knows the job is complete: its claim found every queue drained,
-/// or its record completed the job.
+/// Merges and persists a job whose every shard is done, exactly once, and
+/// has the registry announce it. The caller knows the job is complete: its
+/// claim found every queue drained, or its record completed the job.
 fn try_finalize(inner: &Arc<Inner>, job: u64, work: &Arc<JobWork>) {
     if !inner.registry.begin_finalize(job) {
         return;
     }
     match inner.spool.finalize(job, work) {
         Ok(outcome) => {
-            let sink = inner.registry.finish_job(job);
-            if let Some(sink) = sink {
-                let (summary, report) = match outcome {
-                    JobOutcome::Session(summary) => (Some(summary), None),
-                    JobOutcome::Campaign(report) => (None, Some(report)),
-                };
-                sink.send(&Response::Done {
-                    job,
-                    summary,
-                    report,
-                });
-            }
+            let (summary, report) = match outcome {
+                JobOutcome::Session(summary) => (Some(summary), None),
+                JobOutcome::Campaign(report) => (None, Some(report)),
+            };
+            let done = Response::Done {
+                job,
+                summary,
+                report,
+            };
+            inner.registry.finish_job(job, &done);
         }
         Err(error) => {
             // Leave the job on disk (a restart can retry the merge); stop
@@ -289,12 +264,11 @@ fn try_finalize(inner: &Arc<Inner>, job: u64, work: &Arc<JobWork>) {
 /// restart) can diagnose and resume it.
 fn fail_job(inner: &Arc<Inner>, job: u64, error: &dyn std::fmt::Display) {
     eprintln!("serve: job {job} failed: {error}");
-    if let Some(sink) = inner.registry.finish_job(job) {
-        sink.send(&Response::Error {
-            kind: ErrorKind::Internal,
-            message: format!("job {job} failed: {error}"),
-        });
-    }
+    let failed = Response::Error {
+        kind: ErrorKind::Internal,
+        message: format!("job {job} failed: {error}"),
+    };
+    inner.registry.finish_job(job, &failed);
 }
 
 // ------------------------------------------------------------ connections --
@@ -317,18 +291,18 @@ fn accept_loop(inner: &Arc<Inner>, listener: TcpListener) {
 }
 
 /// A shared, mutex-serialized write half: request replies (from the
-/// connection thread) and streamed snapshots (from workers) interleave
-/// whole lines, never bytes.
+/// connection thread) and a job's asynchronous messages (from workers,
+/// through the registry) interleave whole lines, never bytes.
 struct TcpSink {
     stream: Mutex<TcpStream>,
 }
 
 impl ResponseSink for TcpSink {
-    fn send_if(&self, response: &Response, live: &dyn Fn() -> bool) {
+    fn send_if(&self, response: &Response, admit: &dyn Fn() -> bool) {
         let mut line = serde::json::to_string(response);
         line.push('\n');
         let mut stream = self.stream.lock().unwrap_or_else(|p| p.into_inner());
-        if live() {
+        if admit() {
             // Best-effort: a vanished client does not stop its jobs.
             let _ = stream.write_all(line.as_bytes());
         }
@@ -442,19 +416,13 @@ fn submit(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, spec: J
                 .registry
                 .add_job(job, Some(client), Arc::new(work), progress);
         }
-        Err(SpoolError::Unsupported { reason }) => {
-            inner.registry.release_slot(client);
-            sink.send(&Response::Error {
-                kind: ErrorKind::Unsupported,
-                message: reason,
-            });
-        }
         Err(error) => {
             inner.registry.release_slot(client);
-            sink.send(&Response::Error {
-                kind: ErrorKind::Internal,
-                message: format!("could not spool job: {error}"),
-            });
+            let (kind, message) = match error {
+                SpoolError::Unsupported { reason } => (ErrorKind::Unsupported, reason),
+                error => (ErrorKind::Internal, format!("could not spool job: {error}")),
+            };
+            sink.send(&Response::Error { kind, message });
         }
     }
 }
@@ -475,61 +443,50 @@ fn cancel(inner: &Arc<Inner>, client: u64, sink: &Arc<dyn ResponseSink>, job: u6
 }
 
 fn status(inner: &Arc<Inner>, sink: &Arc<dyn ResponseSink>, job: u64) {
-    if let Some((trials_done, trials_total)) = inner.registry.progress(job) {
-        sink.send(&Response::Status {
+    let answer = match inner.registry.progress(job) {
+        Some((trials_done, trials_total)) => Ok((JobState::Running, trials_done, trials_total)),
+        None => spooled_status(inner, job),
+    };
+    sink.send(&match answer {
+        Ok((state, trials_done, trials_total)) => Response::Status {
             job,
-            state: JobState::Running,
+            state,
             trials_done,
             trials_total,
-        });
-        return;
-    }
+        },
+        Err((kind, message)) => Response::Error { kind, message },
+    });
+}
+
+/// `(state, trials_done, trials_total)` of a job that is not live, from
+/// the spool alone, or the error to answer instead.
+fn spooled_status(inner: &Inner, job: u64) -> Result<(JobState, u64, u64), (ErrorKind, String)> {
     match inner.spool.lookup(job) {
-        Ok(crate::spool::SpoolLookup::Done { manifest }) => {
+        Ok(SpoolLookup::Done { manifest }) => {
             let total = spec_trials(&manifest);
-            sink.send(&Response::Status {
-                job,
-                state: JobState::Done,
-                trials_done: total,
-                trials_total: total,
-            });
+            Ok((JobState::Done, total, total))
         }
-        Ok(crate::spool::SpoolLookup::Cancelled { manifest }) => {
-            let total = spec_trials(&manifest);
-            sink.send(&Response::Status {
-                job,
-                state: JobState::Cancelled,
-                trials_done: 0,
-                trials_total: total,
-            });
+        Ok(SpoolLookup::Cancelled { manifest }) => {
+            Ok((JobState::Cancelled, 0, spec_trials(&manifest)))
         }
-        Ok(crate::spool::SpoolLookup::InFlight { manifest }) => {
-            // Lowered but not scheduled (e.g. a failed job awaiting restart).
-            match inner
-                .spool
-                .reopen(&manifest)
-                .and_then(|work| work.progress())
-            {
-                Ok((trials_done, trials_total)) => sink.send(&Response::Status {
-                    job,
-                    state: JobState::Running,
-                    trials_done,
-                    trials_total,
-                }),
-                Err(error) => sink.send(&Response::Error {
-                    kind: ErrorKind::Internal,
-                    message: format!("could not read job {job} progress: {error}"),
-                }),
-            }
-        }
-        Ok(crate::spool::SpoolLookup::Absent) => sink.send(&Response::Error {
-            kind: ErrorKind::UnknownJob,
-            message: format!("no job {job} in this server's spool"),
-        }),
-        Err(error) => sink.send(&Response::Error {
-            kind: ErrorKind::Internal,
-            message: format!("could not look up job {job}: {error}"),
-        }),
+        // Lowered but not scheduled (e.g. a failed job awaiting restart).
+        Ok(SpoolLookup::InFlight { manifest }) => inner
+            .spool
+            .reopen(&manifest)
+            .and_then(|work| work.progress())
+            .map(|(trials_done, trials_total)| (JobState::Running, trials_done, trials_total))
+            .map_err(|error| {
+                let message = format!("could not read job {job} progress: {error}");
+                (ErrorKind::Internal, message)
+            }),
+        Ok(SpoolLookup::Absent) => Err((
+            ErrorKind::UnknownJob,
+            format!("no job {job} in this server's spool"),
+        )),
+        Err(error) => Err((
+            ErrorKind::Internal,
+            format!("could not look up job {job}: {error}"),
+        )),
     }
 }
 
@@ -646,6 +603,8 @@ fn discard_to_newline(reader: &mut impl BufRead) -> io::Result<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::tests::Recorder;
+    use std::collections::BTreeMap;
     use std::io::Cursor;
 
     /// Every accepted connection leaves the setup with Nagle off, so a
@@ -659,11 +618,12 @@ mod tests {
         assert!(accepted.nodelay().expect("reads the option"));
     }
 
-    /// The sink reads liveness while it holds the connection's write lock,
-    /// so a snapshot cannot pass the check before a `Cancelled` written
-    /// under that lock and go out after it; a failed check sends nothing.
+    /// The sink runs its admission check while it holds the connection's
+    /// write lock, so a snapshot cannot pass the check before a `Cancelled`
+    /// (or a longer snapshot) written under that lock and go out after it;
+    /// a failed check sends nothing.
     #[test]
-    fn send_if_reads_liveness_under_the_write_lock() {
+    fn send_if_checks_admission_under_the_write_lock() {
         use std::io::Read;
         let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
         let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connects");
@@ -708,12 +668,15 @@ mod tests {
     }
 
     /// Server state over a spool at `dir`, with no worker or connection
-    /// threads.
+    /// threads, splitting jobs into 2-trial shards.
     fn inner_at(dir: &std::path::Path) -> Arc<Inner> {
         Arc::new(Inner {
             registry: Registry::new(),
             spool: Spool::open(dir).expect("spool opens"),
-            config: ServerConfig::default(),
+            config: ServerConfig {
+                snapshot_trials: 2,
+                ..ServerConfig::default()
+            },
             next_job: AtomicU64::new(1),
         })
     }
@@ -722,14 +685,14 @@ mod tests {
     /// precedes every `Snapshot` and `Done` of that job on the wire.
     #[test]
     fn submit_acknowledges_before_scheduling() {
-        struct Recorder {
+        struct AckWatcher {
             inner: Arc<Inner>,
             scheduled_at_ack: Mutex<Option<bool>>,
         }
-        impl ResponseSink for Recorder {
-            fn send_if(&self, response: &Response, _live: &dyn Fn() -> bool) {
+        impl ResponseSink for AckWatcher {
+            fn send_if(&self, response: &Response, _admit: &dyn Fn() -> bool) {
                 if let Response::Accepted { job } = response {
-                    let scheduled = self.inner.registry.is_live(*job);
+                    let scheduled = self.inner.registry.progress(*job).is_some();
                     *self.scheduled_at_ack.lock().expect("not poisoned") = Some(scheduled);
                 }
             }
@@ -737,7 +700,7 @@ mod tests {
 
         let dir = temp_dir("ack");
         let inner = inner_at(&dir);
-        let recorder = Arc::new(Recorder {
+        let recorder = Arc::new(AckWatcher {
             inner: Arc::clone(&inner),
             scheduled_at_ack: Mutex::new(None),
         });
@@ -752,9 +715,294 @@ mod tests {
             "acknowledged after scheduling"
         );
         assert!(
-            inner.registry.is_live(1),
+            inner.registry.progress(1).is_some(),
             "the job is scheduled after its ack"
         );
+    }
+
+    /// What happens to the owner at one point of an explored order.
+    #[derive(Debug, Clone, Copy)]
+    enum Event {
+        Cancel,
+        Disconnect,
+    }
+
+    /// Every order of `shards` chains of three steps each, as the sequence
+    /// of shards whose next step runs.
+    fn interleavings(shards: usize) -> Vec<Vec<usize>> {
+        fn extend(left: &mut [usize], order: &mut Vec<usize>, all: &mut Vec<Vec<usize>>) {
+            if left.iter().all(|&steps| steps == 0) {
+                all.push(order.clone());
+            }
+            for shard in 0..left.len() {
+                if left[shard] > 0 {
+                    left[shard] -= 1;
+                    order.push(shard);
+                    extend(left, order, all);
+                    order.pop();
+                    left[shard] += 1;
+                }
+            }
+        }
+        let mut all = Vec::new();
+        extend(&mut vec![3; shards], &mut Vec::new(), &mut all);
+        all
+    }
+
+    /// A session job of `shards` 2-trial shards, explored step by step
+    /// through the workers' own calls with no thread: the shard results
+    /// are computed once, and the serialized local run of every prefix is
+    /// the reference for snapshots and `result.json`.
+    struct Explorer {
+        inner: Arc<Inner>,
+        spec: JobSpec,
+        results: Vec<protocol::engine::ShardResult>,
+        prefixes: BTreeMap<u64, String>,
+    }
+
+    impl Explorer {
+        fn new(dir: &std::path::Path, shards: usize) -> Explorer {
+            use rand::SeedableRng;
+            let config = protocol::SessionConfig::builder()
+                .message_bits(8)
+                .check_bits(2)
+                .di_check_pairs(16)
+                .build()
+                .expect("config builds");
+            let identities = protocol::identity::IdentityPair::generate(
+                2,
+                &mut rand::rngs::StdRng::seed_from_u64(1),
+            );
+            let scenario = protocol::engine::Scenario::new(config, identities);
+            let trials = 2 * shards;
+            let engine = protocol::engine::SessionEngine::new(7);
+            let results = engine
+                .plan(&scenario, trials)
+                .split_max(2)
+                .iter()
+                .map(|plan| {
+                    engine
+                        .execute_shard(plan, ShardOutput::Summary)
+                        .expect("shard runs")
+                })
+                .collect();
+            let prefixes = (1..=shards as u64)
+                .map(|shard| {
+                    let summary = engine
+                        .run_trials(&scenario, 2 * shard as usize)
+                        .expect("prefix runs");
+                    (2 * shard, serde::json::to_string(&summary))
+                })
+                .collect();
+            Explorer {
+                inner: inner_at(dir),
+                spec: JobSpec::Session {
+                    scenario,
+                    trials,
+                    seed: 7,
+                },
+                results,
+                prefixes,
+            }
+        }
+
+        /// Lowers a fresh job for a fresh client, runs each shard's steps
+        /// (submit and record, then fold, then deliver or finalize) in
+        /// `order`, fires `event` before step `at`, and checks what the
+        /// owner received.
+        fn run(&self, order: &[usize], event: Option<(usize, Event)>) {
+            let inner = &self.inner;
+            let recorder = Arc::new(Recorder::default());
+            let sink: Arc<dyn ResponseSink> = recorder.clone();
+            let client = inner.registry.register_client(Arc::clone(&sink));
+            // A second slot held throughout shows the job's slot is
+            // released exactly once.
+            inner.registry.reserve_slot(client, 2).expect("slot");
+            submit(inner, client, &sink, self.spec.clone());
+            let [Response::Accepted { job }] = recorder.sent()[..] else {
+                panic!("expected Accepted, got {:?}", recorder.sent());
+            };
+            let work = inner
+                .registry
+                .schedule()
+                .into_iter()
+                .find(|entry| entry.job == job)
+                .expect("the job is scheduled")
+                .work;
+            let queue = ShardQueue::open(inner.spool.job_dir(job).join(crate::spool::QUEUE_DIR))
+                .expect("queue opens");
+
+            let shards = self.results.len();
+            let mut steps_done = vec![0; shards];
+            let mut records = vec![ShardRecord::Counted; shards];
+            let mut folds = vec![None; shards];
+            let mut sent_at_event = None;
+            for at in 0..=order.len() {
+                if let Some((_, happening)) = event.filter(|&(point, _)| point == at) {
+                    sent_at_event = Some(recorder.sent().len());
+                    match happening {
+                        Event::Cancel => cancel(inner, client, &sink, job),
+                        Event::Disconnect => inner.registry.client_gone(client),
+                    }
+                }
+                let Some(&shard) = order.get(at) else {
+                    break;
+                };
+                match steps_done[shard] {
+                    0 => {
+                        let result = &self.results[shard];
+                        let trials = match queue.submit(result).expect("submits") {
+                            SubmitOutcome::Recorded => result.trial_count as u64,
+                            SubmitOutcome::AlreadyDone => 0,
+                        };
+                        records[shard] = inner.registry.record_shard(job, trials);
+                    }
+                    1 if records[shard] == ShardRecord::SnapshotDue => {
+                        folds[shard] = inner.spool.snapshot(&queue).expect("folds");
+                    }
+                    2 => match (records[shard], folds[shard].take()) {
+                        (ShardRecord::SnapshotDue, Some((trials_done, summary))) => {
+                            inner.registry.stream_snapshot(job, trials_done, summary);
+                        }
+                        (ShardRecord::Complete, _) => try_finalize(inner, job, &work),
+                        _ => {}
+                    },
+                    _ => {}
+                }
+                steps_done[shard] += 1;
+            }
+            self.check(&recorder.sent(), job, client, event, sent_at_event);
+            let _ = std::fs::remove_dir_all(inner.spool.job_dir(job));
+        }
+
+        fn check(
+            &self,
+            sent: &[Response],
+            job: u64,
+            client: u64,
+            event: Option<(usize, Event)>,
+            sent_at_event: Option<usize>,
+        ) {
+            let context = format!("{event:?}: {sent:?}");
+            let trials_total = 2 * self.results.len() as u64;
+            let mut streamed = 0;
+            let mut terminal = 0;
+            for (index, response) in sent.iter().enumerate() {
+                // After `Done` or `Cancelled` only the answer to a later
+                // cancel may come.
+                assert!(
+                    terminal == 0
+                        || matches!(
+                            response,
+                            Response::Error {
+                                kind: ErrorKind::UnknownJob,
+                                ..
+                            }
+                        ),
+                    "a message after the end: {context}"
+                );
+                match response {
+                    Response::Accepted { .. } => assert_eq!(index, 0, "{context}"),
+                    Response::Snapshot {
+                        trials_done,
+                        trials_total: total,
+                        summary,
+                        ..
+                    } => {
+                        assert_eq!(*total, trials_total, "{context}");
+                        assert!(streamed < *trials_done, "not increasing: {context}");
+                        assert!(*trials_done < trials_total, "whole run: {context}");
+                        assert_eq!(
+                            serde::json::to_string(summary),
+                            self.prefixes[trials_done],
+                            "not the prefix: {context}"
+                        );
+                        streamed = *trials_done;
+                    }
+                    Response::Done { summary, .. } => {
+                        let summary = summary.as_ref().expect("a session summary");
+                        assert_eq!(
+                            serde::json::to_string(summary),
+                            self.prefixes[&trials_total],
+                            "{context}"
+                        );
+                        terminal += 1;
+                    }
+                    Response::Cancelled { .. } => terminal += 1,
+                    Response::Error {
+                        kind: ErrorKind::UnknownJob,
+                        ..
+                    } if terminal == 1 => {}
+                    other => panic!("unexpected {other:?}: {context}"),
+                }
+            }
+            match event {
+                Some((_, Event::Disconnect)) => {
+                    let before = sent_at_event.expect("the event fired");
+                    assert_eq!(sent.len(), before, "sent after disconnect: {context}");
+                    assert!(terminal <= 1, "{context}");
+                }
+                _ => assert_eq!(terminal, 1, "{context}"),
+            }
+            // The job is over, finished on disk unless it was cancelled, and
+            // its slot came back exactly once.
+            assert_eq!(self.inner.registry.progress(job), None, "{context}");
+            if !sent.iter().any(|r| matches!(r, Response::Cancelled { .. })) {
+                let result = std::fs::read_to_string(self.inner.spool.result_path(job));
+                assert_eq!(
+                    result.expect("result.json"),
+                    self.prefixes[&trials_total],
+                    "{context}"
+                );
+            }
+            assert_eq!(
+                self.inner.registry.reserve_slot(client, 2),
+                Ok(()),
+                "{context}"
+            );
+            assert_eq!(
+                self.inner.registry.reserve_slot(client, 2),
+                Err((2, 2)),
+                "{context}"
+            );
+        }
+    }
+
+    /// Every order of three shards' submit-and-record, fold and
+    /// deliver-or-finalize steps (9!/(3!)³ = 1,680), each on a freshly
+    /// lowered job: snapshots strictly increase, are exact prefixes and
+    /// never cover the run, and the owner gets exactly one `Done`, last,
+    /// with the slot released exactly once.
+    #[test]
+    fn every_step_order_of_three_shards_streams_in_order() {
+        let dir = temp_dir("explore-orders");
+        let explorer = Explorer::new(&dir, 3);
+        let orders = interleavings(3);
+        assert_eq!(orders.len(), 1_680);
+        for order in &orders {
+            explorer.run(order, None);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `Cancel` or a disconnect at every point of every step order of
+    /// two shards: nothing follows `Cancelled` or `Done`, a disconnected
+    /// owner hears nothing more, each connected owner gets exactly one of
+    /// them, and the slot is released exactly once.
+    #[test]
+    fn a_cancel_or_disconnect_at_every_point_keeps_the_order() {
+        let dir = temp_dir("explore-events");
+        let explorer = Explorer::new(&dir, 2);
+        let orders = interleavings(2);
+        assert_eq!(orders.len(), 20);
+        for order in &orders {
+            for at in 0..=order.len() {
+                for event in [Event::Cancel, Event::Disconnect] {
+                    explorer.run(order, Some((at, event)));
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A job on disk but not live answers `Status` from its checkpoint, and
@@ -762,14 +1010,6 @@ mod tests {
     /// hidden behind `Running 0/0`.
     #[test]
     fn status_of_a_damaged_spooled_job_is_an_internal_error() {
-        #[derive(Default)]
-        struct Responses(Mutex<Vec<Response>>);
-        impl ResponseSink for Responses {
-            fn send_if(&self, response: &Response, _live: &dyn Fn() -> bool) {
-                self.0.lock().expect("not poisoned").push(response.clone());
-            }
-        }
-
         let dir = temp_dir("status");
         let inner = inner_at(&dir);
         let manifest = JobManifest {
@@ -780,7 +1020,7 @@ mod tests {
             shard_trials: 2,
         };
         inner.spool.lower(&manifest).expect("job lowers");
-        let responses = Arc::new(Responses::default());
+        let responses = Arc::new(Recorder::default());
         let sink: Arc<dyn ResponseSink> = responses.clone();
         status(&inner, &sink, 1);
         let checkpoint = inner
@@ -792,7 +1032,7 @@ mod tests {
         status(&inner, &sink, 1);
         let _ = std::fs::remove_dir_all(&dir);
 
-        let answered = responses.0.lock().expect("not poisoned").clone();
+        let answered = responses.sent();
         assert!(
             matches!(
                 answered.as_slice(),

@@ -23,7 +23,8 @@
 use protocol::engine::queue::write_atomically;
 use protocol::engine::{
     Campaign, CampaignError, CampaignReport, CampaignRun, CampaignWorkload, ClaimOutcome,
-    QueueError, SessionEngine, ShardOutput, ShardPayload, ShardPlan, ShardQueue, TrialSummary,
+    QueueError, QueueStatus, SessionEngine, ShardOutput, ShardPayload, ShardPlan, ShardQueue,
+    TrialSummary,
 };
 use protocol::wire::{JobManifest, JobSpec};
 use std::fmt;
@@ -200,28 +201,35 @@ impl JobWork {
     ///
     /// Checkpoint load failures.
     pub fn progress(&self) -> Result<(u64, u64), SpoolError> {
-        let mut progress = (0, 0);
-        for queue in &self.queues {
-            let status = queue.status()?;
-            progress.0 += status.trials_done;
-            progress.1 += status.trials_total as u64;
-        }
-        Ok(progress)
+        self.sum_progress(ShardQueue::status)
     }
 
     /// Recovers every queue of the job: verifies completed result files and
     /// returns **every** lease to pending (the restart path). A spool has
     /// one server, so a lease found at startup belongs to a dead process,
-    /// whether or not it has expired.
+    /// whether or not it has expired. Returns the job's
+    /// `(trials_done, trials_total)` after recovery.
     ///
     /// # Errors
     ///
     /// Verification failures naming the damaged file, or checkpoint errors.
-    pub fn recover(&self) -> Result<(), SpoolError> {
-        for queue in &self.queues {
-            queue.recover_at(u64::MAX)?;
-        }
-        Ok(())
+    pub fn recover(&self) -> Result<(u64, u64), SpoolError> {
+        self.sum_progress(|queue| queue.recover_at(u64::MAX))
+    }
+
+    /// Runs `step` on every queue and sums the `(trials_done,
+    /// trials_total)` of the statuses it returns.
+    fn sum_progress(
+        &self,
+        step: impl Fn(&ShardQueue) -> Result<QueueStatus, QueueError>,
+    ) -> Result<(u64, u64), SpoolError> {
+        self.queues.iter().try_fold((0, 0), |(done, total), queue| {
+            let status = step(queue)?;
+            Ok((
+                done + status.trials_done,
+                total + status.trials_total as u64,
+            ))
+        })
     }
 }
 
@@ -240,16 +248,8 @@ impl Spool {
     /// I/O errors creating the directory.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Spool, SpoolError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| SpoolError::Io {
-            path: dir.clone(),
-            message: e.to_string(),
-        })?;
+        fs::create_dir_all(&dir).map_err(io_error(&dir))?;
         Ok(Spool { dir })
-    }
-
-    /// The spool directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The directory of job `id`.
@@ -279,16 +279,10 @@ impl Spool {
 
     /// Every job id present in the spool, in ascending order.
     fn job_ids(&self) -> Result<Vec<u64>, SpoolError> {
-        let entries = fs::read_dir(&self.dir).map_err(|e| SpoolError::Io {
-            path: self.dir.clone(),
-            message: e.to_string(),
-        })?;
+        let entries = fs::read_dir(&self.dir).map_err(io_error(&self.dir))?;
         let mut ids = Vec::new();
         for entry in entries {
-            let entry = entry.map_err(|e| SpoolError::Io {
-                path: self.dir.clone(),
-                message: e.to_string(),
-            })?;
+            let entry = entry.map_err(io_error(&self.dir))?;
             let name = entry.file_name();
             let Some(id) = name
                 .to_str()
@@ -314,10 +308,7 @@ impl Spool {
     /// queue/campaign/I/O errors.
     pub fn lower(&self, manifest: &JobManifest) -> Result<JobWork, SpoolError> {
         let job_dir = self.job_dir(manifest.job);
-        fs::create_dir_all(&job_dir).map_err(|e| SpoolError::Io {
-            path: job_dir.clone(),
-            message: e.to_string(),
-        })?;
+        fs::create_dir_all(&job_dir).map_err(io_error(&job_dir))?;
         let shard_trials = manifest.shard_trials.max(1);
         let work = match &manifest.spec {
             JobSpec::Session {
@@ -352,14 +343,14 @@ impl Spool {
     /// Rescans the spool after a restart: every fully-lowered job that is
     /// neither finished nor cancelled is reopened, its queues recovered
     /// (every lease back to pending, completed results verified), and
-    /// returned for re-scheduling — in job-id order, so the restart
-    /// schedule is deterministic.
+    /// returned for re-scheduling with its `(trials_done, trials_total)` —
+    /// in job-id order, so the restart schedule is deterministic.
     ///
     /// # Errors
     ///
     /// Manifest/queue/verification failures naming the offending file: a
     /// damaged spool fails loudly instead of silently skipping jobs.
-    pub fn scan(&self) -> Result<Vec<(JobManifest, JobWork)>, SpoolError> {
+    pub fn scan(&self) -> Result<Vec<RecoveredJob>, SpoolError> {
         let mut jobs = Vec::new();
         for id in self.job_ids()? {
             let job_dir = self.job_dir(id);
@@ -373,8 +364,8 @@ impl Spool {
             }
             let manifest = self.read_manifest(&manifest_path)?;
             let work = self.reopen(&manifest)?;
-            work.recover()?;
-            jobs.push((manifest, work));
+            let progress = work.recover()?;
+            jobs.push((manifest, work, progress));
         }
         Ok(jobs)
     }
@@ -398,10 +389,7 @@ impl Spool {
 
     /// Reads and validates one job manifest.
     fn read_manifest(&self, path: &Path) -> Result<JobManifest, SpoolError> {
-        let text = fs::read_to_string(path).map_err(|e| SpoolError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        })?;
+        let text = fs::read_to_string(path).map_err(io_error(path))?;
         let manifest: JobManifest =
             serde::json::from_str(&text).map_err(|e| SpoolError::Manifest {
                 path: path.to_path_buf(),
@@ -510,6 +498,9 @@ impl Spool {
     }
 }
 
+/// A job [`Spool::scan`] recovered, with its `(trials_done, trials_total)`.
+pub type RecoveredJob = (JobManifest, JobWork, (u64, u64));
+
 /// What [`Spool::lookup`] found on disk for a job id.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpoolLookup {
@@ -541,6 +532,14 @@ fn reject_unservable(campaign: &Campaign) -> Result<(), SpoolError> {
                      run them with `shardctl campaign run` instead"
                 .to_string(),
         }),
+    }
+}
+
+/// Reports a failed file-system call on `path` as [`SpoolError::Io`].
+fn io_error(path: &Path) -> impl Fn(std::io::Error) -> SpoolError + '_ {
+    move |error| SpoolError::Io {
+        path: path.to_path_buf(),
+        message: error.to_string(),
     }
 }
 

@@ -6,9 +6,10 @@
 mod common;
 
 use common::{campaign, scenario, TempDir};
-use protocol::engine::{CampaignWorkload, NoSampler, Parallelism, SessionEngine};
+use protocol::engine::{CampaignWorkload, NoSampler, Parallelism, SessionEngine, TrialSummary};
 use protocol::wire::{ErrorKind, JobSpec, JobState, Request, Response};
 use serve::{Client, Server, ServerConfig};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -82,11 +83,13 @@ fn session_job_streams_snapshots_and_finishes_byte_identically() {
     );
 
     // Every streamed snapshot is the merged contiguous prefix — itself
-    // byte-identical to a local run of that prefix.
+    // byte-identical to a local run of that prefix — and each one is
+    // strictly past the one before.
     assert!(
         !snapshots.is_empty(),
         "a 16-trial job at cadence 4 must stream at least one snapshot"
     );
+    let mut last = 0;
     for snapshot in &snapshots {
         let Response::Snapshot {
             trials_done,
@@ -98,7 +101,8 @@ fn session_job_streams_snapshots_and_finishes_byte_identically() {
             panic!("expected Snapshot, got {snapshot:?}");
         };
         assert_eq!(*trials_total, trials as u64);
-        assert!(*trials_done > 0 && *trials_done < trials as u64);
+        assert!(*trials_done > last && *trials_done < trials as u64);
+        last = *trials_done;
         let prefix = SessionEngine::new(seed)
             .run_trials(&scenario, *trials_done as usize)
             .expect("prefix run");
@@ -337,6 +341,91 @@ fn accepted_precedes_every_response_of_its_job() {
         }
     }
     assert_eq!(accepted.len(), jobs);
+}
+
+/// Two workers racing over many multi-shard jobs: each job's `Accepted`
+/// comes first, and its snapshots strictly increase, stop short of the
+/// total, and are exact prefixes — byte-identical to a local run of the
+/// same prefix.
+#[test]
+fn concurrent_jobs_stream_strictly_increasing_exact_prefixes() {
+    let spool = TempDir::new("snapshot-order");
+    let (jobs, trials, cadence) = (20u64, 64usize, 4usize);
+    let server = start_server(&spool, 2, jobs as usize, cadence);
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    for seed in 0..jobs {
+        client
+            .send(&Request::Submit {
+                job: JobSpec::Session {
+                    scenario: scenario(seed),
+                    trials,
+                    seed,
+                },
+            })
+            .expect("submit sends");
+    }
+
+    // One connection's requests are answered in order, so the n-th
+    // `Accepted` belongs to seed n. Each job's snapshots in arrival order.
+    let mut streamed: BTreeMap<u64, (u64, Vec<(u64, TrialSummary)>)> = BTreeMap::new();
+    let mut done = 0;
+    while done < jobs {
+        match client.recv().expect("response") {
+            Response::Accepted { job } => {
+                let seed = streamed.len() as u64;
+                assert!(streamed.insert(job, (seed, Vec::new())).is_none());
+            }
+            Response::Snapshot {
+                job,
+                trials_done,
+                trials_total,
+                summary,
+            } => {
+                let (_, snapshots) = streamed
+                    .get_mut(&job)
+                    .unwrap_or_else(|| panic!("job {job}: Snapshot before Accepted"));
+                assert_eq!(trials_total, trials as u64);
+                assert!(
+                    trials_done < trials_total,
+                    "job {job}: a snapshot covers the whole run"
+                );
+                if let Some(&(last, _)) = snapshots.last() {
+                    assert!(
+                        trials_done > last,
+                        "job {job}: snapshot of {trials_done} trials after one of {last}"
+                    );
+                }
+                snapshots.push((trials_done, summary));
+            }
+            Response::Done { job, .. } => {
+                assert!(
+                    streamed.contains_key(&job),
+                    "job {job}: Done before Accepted"
+                );
+                done += 1;
+            }
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    assert!(
+        streamed
+            .values()
+            .any(|(_, snapshots)| !snapshots.is_empty()),
+        "16-shard jobs at cadence 4 must stream"
+    );
+    for (job, (seed, snapshots)) in &streamed {
+        for (trials_done, summary) in snapshots {
+            let prefix = SessionEngine::new(*seed)
+                .run_trials(&scenario(*seed), *trials_done as usize)
+                .expect("prefix run");
+            assert_eq!(
+                serde::json::to_string(summary),
+                serde::json::to_string(&prefix),
+                "job {job}: a snapshot of {trials_done} trials is not that prefix"
+            );
+        }
+    }
 }
 
 /// A job that would split into more shards than the server admits is

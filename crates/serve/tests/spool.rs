@@ -2,7 +2,8 @@
 //! campaign job drained shard by shard through `JobWork::claim` and
 //! `ShardWorker::execute`, with the job's progress checked against the
 //! queues' and the campaign's own status after every step, and a session
-//! job whose restart re-issues a lease its dead holder never gave back.
+//! job whose restart re-issues a lease its dead holder never gave back and
+//! reports the progress it leaves.
 
 mod common;
 
@@ -117,7 +118,9 @@ fn a_session_job_recovers_an_expired_lease() {
     };
     assert_eq!(queue.status().expect("queue status").leased, 1);
     agrees(&work);
-    work.recover().expect("recovers");
+    // Recovery reports the progress it leaves, so a restart need not read
+    // the checkpoint again.
+    assert_eq!(work.recover().expect("recovers"), (0, 4));
     let status = queue.status().expect("queue status");
     assert_eq!((status.leased, status.pending), (0, 2));
     agrees(&work);
