@@ -8,9 +8,10 @@
 //! 1. the compiled emit/transmit/measure kernel loop is **allocation-free**
 //!    in steady state — exactly zero heap allocations per pair once the
 //!    thread-local pools and scratch buffers are warm;
-//! 2. a whole engine trial stays under a per-trial allocation budget, so
-//!    bookkeeping growth (records, outcomes, summaries) cannot silently
-//!    regress back toward the pre-pool ~200 allocations/trial.
+//! 2. a whole Summary-mode engine trial stays under a per-trial allocation
+//!    budget, serial and on two worker threads, so bookkeeping growth
+//!    (transcripts, outcomes, per-trial delivery across threads) cannot
+//!    silently come back.
 //!
 //! The global counters are process-wide, so every measured window runs
 //! inside the one `#[test]` of this binary: the test harness then has no
@@ -36,6 +37,7 @@ fn hot_paths_stay_within_their_allocation_budgets() {
     compiled_kernel_loop_is_allocation_free_in_steady_state();
     twirled_trial_loop_is_allocation_free_once_warm();
     steady_state_trial_allocations_stay_bounded();
+    threaded_summary_trials_fold_on_their_workers();
 }
 
 fn compiled_kernel_loop_is_allocation_free_in_steady_state() {
@@ -118,29 +120,43 @@ fn twirled_trial_loop_is_allocation_free_once_warm() {
     );
 }
 
-fn steady_state_trial_allocations_stay_bounded() {
+/// Asserts that a warm `run_trials` batch of the intercept-resend demo
+/// allocates at most `budget_per_trial` times per trial under `parallelism`.
+fn summary_trials_stay_within(parallelism: Parallelism, trials: usize, budget_per_trial: u64) {
     let scenario = bench::shard_io::demo_scenario("intercept", 7, BackendKind::default())
         .expect("demo scenario");
-    let engine = SessionEngine::new(7).with_parallelism(Parallelism::Serial);
+    let engine = SessionEngine::new(7).with_parallelism(parallelism);
 
-    // Warm the thread-local pair pool, basis cache, and kernel scratch.
+    // Warm the thread-local session scratch, basis cache, and kernel scratch.
     engine.run_trials(&scenario, 16).expect("warm-up trials");
 
-    const TRIALS: usize = 64;
-    // Measured steady state is 57 allocations/trial (the session's
-    // transcript, records and outcome bookkeeping); the pre-pool kernels
-    // sat at ~207. The budget leaves a small margin for summary growth
-    // without letting the pools or the transcript regress.
-    const BUDGET_PER_TRIAL: u64 = 64;
     let allocations = allocations_during(|| {
         engine
-            .run_trials(&scenario, TRIALS)
+            .run_trials(&scenario, trials)
             .expect("measured trials");
     });
-    let per_trial = allocations / TRIALS as u64;
+    let per_trial = allocations / trials as u64;
     assert!(
-        per_trial <= BUDGET_PER_TRIAL,
-        "steady-state trials allocate {per_trial}/trial ({allocations} over {TRIALS}), \
-         budget is {BUDGET_PER_TRIAL}/trial"
+        per_trial <= budget_per_trial,
+        "{parallelism} Summary-mode trials allocate {per_trial}/trial ({allocations} over \
+         {trials}), budget is {budget_per_trial}/trial"
     );
+}
+
+fn steady_state_trial_allocations_stay_bounded() {
+    // Measured steady state is 8.5 allocations/trial: ~6 for the intercept
+    // tap (its box and the growth of its captured-bit log), 1 for the random
+    // message, and ~2 for the rest of the session and the summary's sample
+    // logs. A Summary-mode trial builds no transcript or outcome, so any of
+    // that bookkeeping coming back (~48/trial) fails here.
+    summary_trials_stay_within(Parallelism::Serial, 64, 10);
+}
+
+fn threaded_summary_trials_fold_on_their_workers() {
+    // Measured 7.7 allocations/trial over 512 trials on two workers: the
+    // serial per-trial count plus thread spawns, one payload per chunk and
+    // the chunk reorder buffer. Sending each trial's outcome to the calling
+    // thread instead of folding it on its worker costs ~48/trial and fails
+    // here.
+    summary_trials_stay_within(Parallelism::Threads(2), 512, 10);
 }

@@ -54,28 +54,53 @@ pub struct AuthReport {
     pub verdict: AuthVerdict,
 }
 
-impl AuthReport {
-    fn from_mismatches(identity: &str, qubits: usize, mismatches: usize, tolerance: f64) -> Self {
-        let error_rate = if qubits == 0 {
+/// What one authentication check counted: an [`AuthReport`] before its
+/// identity string is built, so a caller that only needs the verdict
+/// allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AuthTally {
+    identity: &'static str,
+    qubits: usize,
+    mismatches: usize,
+    tolerance: f64,
+}
+
+impl AuthTally {
+    fn error_rate(&self) -> f64 {
+        if self.qubits == 0 {
             0.0
         } else {
-            mismatches as f64 / qubits as f64
-        };
-        let verdict = if error_rate <= tolerance {
-            AuthVerdict::Accept
-        } else {
-            AuthVerdict::Reject
-        };
-        Self {
-            identity: identity.to_string(),
-            qubits,
-            mismatches,
-            error_rate,
-            tolerance,
-            verdict,
+            self.mismatches as f64 / self.qubits as f64
         }
     }
 
+    fn verdict(&self) -> AuthVerdict {
+        if self.error_rate() <= self.tolerance {
+            AuthVerdict::Accept
+        } else {
+            AuthVerdict::Reject
+        }
+    }
+
+    /// Returns `true` when the peer was accepted.
+    pub(crate) fn passed(&self) -> bool {
+        self.verdict() == AuthVerdict::Accept
+    }
+
+    /// The full report.
+    pub(crate) fn report(&self) -> AuthReport {
+        AuthReport {
+            identity: self.identity.to_string(),
+            qubits: self.qubits,
+            mismatches: self.mismatches,
+            error_rate: self.error_rate(),
+            tolerance: self.tolerance,
+            verdict: self.verdict(),
+        }
+    }
+}
+
+impl AuthReport {
     /// Returns `true` when the peer was accepted.
     pub fn passed(&self) -> bool {
         self.verdict == AuthVerdict::Accept
@@ -115,6 +140,16 @@ pub fn verify_bob(
     id_b: &IdentityString,
     tolerance: f64,
 ) -> AuthReport {
+    tally_bob(announced, covers, id_b, tolerance).report()
+}
+
+/// [`verify_bob`] without building the report.
+pub(crate) fn tally_bob(
+    announced: &[BellState],
+    covers: &[Pauli],
+    id_b: &IdentityString,
+    tolerance: f64,
+) -> AuthTally {
     let l = id_b.qubit_len();
     assert_eq!(
         announced.len(),
@@ -122,16 +157,20 @@ pub fn verify_bob(
         "one announced Bell result per identity qubit"
     );
     assert_eq!(covers.len(), l, "one cover operation per identity qubit");
-    let id_paulis = id_b.as_paulis();
     let mismatches = announced
         .iter()
         .zip(covers.iter())
-        .zip(id_paulis.iter())
+        .zip(id_b.paulis())
         .filter(|((observed, cover), id_pauli)| {
-            **observed != expected_bob_result(**cover, **id_pauli)
+            **observed != expected_bob_result(**cover, *id_pauli)
         })
         .count();
-    AuthReport::from_mismatches("id_B", l, mismatches, tolerance)
+    AuthTally {
+        identity: "id_B",
+        qubits: l,
+        mismatches,
+        tolerance,
+    }
 }
 
 /// Bob's verification of Alice: compares the Bell states he measured on the `C_A` pairs
@@ -141,19 +180,32 @@ pub fn verify_bob(
 ///
 /// Panics if `measured` and the identity disagree on the number of qubits.
 pub fn verify_alice(measured: &[BellState], id_a: &IdentityString, tolerance: f64) -> AuthReport {
+    tally_alice(measured, id_a, tolerance).report()
+}
+
+/// [`verify_alice`] without building the report.
+pub(crate) fn tally_alice(
+    measured: &[BellState],
+    id_a: &IdentityString,
+    tolerance: f64,
+) -> AuthTally {
     let l = id_a.qubit_len();
     assert_eq!(
         measured.len(),
         l,
         "one measured Bell result per identity qubit"
     );
-    let id_paulis = id_a.as_paulis();
     let mismatches = measured
         .iter()
-        .zip(id_paulis.iter())
-        .filter(|(observed, id_pauli)| **observed != BellState::PhiPlus.after_pauli(**id_pauli))
+        .zip(id_a.paulis())
+        .filter(|(observed, id_pauli)| **observed != BellState::PhiPlus.after_pauli(*id_pauli))
         .count();
-    AuthReport::from_mismatches("id_A", l, mismatches, tolerance)
+    AuthTally {
+        identity: "id_A",
+        qubits: l,
+        mismatches,
+        tolerance,
+    }
 }
 
 /// The analytic probability that an impersonator who guesses Paulis uniformly at random is
@@ -316,13 +368,19 @@ mod tests {
 
     #[test]
     fn report_display_and_verdict() {
-        let report = AuthReport::from_mismatches("id_B", 4, 1, 0.0);
+        let tally = |identity, qubits, mismatches| AuthTally {
+            identity,
+            qubits,
+            mismatches,
+            tolerance: 0.0,
+        };
+        let report = tally("id_B", 4, 1).report();
         assert!(!report.passed());
         assert_eq!(report.verdict, AuthVerdict::Reject);
         assert!(report.to_string().contains("id_B"));
         assert_eq!(AuthVerdict::Accept.to_string(), "accept");
         assert_eq!(AuthVerdict::Reject.to_string(), "reject");
-        let empty = AuthReport::from_mismatches("id_A", 0, 0, 0.0);
+        let empty = tally("id_A", 0, 0).report();
         assert!(empty.passed());
         let _ = rng().gen::<bool>();
     }

@@ -91,7 +91,9 @@ pub fn run_di_check<R: Rng + ?Sized>(
     threshold: f64,
     rng: &mut R,
 ) -> (DiCheckReport, Vec<MeasurementRecord>) {
-    run_check_loop(round, pairs, None, threshold, rng)
+    let mut records = Vec::with_capacity(pairs.len());
+    let report = run_check_loop(round, pairs, None, threshold, rng, &mut records);
+    (report, records)
 }
 
 /// Like [`run_di_check`], but sacrifices only the pairs at the given
@@ -121,7 +123,23 @@ pub fn run_di_check_at<R: Rng + ?Sized>(
         },
         "DI-check positions must be distinct"
     );
-    run_check_loop(round, pairs, Some(positions), threshold, rng)
+    let mut records = Vec::with_capacity(positions.len());
+    let report = run_di_check_into(round, pairs, positions, threshold, rng, &mut records);
+    (report, records)
+}
+
+/// [`run_di_check_at`] writing the records into `records` (cleared first),
+/// so the engine reuses one buffer across sessions. The caller guarantees
+/// distinct positions.
+pub(crate) fn run_di_check_into<R: Rng + ?Sized>(
+    round: DiCheckRound,
+    pairs: &mut [EprPair],
+    positions: &[usize],
+    threshold: f64,
+    rng: &mut R,
+    records: &mut Vec<MeasurementRecord>,
+) -> DiCheckReport {
+    run_check_loop(round, pairs, Some(positions), threshold, rng, records)
 }
 
 fn run_check_loop<R: Rng + ?Sized>(
@@ -130,9 +148,10 @@ fn run_check_loop<R: Rng + ?Sized>(
     positions: Option<&[usize]>,
     threshold: f64,
     rng: &mut R,
-) -> (DiCheckReport, Vec<MeasurementRecord>) {
+    records: &mut Vec<MeasurementRecord>,
+) -> DiCheckReport {
     let pairs_used = positions.map_or(pairs.len(), <[usize]>::len);
-    let mut records = Vec::with_capacity(pairs_used);
+    records.clear();
     let mut in_estimate = 0usize;
     for i in 0..pairs_used {
         let pair = match positions {
@@ -156,19 +175,16 @@ fn run_check_loop<R: Rng + ?Sized>(
             ));
         }
     }
-    let chsh = chsh_value(&records);
+    let chsh = chsh_value(records);
     let passed = chsh.map(|s| s > threshold).unwrap_or(false);
-    (
-        DiCheckReport {
-            round,
-            chsh,
-            pairs_used,
-            pairs_in_estimate: in_estimate,
-            threshold,
-            passed,
-        },
-        records,
-    )
+    DiCheckReport {
+        round,
+        chsh,
+        pairs_used,
+        pairs_in_estimate: in_estimate,
+        threshold,
+        passed,
+    }
 }
 
 #[cfg(test)]

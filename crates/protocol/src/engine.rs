@@ -81,11 +81,11 @@ pub use shard::{
     ShardResult,
 };
 
-use crate::auth;
+use crate::auth::{self, AuthTally};
 use crate::config::SessionConfig;
-use crate::di_check::{run_di_check_at, DiCheckRound};
+use crate::di_check::{run_di_check_into, DiCheckReport, DiCheckRound};
 use crate::error::ProtocolError;
-use crate::identity::IdentityPair;
+use crate::identity::{IdentityPair, IdentityString};
 use crate::message::{PaddedMessage, SecretMessage};
 use crate::session::{AbortStage, Impersonation, ResourceUsage, SessionOutcome, SessionStatus};
 use qchannel::classical::{ClassicalMessage, Party, Transcript};
@@ -97,6 +97,7 @@ use qchannel::taps::{
     SubstituteState,
 };
 use qsim::bell::BellState;
+use qsim::chsh::MeasurementRecord;
 use qsim::density::DensityMatrix;
 use qsim::pauli::Pauli;
 use rand::seq::SliceRandom;
@@ -1023,27 +1024,46 @@ impl TrialSummaryBuilder {
 
     /// Folds one session outcome into the summary.
     pub fn record(&mut self, outcome: &SessionOutcome) {
+        let stage = match &outcome.status {
+            SessionStatus::Delivered => None,
+            SessionStatus::Aborted { stage, .. } => Some(*stage),
+        };
+        let chsh = |report: &Option<DiCheckReport>| report.as_ref().and_then(|r| r.chsh);
+        self.record_trial(
+            stage,
+            [
+                chsh(&outcome.di_check_round1),
+                chsh(&outcome.di_check_round2),
+            ],
+            outcome.message_accuracy(),
+        );
+    }
+
+    /// Folds one trial, given only what the summary reads: the abort stage
+    /// (`None` on delivery), the CHSH values of the DI-check rounds that
+    /// estimated one, and the message accuracy of a delivered session.
+    fn record_trial(
+        &mut self,
+        stage: Option<AbortStage>,
+        chsh: [Option<f64>; 2],
+        accuracy: Option<f64>,
+    ) {
         self.summary.trials += 1;
-        if outcome.is_delivered() {
-            self.summary.delivered += 1;
+        match stage {
+            None => self.summary.delivered += 1,
+            Some(AbortStage::DiCheck1) => self.summary.aborted_di_check1 += 1,
+            Some(AbortStage::BobAuthentication) => self.summary.aborted_bob_auth += 1,
+            Some(AbortStage::AliceAuthentication) => self.summary.aborted_alice_auth += 1,
+            Some(AbortStage::DiCheck2) => self.summary.aborted_di_check2 += 1,
+            Some(AbortStage::IntegrityCheck) => self.summary.aborted_integrity += 1,
         }
-        match &outcome.status {
-            SessionStatus::Delivered => {}
-            SessionStatus::Aborted { stage, .. } => match stage {
-                AbortStage::DiCheck1 => self.summary.aborted_di_check1 += 1,
-                AbortStage::BobAuthentication => self.summary.aborted_bob_auth += 1,
-                AbortStage::AliceAuthentication => self.summary.aborted_alice_auth += 1,
-                AbortStage::DiCheck2 => self.summary.aborted_di_check2 += 1,
-                AbortStage::IntegrityCheck => self.summary.aborted_integrity += 1,
-            },
-        }
-        if let Some(s) = outcome.di_check_round1.as_ref().and_then(|r| r.chsh) {
+        if let Some(s) = chsh[0] {
             self.chsh1.push(s);
         }
-        if let Some(s) = outcome.di_check_round2.as_ref().and_then(|r| r.chsh) {
+        if let Some(s) = chsh[1] {
             self.chsh2.push(s);
         }
-        if let Some(accuracy) = outcome.message_accuracy() {
+        if let Some(accuracy) = accuracy {
             self.accuracies.push(accuracy);
         }
     }
@@ -1302,99 +1322,277 @@ impl SessionEngine {
 
 // -------------------------------------------------- six-phase session body --
 
-thread_local! {
-    // The per-thread pair store reused across trials: each session
-    // overwrites the pooled pairs in place (see `Backend::emit_pair_into`),
-    // so the steady-state trial loop performs no pair allocations at all.
-    static PAIR_POOL: std::cell::RefCell<Vec<EprPair>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+/// Where the session body records what it learns: the one seam between the
+/// six phases and what a run keeps of them. The body calls it for each
+/// public message, each DI-check round, each authentication check and once
+/// at the end; messages and abort strings arrive as closures, built only by
+/// a sink that keeps them.
+pub(crate) trait SessionSink {
+    /// `sender` publishes `message` on the classical channel.
+    fn announce(&mut self, sender: Party, message: impl FnOnce() -> ClassicalMessage);
+    /// A DI-check round finished with `report`.
+    fn di_check(&mut self, report: &DiCheckReport);
+    /// The check of `verified`'s identity finished with `tally`.
+    fn auth(&mut self, verified: Party, tally: &AuthTally);
+    /// The session ended.
+    fn end(&mut self, end: SessionEnd<'_>);
 }
 
-/// Runs one complete UA-DI-QSDC session through all six phases of the paper
-/// on the given backend, against a precompiled noise program (compiled once
-/// per scenario by the caller, shared across trials). The session's pair
-/// store comes from (and returns to) the thread's pool.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_session<R: Rng>(
-    backend: &dyn Backend,
-    channel: &CompiledQuantumChannel,
-    config: &SessionConfig,
-    identities: &IdentityPair,
-    message: &SecretMessage,
-    impersonation: Impersonation,
-    tap: &mut dyn ChannelTap,
-    rng: &mut R,
-) -> Result<SessionOutcome, ProtocolError> {
-    PAIR_POOL.with(|cell| {
-        let mut pool = std::mem::take(&mut *cell.borrow_mut());
-        let result = execute_session_with_pool(
+/// How a session ended, as handed to [`SessionSink::end`].
+pub(crate) enum SessionEnd<'a> {
+    /// The protocol aborted at `stage`.
+    Aborted {
+        stage: AbortStage,
+        /// Set when decoding ran (an integrity-check abort).
+        check_bit_error_rate: Option<f64>,
+        /// The status reason.
+        reason: &'a dyn Fn() -> String,
+    },
+    /// Bob accepted the message.
+    Delivered {
+        check_bit_error_rate: f64,
+        message_bit_error_rate: f64,
+        /// The message Bob decoded.
+        received: &'a dyn Fn() -> SecretMessage,
+    },
+}
+
+/// The Outcomes-mode sink: builds the full [`SessionOutcome`], transcript
+/// included.
+pub(crate) struct OutcomeSink {
+    outcome: SessionOutcome,
+}
+
+impl OutcomeSink {
+    /// A sink for a session sending `sent_message` with the planned
+    /// `resources`.
+    pub(crate) fn new(sent_message: SecretMessage, resources: ResourceUsage) -> Self {
+        Self {
+            outcome: SessionOutcome {
+                status: SessionStatus::Delivered,
+                di_check_round1: None,
+                di_check_round2: None,
+                bob_auth: None,
+                alice_auth: None,
+                sent_message,
+                received_message: None,
+                check_bit_error_rate: None,
+                message_bit_error_rate: None,
+                transcript: Transcript::new(),
+                resources,
+            },
+        }
+    }
+
+    /// The finished outcome, its classical message count taken from the
+    /// transcript.
+    pub(crate) fn finish(mut self) -> SessionOutcome {
+        self.outcome.resources.classical_messages = self.outcome.transcript.len();
+        self.outcome
+    }
+}
+
+impl SessionSink for OutcomeSink {
+    fn announce(&mut self, sender: Party, message: impl FnOnce() -> ClassicalMessage) {
+        self.outcome.transcript.push(sender, message());
+    }
+
+    fn di_check(&mut self, report: &DiCheckReport) {
+        let slot = match report.round {
+            DiCheckRound::First => &mut self.outcome.di_check_round1,
+            DiCheckRound::Second => &mut self.outcome.di_check_round2,
+        };
+        *slot = Some(report.clone());
+    }
+
+    fn auth(&mut self, verified: Party, tally: &AuthTally) {
+        let slot = match verified {
+            Party::Bob => &mut self.outcome.bob_auth,
+            Party::Alice => &mut self.outcome.alice_auth,
+        };
+        *slot = Some(tally.report());
+    }
+
+    fn end(&mut self, end: SessionEnd<'_>) {
+        let outcome = &mut self.outcome;
+        match end {
+            SessionEnd::Aborted {
+                stage,
+                check_bit_error_rate,
+                reason,
+            } => {
+                outcome.status = SessionStatus::Aborted {
+                    stage,
+                    reason: reason(),
+                };
+                outcome.check_bit_error_rate = check_bit_error_rate;
+            }
+            SessionEnd::Delivered {
+                check_bit_error_rate,
+                message_bit_error_rate,
+                received,
+            } => {
+                outcome.check_bit_error_rate = Some(check_bit_error_rate);
+                outcome.message_bit_error_rate = Some(message_bit_error_rate);
+                outcome.received_message = Some(received());
+            }
+        }
+    }
+}
+
+/// The Summary-mode sink: records the trial straight into a summary
+/// partial. It builds no message, string or outcome.
+pub(crate) struct SummarySink<'a> {
+    builder: &'a mut TrialSummaryBuilder,
+    chsh: [Option<f64>; 2],
+}
+
+impl<'a> SummarySink<'a> {
+    /// A sink recording one trial into `builder`.
+    pub(crate) fn new(builder: &'a mut TrialSummaryBuilder) -> Self {
+        Self {
+            builder,
+            chsh: [None; 2],
+        }
+    }
+}
+
+impl SessionSink for SummarySink<'_> {
+    fn announce(&mut self, _: Party, _: impl FnOnce() -> ClassicalMessage) {}
+
+    fn di_check(&mut self, report: &DiCheckReport) {
+        let round = match report.round {
+            DiCheckRound::First => 0,
+            DiCheckRound::Second => 1,
+        };
+        self.chsh[round] = report.chsh;
+    }
+
+    fn auth(&mut self, _: Party, _: &AuthTally) {}
+
+    fn end(&mut self, end: SessionEnd<'_>) {
+        let (stage, accuracy) = match end {
+            SessionEnd::Aborted { stage, .. } => (Some(stage), None),
+            SessionEnd::Delivered {
+                message_bit_error_rate,
+                ..
+            } => (None, Some(1.0 - message_bit_error_rate)),
+        };
+        self.builder.record_trial(stage, self.chsh, accuracy);
+    }
+}
+
+/// The per-thread scratch one session body works in: the pair store plus
+/// every per-trial buffer. Each session overwrites them in place (pairs via
+/// [`Backend::emit_pair_into`]), so a warm thread's trial loop allocates
+/// nothing for them.
+struct SessionScratch {
+    pairs: Vec<EprPair>,
+    positions: Vec<usize>,
+    paulis: Vec<Pauli>,
+    covers: Vec<Pauli>,
+    bell_results: Vec<BellState>,
+    records: Vec<MeasurementRecord>,
+    received_bits: Vec<bool>,
+    padded: PaddedMessage,
+    slots: Vec<usize>,
+}
+
+impl SessionScratch {
+    const fn new() -> Self {
+        Self {
+            pairs: Vec::new(),
+            positions: Vec::new(),
+            paulis: Vec::new(),
+            covers: Vec::new(),
+            bell_results: Vec::new(),
+            records: Vec::new(),
+            received_bits: Vec::new(),
+            padded: PaddedMessage::empty(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<SessionScratch> =
+        const { std::cell::RefCell::new(SessionScratch::new()) };
+}
+
+/// One session's fixed inputs: the substrate, the precompiled noise program
+/// (compiled once per scenario by the caller, shared across trials) and the
+/// scenario data the six phases read.
+pub(crate) struct Session<'a> {
+    pub(crate) backend: &'a dyn Backend,
+    pub(crate) channel: &'a CompiledQuantumChannel,
+    pub(crate) config: &'a SessionConfig,
+    pub(crate) identities: &'a IdentityPair,
+    pub(crate) message: &'a SecretMessage,
+    pub(crate) impersonation: Impersonation,
+}
+
+impl Session<'_> {
+    /// Runs one complete UA-DI-QSDC session through all six phases of the
+    /// paper, recording into `sink`. The scratch buffers come from (and
+    /// return to) the thread's pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ProtocolError`] on configuration misuse; protocol aborts
+    /// are reported to the sink.
+    pub(crate) fn run<R: Rng>(
+        &self,
+        tap: &mut dyn ChannelTap,
+        rng: &mut R,
+        sink: &mut impl SessionSink,
+    ) -> Result<(), ProtocolError> {
+        SCRATCH.with(|cell| {
+            let mut scratch = std::mem::replace(&mut *cell.borrow_mut(), SessionScratch::new());
+            let result = self.run_in(&mut scratch, tap, rng, sink);
+            *cell.borrow_mut() = scratch;
+            result
+        })
+    }
+
+    fn run_in<R: Rng>(
+        &self,
+        scratch: &mut SessionScratch,
+        tap: &mut dyn ChannelTap,
+        rng: &mut R,
+        sink: &mut impl SessionSink,
+    ) -> Result<(), ProtocolError> {
+        let Session {
             backend,
             channel,
             config,
             identities,
             message,
             impersonation,
-            tap,
-            rng,
-            &mut pool,
-        );
-        *cell.borrow_mut() = pool;
-        result
-    })
-}
+        } = *self;
+        let SessionScratch {
+            pairs,
+            positions: all_positions,
+            paulis,
+            covers,
+            bell_results,
+            records,
+            received_bits,
+            padded,
+            slots,
+        } = scratch;
+        if message.len() != config.message_bits() {
+            return Err(ProtocolError::MessageLengthMismatch {
+                expected: config.message_bits(),
+                actual: message.len(),
+            });
+        }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_session_with_pool<R: Rng>(
-    backend: &dyn Backend,
-    channel: &CompiledQuantumChannel,
-    config: &SessionConfig,
-    identities: &IdentityPair,
-    message: &SecretMessage,
-    impersonation: Impersonation,
-    tap: &mut dyn ChannelTap,
-    rng: &mut R,
-    pairs: &mut Vec<EprPair>,
-) -> Result<SessionOutcome, ProtocolError> {
-    if message.len() != config.message_bits() {
-        return Err(ProtocolError::MessageLengthMismatch {
-            expected: config.message_bits(),
-            actual: message.len(),
-        });
-    }
+        let l = identities.qubit_len();
+        let d = config.di_check_pairs();
+        padded.embed_into(message, config.check_bits(), rng, slots)?;
+        let n_qubits = padded.qubit_len();
+        let total_pairs = n_qubits + 2 * l + 2 * d;
 
-    let l = identities.qubit_len();
-    let d = config.di_check_pairs();
-    let padded = PaddedMessage::embed(message, config.check_bits(), rng)?;
-    let n_qubits = padded.qubit_len();
-    let total_pairs = n_qubits + 2 * l + 2 * d;
-
-    // The session owns its outcome: each phase records what it learns and
-    // pushes its public messages onto the transcript; an abort sets the
-    // status and leaves the `'session` block early.
-    let mut outcome = SessionOutcome {
-        status: SessionStatus::Delivered,
-        di_check_round1: None,
-        di_check_round2: None,
-        bob_auth: None,
-        alice_auth: None,
-        sent_message: message.clone(),
-        received_message: None,
-        check_bit_error_rate: None,
-        message_bit_error_rate: None,
-        transcript: Transcript::new(),
-        resources: ResourceUsage {
-            total_pairs,
-            message_pairs: n_qubits,
-            identity_pairs: 2 * l,
-            check_pairs: 2 * d,
-            transmitted_qubits: total_pairs - d,
-            classical_messages: 0, // counted once the session ends
-            qubits_per_message_bit: n_qubits as f64 / padded.len() as f64 * 2.0,
-        },
-    };
-    let transcript = &mut outcome.transcript;
-
-    'session: {
         // -------------------------------------------------------------- phase 1: sharing --
         // The pooled pairs are overwritten in place; only a cold pool (first
         // trial on this thread, or a larger scenario) grows the store.
@@ -1408,53 +1606,48 @@ fn execute_session_with_pool<R: Rng>(
         }
 
         // --------------------------------------------------- phase 2: DI check round one --
-        let mut all_positions: Vec<usize> = (0..total_pairs).collect();
+        all_positions.clear();
+        all_positions.extend(0..total_pairs);
         all_positions.shuffle(rng);
         let check1_positions = &all_positions[..d];
-        transcript.push(
-            Party::Alice,
-            ClassicalMessage::Positions {
-                purpose: "di-check-1".into(),
-                positions: check1_positions.to_vec(),
-            },
-        );
-        let (report1, records1) = run_di_check_at(
+        sink.announce(Party::Alice, || ClassicalMessage::Positions {
+            purpose: "di-check-1".into(),
+            positions: check1_positions.to_vec(),
+        });
+        // The positions are a permutation's prefix, so they are distinct.
+        let report1 = run_di_check_into(
             DiCheckRound::First,
             pairs,
             check1_positions,
             config.chsh_abort_threshold(),
             rng,
+            records,
         );
-        transcript.push(
-            Party::Alice,
-            ClassicalMessage::BasisChoices {
-                round: 1,
-                settings: records1
-                    .iter()
-                    .map(|r| (r.alice_setting, r.bob_setting))
-                    .collect(),
-            },
-        );
-        transcript.push(
-            Party::Bob,
-            ClassicalMessage::CheckOutcomes {
-                round: 1,
-                outcomes: records1
-                    .iter()
-                    .map(|r| (r.alice_outcome.to_bit(), r.bob_outcome.to_bit()))
-                    .collect(),
-            },
-        );
-        let report1 = &*outcome.di_check_round1.insert(report1);
+        sink.announce(Party::Alice, || ClassicalMessage::BasisChoices {
+            round: 1,
+            settings: records
+                .iter()
+                .map(|r| (r.alice_setting, r.bob_setting))
+                .collect(),
+        });
+        sink.announce(Party::Bob, || ClassicalMessage::CheckOutcomes {
+            round: 1,
+            outcomes: records
+                .iter()
+                .map(|r| (r.alice_outcome.to_bit(), r.bob_outcome.to_bit()))
+                .collect(),
+        });
+        sink.di_check(&report1);
         if !report1.passed {
-            outcome.status = abort(
-                transcript,
+            abort(
+                sink,
                 Party::Alice,
-                format!("first DI check failed: {report1}"),
+                || format!("first DI check failed: {report1}"),
                 AbortStage::DiCheck1,
-                report1.to_string(),
+                None,
+                &|| report1.to_string(),
             );
-            break 'session;
+            return Ok(());
         }
 
         // ------------------------------------------------------- phase 3: Alice encoding --
@@ -1465,21 +1658,23 @@ fn execute_session_with_pool<R: Rng>(
         let ca_positions = &rest[d + n_qubits..d + n_qubits + l];
         let da_positions = &rest[d + n_qubits + l..d + n_qubits + 2 * l];
 
-        let message_paulis = padded.as_paulis();
-        for (pauli, &pos) in message_paulis.iter().zip(ma_positions) {
-            pairs[pos].apply_alice_pauli(*pauli);
+        for (pauli, &pos) in padded.paulis().zip(ma_positions) {
+            pairs[pos].apply_alice_pauli(pauli);
         }
         // id_A encoding — Eve-as-Alice must guess.
-        let ida_paulis: Vec<Pauli> = if impersonation == Impersonation::OfAlice {
-            (0..l).map(|_| Pauli::random(rng)).collect()
-        } else {
-            identities.alice.as_paulis()
-        };
-        for (pauli, &pos) in ida_paulis.iter().zip(ca_positions) {
+        identity_paulis(
+            paulis,
+            &identities.alice,
+            l,
+            impersonation == Impersonation::OfAlice,
+            rng,
+        );
+        for (pauli, &pos) in paulis.iter().zip(ca_positions) {
             pairs[pos].apply_alice_pauli(*pauli);
         }
         // Cover operations on D_A.
-        let covers: Vec<Pauli> = (0..l).map(|_| Pauli::random(rng)).collect();
+        covers.clear();
+        covers.extend((0..l).map(|_| Pauli::random(rng)));
         for (cover, &pos) in covers.iter().zip(da_positions) {
             pairs[pos].apply_alice_pauli(*cover);
         }
@@ -1491,176 +1686,183 @@ fn execute_session_with_pool<R: Rng>(
         }
 
         // ------------------------------------------------------ phase 4b: authentication --
-        transcript.push(
-            Party::Alice,
-            ClassicalMessage::Positions {
-                purpose: "DA".into(),
-                positions: da_positions.to_vec(),
-            },
-        );
+        sink.announce(Party::Alice, || ClassicalMessage::Positions {
+            purpose: "DA".into(),
+            positions: da_positions.to_vec(),
+        });
         // Bob encodes id_B on the partner qubits and announces the Bell results.
-        let idb_paulis: Vec<Pauli> = if impersonation == Impersonation::OfBob {
-            (0..l).map(|_| Pauli::random(rng)).collect()
-        } else {
-            identities.bob.as_paulis()
-        };
-        let mut announced: Vec<BellState> = Vec::with_capacity(l);
-        for (pauli, &pos) in idb_paulis.iter().zip(da_positions) {
-            pairs[pos].apply_bob_pauli(*pauli);
-            announced.push(pairs[pos].bell_measure(rng).state);
-        }
-        transcript.push(
-            Party::Bob,
-            ClassicalMessage::BellResults {
-                block: "DB-auth".into(),
-                results: announced
-                    .iter()
-                    .map(|s| s.encoding_pauli().to_index())
-                    .collect(),
-            },
+        identity_paulis(
+            paulis,
+            &identities.bob,
+            l,
+            impersonation == Impersonation::OfBob,
+            rng,
         );
+        bell_results.clear();
+        for (pauli, &pos) in paulis.iter().zip(da_positions) {
+            pairs[pos].apply_bob_pauli(*pauli);
+            bell_results.push(pairs[pos].bell_measure(rng).state);
+        }
+        sink.announce(Party::Bob, || ClassicalMessage::BellResults {
+            block: "DB-auth".into(),
+            results: bell_results
+                .iter()
+                .map(|s| s.encoding_pauli().to_index())
+                .collect(),
+        });
         // Alice (the real one) verifies Bob. When Eve impersonates Alice she has no id_B to
         // check against and simply continues, so the abort decision is skipped in that case.
-        let bob_report = &*outcome.bob_auth.insert(auth::verify_bob(
-            &announced,
-            &covers,
+        let bob = auth::tally_bob(
+            bell_results,
+            covers,
             &identities.bob,
             config.auth_error_tolerance(),
-        ));
-        if impersonation != Impersonation::OfAlice && !bob_report.passed() {
-            outcome.status = abort(
-                transcript,
+        );
+        sink.auth(Party::Bob, &bob);
+        if impersonation != Impersonation::OfAlice && !bob.passed() {
+            abort(
+                sink,
                 Party::Alice,
-                format!("Bob authentication failed: {bob_report}"),
+                || format!("Bob authentication failed: {}", bob.report()),
                 AbortStage::BobAuthentication,
-                bob_report.to_string(),
+                None,
+                &|| bob.report().to_string(),
             );
-            break 'session;
+            return Ok(());
         }
 
         // Alice reveals C_A; Bob verifies id_A. The Bell results are *not* announced.
-        transcript.push(
-            Party::Alice,
-            ClassicalMessage::Positions {
-                purpose: "CA".into(),
-                positions: ca_positions.to_vec(),
-            },
-        );
-        let mut measured_ca: Vec<BellState> = Vec::with_capacity(l);
+        sink.announce(Party::Alice, || ClassicalMessage::Positions {
+            purpose: "CA".into(),
+            positions: ca_positions.to_vec(),
+        });
+        bell_results.clear();
         for &pos in ca_positions {
-            measured_ca.push(pairs[pos].bell_measure(rng).state);
+            bell_results.push(pairs[pos].bell_measure(rng).state);
         }
-        let alice_report = &*outcome.alice_auth.insert(auth::verify_alice(
-            &measured_ca,
+        let alice = auth::tally_alice(
+            bell_results,
             &identities.alice,
             config.auth_error_tolerance(),
-        ));
-        if impersonation != Impersonation::OfBob && !alice_report.passed() {
-            outcome.status = abort(
-                transcript,
-                Party::Bob,
-                format!("Alice authentication failed: {alice_report}"),
-                AbortStage::AliceAuthentication,
-                alice_report.to_string(),
-            );
-            break 'session;
-        }
-        transcript.push(
-            Party::Bob,
-            ClassicalMessage::Ack {
-                phase: "authentication".into(),
-            },
         );
+        sink.auth(Party::Alice, &alice);
+        if impersonation != Impersonation::OfBob && !alice.passed() {
+            abort(
+                sink,
+                Party::Bob,
+                || format!("Alice authentication failed: {}", alice.report()),
+                AbortStage::AliceAuthentication,
+                None,
+                &|| alice.report().to_string(),
+            );
+            return Ok(());
+        }
+        sink.announce(Party::Bob, || ClassicalMessage::Ack {
+            phase: "authentication".into(),
+        });
 
         // --------------------------------------------------- phase 5: DI check round two --
-        transcript.push(
-            Party::Alice,
-            ClassicalMessage::Positions {
-                purpose: "di-check-2".into(),
-                positions: check2_positions.to_vec(),
-            },
-        );
-        let (report2, _records2) = run_di_check_at(
+        sink.announce(Party::Alice, || ClassicalMessage::Positions {
+            purpose: "di-check-2".into(),
+            positions: check2_positions.to_vec(),
+        });
+        let report2 = run_di_check_into(
             DiCheckRound::Second,
             pairs,
             check2_positions,
             config.chsh_abort_threshold(),
             rng,
+            records,
         );
-        transcript.push(
-            Party::Bob,
-            ClassicalMessage::Ack {
-                phase: "di-check-2".into(),
-            },
-        );
-        let report2 = &*outcome.di_check_round2.insert(report2);
+        sink.announce(Party::Bob, || ClassicalMessage::Ack {
+            phase: "di-check-2".into(),
+        });
+        sink.di_check(&report2);
         if !report2.passed {
-            outcome.status = abort(
-                transcript,
+            abort(
+                sink,
                 Party::Bob,
-                format!("second DI check failed: {report2}"),
+                || format!("second DI check failed: {report2}"),
                 AbortStage::DiCheck2,
-                report2.to_string(),
+                None,
+                &|| report2.to_string(),
             );
-            break 'session;
+            return Ok(());
         }
 
         // -------------------------------------------------------------- phase 6: decode --
-        let mut received_paulis: Vec<Pauli> = Vec::with_capacity(n_qubits);
+        received_bits.clear();
         for &pos in ma_positions {
-            received_paulis.push(pairs[pos].bell_measure(rng).state.encoding_pauli());
+            let (msb, lsb) = pairs[pos]
+                .bell_measure(rng)
+                .state
+                .encoding_pauli()
+                .to_bits();
+            received_bits.extend([msb, lsb]);
         }
-        let received_bits = PaddedMessage::bits_from_paulis(&received_paulis);
-        transcript.push(
-            Party::Alice,
-            ClassicalMessage::CheckBitsReveal {
-                positions: padded.check_positions().to_vec(),
-                values: padded.check_values().to_vec(),
-            },
-        );
-        let check_error = padded.check_bit_error_rate(&received_bits);
-        outcome.check_bit_error_rate = Some(check_error);
+        sink.announce(Party::Alice, || ClassicalMessage::CheckBitsReveal {
+            positions: padded.check_positions().to_vec(),
+            values: padded.check_values().to_vec(),
+        });
+        let check_error = padded.check_bit_error_rate(received_bits);
         if check_error > config.check_bit_error_tolerance() {
-            outcome.status = abort(
-                transcript,
+            abort(
+                sink,
                 Party::Bob,
-                format!("check-bit error rate {check_error:.3} exceeds tolerance"),
+                || format!("check-bit error rate {check_error:.3} exceeds tolerance"),
                 AbortStage::IntegrityCheck,
-                format!("check-bit error rate {check_error:.3}"),
+                Some(check_error),
+                &|| format!("check-bit error rate {check_error:.3}"),
             );
-            break 'session;
+            return Ok(());
         }
-        let received_message = padded.extract_message(&received_bits);
-        transcript.push(
-            Party::Bob,
-            ClassicalMessage::Ack {
-                phase: "message-received".into(),
-            },
-        );
-        outcome.message_bit_error_rate = Some(message.bit_error_rate(&received_message));
-        outcome.received_message = Some(received_message);
+        sink.announce(Party::Bob, || ClassicalMessage::Ack {
+            phase: "message-received".into(),
+        });
+        sink.end(SessionEnd::Delivered {
+            check_bit_error_rate: check_error,
+            message_bit_error_rate: padded.message_bit_error_rate(received_bits, message),
+            received: &|| padded.extract_message(received_bits),
+        });
+        Ok(())
     }
-
-    outcome.resources.classical_messages = outcome.transcript.len();
-    Ok(outcome)
 }
 
-/// Announces an abort on the transcript (`announcement` is what `sender`
-/// says publicly) and returns the aborted status carrying `reason`.
+/// Fills `out` with the `l` Paulis encoding `identity`, or with `l` random
+/// guesses when an impersonator who does not know it encodes instead.
+fn identity_paulis<R: Rng>(
+    out: &mut Vec<Pauli>,
+    identity: &IdentityString,
+    l: usize,
+    guessed: bool,
+    rng: &mut R,
+) {
+    out.clear();
+    if guessed {
+        out.extend((0..l).map(|_| Pauli::random(rng)));
+    } else {
+        out.extend(identity.paulis());
+    }
+}
+
+/// Announces an abort (`announcement` is what `sender` says publicly) and
+/// ends the session at `stage`.
 fn abort(
-    transcript: &mut Transcript,
+    sink: &mut impl SessionSink,
     sender: Party,
-    announcement: String,
+    announcement: impl FnOnce() -> String,
     stage: AbortStage,
-    reason: String,
-) -> SessionStatus {
-    transcript.push(
-        sender,
-        ClassicalMessage::Abort {
-            reason: announcement,
-        },
-    );
-    SessionStatus::Aborted { stage, reason }
+    check_bit_error_rate: Option<f64>,
+    reason: &dyn Fn() -> String,
+) {
+    sink.announce(sender, || ClassicalMessage::Abort {
+        reason: announcement(),
+    });
+    sink.end(SessionEnd::Aborted {
+        stage,
+        check_bit_error_rate,
+        reason,
+    });
 }
 
 #[cfg(test)]
@@ -1834,7 +2036,9 @@ mod tests {
     #[test]
     fn every_session_exit_counts_its_transcript() {
         // Every exit, abort or delivery, must count the messages it
-        // published, and only an abort ends on an `abort` announcement.
+        // published, and only an abort ends on an `abort` announcement. At
+        // every exit the Summary-mode fold of the trial must equal recording
+        // its Outcomes-mode outcome.
         /// Dephases Alice's half of every pair before the first DI check.
         struct DephaseAtEmission;
         impl ChannelTap for DephaseAtEmission {
@@ -1882,8 +2086,19 @@ mod tests {
                 })),
         ];
         let mut exits = Vec::new();
+        let engine = SessionEngine::new(17);
         for scenario in &scenarios {
-            for outcome in SessionEngine::new(17).run_outcomes(scenario, 16).unwrap() {
+            let plan = engine.plan(scenario, 16);
+            let outcomes = engine.run_outcomes(scenario, 16).unwrap();
+            for (trial, outcome) in outcomes.into_iter().enumerate() {
+                let mut recorded =
+                    TrialSummaryBuilder::new(scenario.label.clone(), scenario.adversary.name());
+                recorded.record(&outcome);
+                let folded = engine
+                    .execute_shard(&plan.subrange(trial, 1), ShardOutput::Summary)
+                    .unwrap()
+                    .payload;
+                assert_eq!(folded, ShardPayload::Summary(recorded), "{outcome}");
                 assert_eq!(
                     outcome.resources.classical_messages,
                     outcome.transcript.len(),

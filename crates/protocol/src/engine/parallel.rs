@@ -10,13 +10,17 @@
 //! - [`Parallelism`] selects how many worker threads a
 //!   [`SessionEngine`](super::SessionEngine) uses ([`Parallelism::Serial`],
 //!   [`Parallelism::Threads`], [`Parallelism::Auto`]).
-//! - [`scatter`] / [`scatter_visit`] run an indexed task set across workers.
-//!   Tasks are claimed in chunks from an atomic cursor (no work stealing, no
-//!   dependencies beyond `std`), and finished chunks are re-delivered to the
-//!   caller **in strict task-index order**, so folds over the results are
-//!   byte-identical to a serial loop — including the floating-point
-//!   accumulation order inside
-//!   [`TrialSummaryBuilder`](super::TrialSummaryBuilder).
+//! - [`fold`] runs an indexed task set across workers. Tasks are claimed in
+//!   chunks of consecutive indices from an atomic cursor (no work stealing,
+//!   no dependencies beyond `std`). Each worker folds a chunk into one
+//!   payload on its own thread and sends that payload, not the per-task
+//!   results, to the caller, which joins the payloads **in chunk order**.
+//!   Within a chunk tasks fold in index order, so a fold whose join is an
+//!   exact in-order concatenation is byte-identical to a serial loop —
+//!   including the floating-point accumulation order inside
+//!   [`TrialSummaryBuilder`](super::TrialSummaryBuilder). A summary-mode
+//!   run therefore never moves a per-trial outcome between threads.
+//!   [`scatter`] is the same fold with a `Vec` accumulator.
 //! - [`ExecutorStats`] reports how the work was actually spread: per-worker
 //!   task counts and the wall time of the whole run.
 //!
@@ -36,8 +40,9 @@
 //! Both facts are locked in by compile-time assertions in this module's tests.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt;
-use std::ops::ControlFlow;
+use std::ops::Range;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -160,12 +165,12 @@ impl FromStr for Parallelism {
 pub struct ExecutorStats {
     /// Worker threads used (1 for a serial run).
     pub workers: usize,
-    /// Total tasks (trials) requested. After a cancellation (see
-    /// [`scatter_visit`]) fewer may actually have been delivered;
+    /// Total tasks (trials) requested. After a failed task (see [`fold`])
+    /// fewer may actually have been delivered;
     /// [`tasks_per_worker`](Self::tasks_per_worker) counts those.
     pub tasks: usize,
     /// Tasks computed by each worker (indexed by worker id) and delivered to
-    /// the caller.
+    /// the caller: folded into the result, or before the first error.
     pub tasks_per_worker: Vec<usize>,
     /// Wall-clock duration of the whole execution.
     pub wall_time: Duration,
@@ -195,11 +200,17 @@ impl fmt::Display for ExecutorStats {
 
 // --------------------------------------------------------------- scheduler --
 
-/// One batch of finished tasks travelling from a worker back to the caller.
-struct ChunkResult<T> {
+/// One chunk of consecutive tasks, folded on the worker that ran it.
+struct ChunkFold<A, E> {
     chunk: usize,
     worker: usize,
-    results: Vec<T>,
+    /// The fold over the chunk's tasks up to (not including) the first
+    /// failing one.
+    acc: A,
+    /// Tasks folded into `acc`.
+    folded: usize,
+    /// The error that stopped the chunk, if one did.
+    error: Option<E>,
 }
 
 /// Sets the shared cancellation flag if the owning worker unwinds (a panicking
@@ -225,7 +236,7 @@ impl Drop for CancelOnPanic<'_> {
 }
 
 /// Runs `task(0..tasks)` under the given policy and collects the results in
-/// task-index order.
+/// task-index order: [`fold`] with a `Vec` accumulator.
 ///
 /// The task function must be a pure function of its index (up to interior
 /// caches) — that is what makes the fan-out invisible in the results.
@@ -234,60 +245,91 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let mut results = Vec::with_capacity(tasks);
-    let stats = scatter_visit(parallelism, tasks, task, |_, value| {
-        results.push(value);
-        ControlFlow::Continue(())
-    });
+    let (results, stats) = fold(
+        parallelism,
+        tasks,
+        Vec::with_capacity,
+        |results, index| {
+            results.push(task(index));
+            Ok::<(), Infallible>(())
+        },
+        |results, mut next| results.append(&mut next),
+    );
+    let Ok(results) = results;
     (results, stats)
 }
 
-/// Runs `task(0..tasks)` under the given policy, streaming every result to
-/// `visit` **in strict task-index order** on the calling thread.
+/// Folds `step(acc, i)` over every task `i` in `0..tasks` under the given
+/// policy: the deterministic-fold primitive of the engine.
 ///
-/// This is the deterministic-fold primitive: tasks complete out of order on
-/// the workers, but `visit(i, _)` is always called with `i` ascending from 0,
-/// so order-sensitive folds (running means, first-error selection) behave
-/// exactly as in a serial loop. Out-of-order chunks are buffered until their
-/// predecessors arrive; with the balanced chunk costs typical of trial sweeps
-/// that bounds memory by the scheduling skew, though a pathologically slow
-/// early chunk can in the worst case buffer every later result (there is no
-/// backpressure on the result channel).
+/// The task set is cut into chunks of consecutive indices. Each chunk is
+/// folded **on the worker that runs it**, into a fresh accumulator from
+/// `new(chunk_len)`, with `i` ascending. The calling thread then joins the
+/// chunk accumulators with `join(acc, next)` **in chunk order**, so an
+/// order-sensitive fold (running means, sample logs) whose `join` is an exact
+/// in-order concatenation equals a serial loop bit for bit. The serial path
+/// is the same fold with one chunk.
 ///
-/// Returning [`ControlFlow::Break`] from `visit` cancels the remaining work —
-/// immediately in the serial path, best-effort in the threaded path (workers
-/// finish their in-flight chunk, claim no new ones, and nothing further is
-/// delivered). After a cancellation, [`ExecutorStats::tasks_per_worker`]
-/// counts only the work that was delivered.
-pub fn scatter_visit<T, F, V>(
+/// A chunk stops at its first failing task. The first failed chunk in order
+/// wins, which makes the returned error the first error in task order, as in
+/// a serial loop. Failure cancels the remaining work: at once in the serial
+/// path, best-effort in the threaded path (workers finish their in-flight
+/// chunk and claim no new ones). [`ExecutorStats::tasks_per_worker`] counts
+/// only the tasks delivered: those folded into the returned accumulator, or
+/// on failure those before the first error.
+///
+/// Chunks that finish early wait on the calling thread until their
+/// predecessors arrive. With the balanced chunk costs typical of trial sweeps
+/// that bounds memory by the scheduling skew. There is no backpressure, so
+/// with a `Vec` accumulator a pathologically slow early chunk can in the
+/// worst case park every later result; an accumulator that holds a few
+/// numbers per task (a summary partial) makes that harmless.
+pub fn fold<A, E, N, S, J>(
     parallelism: Parallelism,
     tasks: usize,
-    task: F,
-    mut visit: V,
-) -> ExecutorStats
+    new: N,
+    step: S,
+    mut join: J,
+) -> (Result<A, E>, ExecutorStats)
 where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    V: FnMut(usize, T) -> ControlFlow<()>,
+    A: Send,
+    E: Send,
+    N: Fn(usize) -> A + Sync,
+    S: Fn(&mut A, usize) -> Result<(), E> + Sync,
+    J: FnMut(&mut A, A),
 {
     // detlint: allow(wall-clock): ExecutorStats wall-time telemetry; results never read it
     let started = Instant::now();
-    let workers = parallelism.worker_count().min(tasks.max(1));
-    if workers <= 1 {
-        let mut completed = 0usize;
-        for index in 0..tasks {
-            let flow = visit(index, task(index));
-            completed += 1;
-            if flow.is_break() {
+    let fold_chunk = |chunk: usize, worker: usize, range: Range<usize>| {
+        let mut acc = new(range.len());
+        let mut folded = 0usize;
+        let mut error = None;
+        for index in range {
+            if let Err(failure) = step(&mut acc, index) {
+                error = Some(failure);
                 break;
             }
+            folded += 1;
         }
-        return ExecutorStats {
+        ChunkFold {
+            chunk,
+            worker,
+            acc,
+            folded,
+            error,
+        }
+    };
+
+    let workers = parallelism.worker_count().min(tasks.max(1));
+    if workers <= 1 {
+        let whole = fold_chunk(0, 0, 0..tasks);
+        let stats = ExecutorStats {
             workers: 1,
             tasks,
-            tasks_per_worker: vec![completed],
+            tasks_per_worker: vec![whole.folded],
             wall_time: started.elapsed(),
         };
+        return (whole.error.map_or(Ok(whole.acc), Err), stats);
     }
 
     let chunk_len = tasks.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
@@ -295,14 +337,16 @@ where
     let cursor = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
     let mut tasks_per_worker = vec![0usize; workers];
-    let (sender, receiver) = mpsc::channel::<ChunkResult<T>>();
+    let mut joined: Option<A> = None;
+    let mut failure: Option<E> = None;
+    let (sender, receiver) = mpsc::channel::<ChunkFold<A, E>>();
 
     std::thread::scope(|scope| {
         for worker in 0..workers {
             let sender = sender.clone();
             let cursor = &cursor;
             let cancelled = &cancelled;
-            let task = &task;
+            let fold_chunk = &fold_chunk;
             scope.spawn(move || {
                 let guard = CancelOnPanic {
                     cancelled,
@@ -317,16 +361,14 @@ where
                         break;
                     }
                     let start = chunk * chunk_len;
-                    let end = (start + chunk_len).min(tasks);
-                    let results: Vec<T> = (start..end).map(task).collect();
-                    if sender
-                        .send(ChunkResult {
-                            chunk,
-                            worker,
-                            results,
-                        })
-                        .is_err()
-                    {
+                    let done = fold_chunk(chunk, worker, start..(start + chunk_len).min(tasks));
+                    if done.error.is_some() {
+                        // Every earlier chunk is already claimed, so the
+                        // caller still receives all it needs to find the
+                        // first error; later chunks are wasted work.
+                        cancelled.store(true, Ordering::Relaxed);
+                    }
+                    if sender.send(done).is_err() {
                         break;
                     }
                 }
@@ -335,40 +377,45 @@ where
         }
         drop(sender);
 
-        // Re-deliver chunks in index order; park early arrivals until their
-        // predecessors land. Worker tallies are taken at delivery, so after a
-        // cancellation the stats reflect what the caller actually saw.
-        let mut parked: BTreeMap<usize, (usize, Vec<T>)> = BTreeMap::new();
+        // Join chunks in index order; park early arrivals until their
+        // predecessors land. Worker tallies are taken at delivery, so the
+        // stats reflect what the caller actually folded.
+        let mut parked: BTreeMap<usize, ChunkFold<A, E>> = BTreeMap::new();
         let mut next_chunk = 0usize;
-        let mut received = 0usize;
-        'deliver: while received < chunk_count {
+        'deliver: while next_chunk < chunk_count {
             // A closed channel means a worker panicked; leaving the scope
             // re-raises that panic on this thread.
-            let Ok(message) = receiver.recv() else {
+            let Ok(done) = receiver.recv() else {
                 break;
             };
-            received += 1;
-            parked.insert(message.chunk, (message.worker, message.results));
-            while let Some((worker, results)) = parked.remove(&next_chunk) {
-                let base = next_chunk * chunk_len;
-                for (offset, value) in results.into_iter().enumerate() {
-                    tasks_per_worker[worker] += 1;
-                    if visit(base + offset, value).is_break() {
-                        cancelled.store(true, Ordering::Relaxed);
-                        break 'deliver;
-                    }
+            parked.insert(done.chunk, done);
+            while let Some(done) = parked.remove(&next_chunk) {
+                tasks_per_worker[done.worker] += done.folded;
+                if let Some(error) = done.error {
+                    failure = Some(error);
+                    cancelled.store(true, Ordering::Relaxed);
+                    break 'deliver;
+                }
+                match &mut joined {
+                    Some(acc) => join(acc, done.acc),
+                    None => joined = Some(done.acc),
                 }
                 next_chunk += 1;
             }
         }
     });
 
-    ExecutorStats {
+    let stats = ExecutorStats {
         workers,
         tasks,
         tasks_per_worker,
         wall_time: started.elapsed(),
-    }
+    };
+    let result = match failure {
+        Some(error) => Err(error),
+        None => Ok(joined.expect("a task set with workers has at least one chunk")),
+    };
+    (result, stats)
 }
 
 #[cfg(test)]
@@ -435,72 +482,114 @@ mod tests {
     }
 
     #[test]
-    fn scatter_visit_delivers_in_strict_index_order() {
-        for parallelism in [Parallelism::Threads(4), Parallelism::Serial] {
-            let mut seen = Vec::new();
-            let stats = scatter_visit(
+    fn fold_joins_chunk_payloads_in_task_order() {
+        // A string accumulator is order-sensitive: any out-of-order join or
+        // any task folded twice shows up in the text.
+        let expected: String = (0..100).map(|i| format!("{i},")).collect();
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(3),
+            Parallelism::Threads(7),
+        ] {
+            let chunks = AtomicUsize::new(0);
+            let (text, stats) = fold(
                 parallelism,
                 100,
-                |i| i,
-                |index, value| {
-                    assert_eq!(index, value);
-                    seen.push(index);
-                    ControlFlow::Continue(())
+                |_| {
+                    chunks.fetch_add(1, Ordering::Relaxed);
+                    String::new()
                 },
+                |text, i| {
+                    text.push_str(&format!("{i},"));
+                    Ok::<(), ()>(())
+                },
+                |text, next| text.push_str(&next),
             );
-            assert_eq!(seen, (0..100).collect::<Vec<_>>());
-            assert_eq!(stats.tasks, 100);
+            assert_eq!(text.unwrap(), expected, "{parallelism}");
+            assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 100);
+            let chunks = chunks.load(Ordering::Relaxed);
+            if stats.workers == 1 {
+                assert_eq!(chunks, 1, "the serial path is one chunk");
+            } else {
+                assert!(
+                    chunks > 1 && chunks < 100,
+                    "one payload per chunk: {chunks}"
+                );
+            }
         }
     }
 
     #[test]
-    fn breaking_from_visit_cancels_the_remaining_work() {
-        // Serial: exact fail-fast — nothing past the breaking index runs.
+    fn the_first_error_in_task_order_wins_under_every_worker_count() {
+        // 200 tasks on n workers make 4n chunks; 90 sits in a middle chunk
+        // for every count below, and 150 fails later. With workers, task 90
+        // holds its chunk until task 150 has failed, so the later failure
+        // always reaches the caller first. The caller must still report 90
+        // and count exactly the 90 tasks before it.
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(3),
+            Parallelism::Threads(5),
+            Parallelism::Threads(8),
+        ] {
+            let threaded = parallelism.worker_count() > 1;
+            for _ in 0..4 {
+                let later_failed = AtomicBool::new(false);
+                let (result, stats) = fold(
+                    parallelism,
+                    200,
+                    |_| 0usize,
+                    |count, i| match i {
+                        90 => {
+                            while threaded && !later_failed.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                            Err(i)
+                        }
+                        150 => {
+                            later_failed.store(true, Ordering::Release);
+                            Err(i)
+                        }
+                        _ => {
+                            *count += 1;
+                            Ok(())
+                        }
+                    },
+                    |count, next| *count += next,
+                );
+                assert_eq!(result, Err(90), "{parallelism}");
+                assert_eq!(
+                    stats.tasks_per_worker.iter().sum::<usize>(),
+                    90,
+                    "stats count delivered tasks only: {stats}"
+                );
+                assert_eq!(stats.tasks, 200, "`tasks` reports the requested count");
+            }
+        }
+    }
+
+    #[test]
+    fn a_serial_failure_stops_at_once() {
         let executed = AtomicUsize::new(0);
-        let mut visited = 0usize;
-        scatter_visit(
+        let (result, stats) = fold(
             Parallelism::Serial,
             1_000,
-            |i| {
+            |_| (),
+            |_, i| {
                 executed.fetch_add(1, Ordering::Relaxed);
-                i
-            },
-            |index, _| {
-                visited += 1;
-                if index == 2 {
-                    ControlFlow::Break(())
+                if i == 2 {
+                    Err("task 2 failed")
                 } else {
-                    ControlFlow::Continue(())
+                    Ok(())
                 }
             },
+            |_, _| {},
         );
-        assert_eq!(visited, 3);
+        assert_eq!(result, Err("task 2 failed"));
         assert_eq!(executed.load(Ordering::Relaxed), 3);
-
-        // Threaded: best-effort — workers may still compute in-flight chunks,
-        // but nothing past the break is *delivered*, and the stats count only
-        // delivered work.
-        let mut visited = 0usize;
-        let stats = scatter_visit(
-            Parallelism::Threads(2),
-            100_000,
-            |i| i,
-            |index, _| {
-                visited += 1;
-                if index == 0 {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            },
-        );
-        assert_eq!(visited, 1, "nothing is delivered after a break");
-        assert_eq!(
-            stats.tasks_per_worker.iter().sum::<usize>(),
-            1,
-            "stats count delivered work only: {stats}"
-        );
-        assert_eq!(stats.tasks, 100_000, "`tasks` reports the requested count");
+        assert_eq!(stats.tasks_per_worker, vec![2]);
     }
 
     #[test]

@@ -65,17 +65,17 @@
 
 use super::parallel::{self, ExecutorStats};
 use super::{
-    execute_session, BackendKind, Scenario, SessionEngine, TrialSummary, TrialSummaryBuilder,
+    BackendKind, OutcomeSink, Scenario, Session, SessionEngine, SummarySink, TrialSummary,
+    TrialSummaryBuilder,
 };
 use crate::error::ProtocolError;
 use crate::message::SecretMessage;
-use crate::session::SessionOutcome;
+use crate::session::{ResourceUsage, SessionOutcome};
 use qchannel::compiled::CompiledQuantumChannel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::ControlFlow;
 
 // --------------------------------------------------------------------- plan --
 
@@ -504,62 +504,64 @@ impl SessionEngine {
         trial_count: usize,
         output: ShardOutput,
     ) -> Result<(ShardPayload, ExecutorStats), ProtocolError> {
-        let mut payload = match output {
-            ShardOutput::Outcomes => ShardPayload::Outcomes(Vec::with_capacity(trial_count)),
-            ShardOutput::Summary => ShardPayload::Summary(TrialSummaryBuilder::new(
-                scenario.label.clone(),
-                scenario.adversary.name(),
-            )),
-        };
-        let mut first_error: Option<ProtocolError> = None;
+        if trial_count > 0 {
+            scenario.adversary.validate()?;
+        }
         // Compile the scenario's noise program once for the whole range; the
         // compiled placements are immutable, so workers share them freely.
         let program = CompiledQuantumChannel::from(scenario.config.channel().clone());
         let backend = self.backend_for(scenario);
-        let stats = parallel::scatter_visit(
+        let impersonation = scenario.adversary.impersonation();
+        let resources = ResourceUsage::planned(&scenario.config, scenario.identities.qubit_len());
+        // Each worker folds its chunk of trials into one payload; in Summary
+        // mode no per-trial outcome is ever built.
+        let (payload, stats) = parallel::fold(
             self.parallelism,
             trial_count,
-            |index| {
-                scenario.adversary.validate()?;
+            |chunk_trials| match output {
+                ShardOutput::Outcomes => ShardPayload::Outcomes(Vec::with_capacity(chunk_trials)),
+                ShardOutput::Summary => ShardPayload::Summary(TrialSummaryBuilder::new(
+                    scenario.label.clone(),
+                    scenario.adversary.name(),
+                )),
+            },
+            |payload, index| {
                 // A shard is self-contained: every stream derives from the
                 // *run's* master seed (from the plan), not this engine's, so
                 // it reproduces identically on any engine.
                 let mut rng = trial_rng(master_seed, fingerprint, trial_start + index as u64);
+                let random;
                 let message = match &scenario.message {
-                    Some(message) => message.clone(),
-                    None => SecretMessage::random(scenario.config.message_bits(), &mut rng),
+                    Some(message) => message,
+                    None => {
+                        random = SecretMessage::random(scenario.config.message_bits(), &mut rng);
+                        &random
+                    }
+                };
+                let session = Session {
+                    backend,
+                    channel: &program,
+                    config: &scenario.config,
+                    identities: &scenario.identities,
+                    message,
+                    impersonation,
                 };
                 let mut tap = scenario.adversary.make_tap();
-                execute_session(
-                    backend,
-                    &program,
-                    &scenario.config,
-                    &scenario.identities,
-                    &message,
-                    scenario.adversary.impersonation(),
-                    tap.as_mut(),
-                    &mut rng,
-                )
-            },
-            |_, outcome| match outcome {
-                Ok(outcome) => {
-                    match &mut payload {
-                        ShardPayload::Outcomes(outcomes) => outcomes.push(outcome),
-                        ShardPayload::Summary(builder) => builder.record(&outcome),
+                match payload {
+                    ShardPayload::Outcomes(outcomes) => {
+                        let mut sink = OutcomeSink::new(message.clone(), resources);
+                        session.run(tap.as_mut(), &mut rng, &mut sink)?;
+                        outcomes.push(sink.finish());
                     }
-                    ControlFlow::Continue(())
+                    ShardPayload::Summary(builder) => {
+                        session.run(tap.as_mut(), &mut rng, &mut SummarySink::new(builder))?;
+                    }
                 }
-                Err(error) => {
-                    // Fail fast: the first in-order error cancels the rest.
-                    first_error.get_or_insert(error);
-                    ControlFlow::Break(())
-                }
+                Ok::<(), ProtocolError>(())
             },
+            ShardPayload::append,
         );
-        match first_error {
-            Some(error) => Err(error),
-            None => Ok((payload, stats)),
-        }
+        Ok((payload?, stats))
     }
 }
 

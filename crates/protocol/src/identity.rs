@@ -79,10 +79,14 @@ impl IdentityString {
 
     /// The identity as the Pauli operators that encode it (two bits per operator, MSB first).
     pub fn as_paulis(&self) -> Vec<Pauli> {
+        self.paulis().collect()
+    }
+
+    /// [`as_paulis`](Self::as_paulis) without the allocation.
+    pub(crate) fn paulis(&self) -> impl Iterator<Item = Pauli> + '_ {
         self.bits
             .chunks(2)
             .map(|pair| Pauli::from_bits(pair[0], pair[1]))
-            .collect()
     }
 
     /// Hamming distance to another identity (in bits).

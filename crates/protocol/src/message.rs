@@ -112,14 +112,20 @@ impl SecretMessage {
     /// Panics if the lengths differ.
     pub fn bit_error_rate(&self, other: &SecretMessage) -> f64 {
         assert_eq!(self.len(), other.len(), "messages must have equal length");
+        self.error_rate_against(other.bits.iter().copied())
+    }
+
+    /// The fraction of this message's bits that differ from `other`, which
+    /// yields one bit per message bit.
+    fn error_rate_against(&self, other: impl Iterator<Item = bool>) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
         let errors = self
             .bits
             .iter()
-            .zip(other.bits.iter())
-            .filter(|(a, b)| a != b)
+            .zip(other)
+            .filter(|(a, b)| **a != *b)
             .count();
         errors as f64 / self.len() as f64
     }
@@ -153,6 +159,31 @@ impl PaddedMessage {
         check_bits: usize,
         rng: &mut R,
     ) -> Result<Self, ProtocolError> {
+        let mut padded = Self::empty();
+        padded.embed_into(message, check_bits, rng, &mut Vec::new())?;
+        Ok(padded)
+    }
+
+    /// A padded message with no bits: the scratch value
+    /// [`embed_into`](Self::embed_into) overwrites.
+    pub(crate) const fn empty() -> Self {
+        Self {
+            bits: Vec::new(),
+            check_positions: Vec::new(),
+            check_values: Vec::new(),
+        }
+    }
+
+    /// [`embed`](Self::embed) into this value's buffers, with `slots` as
+    /// scratch: draw for draw the same padding, without allocating once the
+    /// buffers are warm.
+    pub(crate) fn embed_into<R: Rng + ?Sized>(
+        &mut self,
+        message: &SecretMessage,
+        check_bits: usize,
+        rng: &mut R,
+        slots: &mut Vec<usize>,
+    ) -> Result<(), ProtocolError> {
         if message.is_empty() {
             return Err(ProtocolError::InvalidConfig(
                 "cannot pad an empty message".into(),
@@ -165,31 +196,32 @@ impl PaddedMessage {
             )));
         }
         // Choose which of the `total` slots hold check bits.
-        let mut slots: Vec<usize> = (0..total).collect();
+        slots.clear();
+        slots.extend(0..total);
         slots.shuffle(rng);
-        let mut check_positions: Vec<usize> = slots.into_iter().take(check_bits).collect();
-        check_positions.sort_unstable();
-        let check_values: Vec<bool> = (0..check_bits).map(|_| rng.gen::<bool>()).collect();
+        self.check_positions.clear();
+        self.check_positions.extend_from_slice(&slots[..check_bits]);
+        self.check_positions.sort_unstable();
+        self.check_values.clear();
+        self.check_values
+            .extend((0..check_bits).map(|_| rng.gen::<bool>()));
 
-        let mut bits = Vec::with_capacity(total);
+        self.bits.clear();
         let mut message_iter = message.bits().iter();
-        let mut check_iter = check_values.iter();
+        let mut check_iter = self.check_values.iter();
         for slot in 0..total {
-            if check_positions.binary_search(&slot).is_ok() {
-                bits.push(*check_iter.next().expect("one value per check position"));
+            if self.check_positions.binary_search(&slot).is_ok() {
+                self.bits
+                    .push(*check_iter.next().expect("one value per check position"));
             } else {
-                bits.push(
+                self.bits.push(
                     *message_iter
                         .next()
                         .expect("message bits fill non-check slots"),
                 );
             }
         }
-        Ok(Self {
-            bits,
-            check_positions,
-            check_values,
-        })
+        Ok(())
     }
 
     /// Reconstructs a padded message from received bits plus the publicly revealed check-bit
@@ -253,10 +285,14 @@ impl PaddedMessage {
 
     /// The Pauli operators encoding `m'`, two bits per operator.
     pub fn as_paulis(&self) -> Vec<Pauli> {
+        self.paulis().collect()
+    }
+
+    /// [`as_paulis`](Self::as_paulis) without the allocation.
+    pub(crate) fn paulis(&self) -> impl Iterator<Item = Pauli> + '_ {
         self.bits
             .chunks(2)
             .map(|pair| Pauli::from_bits(pair[0], pair[1]))
-            .collect()
     }
 
     /// Rebuilds padded bits from decoded Pauli operators (Bob's decoding step).
@@ -296,14 +332,33 @@ impl PaddedMessage {
     ///
     /// Panics if `received` has a different length.
     pub fn extract_message(&self, received: &[bool]) -> SecretMessage {
+        SecretMessage::from_bits(self.message_bits(received).collect())
+    }
+
+    /// `sent.bit_error_rate(&self.extract_message(received))`, without
+    /// building the extracted message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `received` has a different length, or `sent` does not fill
+    /// this message's non-check slots.
+    pub(crate) fn message_bit_error_rate(&self, received: &[bool], sent: &SecretMessage) -> f64 {
+        assert_eq!(
+            self.len() - self.check_positions.len(),
+            sent.len(),
+            "messages must have equal length"
+        );
+        sent.error_rate_against(self.message_bits(received))
+    }
+
+    /// The bits of `received` outside the check positions, in order.
+    fn message_bits<'a>(&'a self, received: &'a [bool]) -> impl Iterator<Item = bool> + 'a {
         assert_eq!(received.len(), self.len(), "received length mismatch");
-        let bits = received
+        received
             .iter()
             .enumerate()
             .filter(|(i, _)| self.check_positions.binary_search(i).is_err())
             .map(|(_, &b)| b)
-            .collect();
-        SecretMessage::from_bits(bits)
     }
 
     /// The original secret message (what `extract_message` recovers from an error-free
@@ -426,6 +481,38 @@ mod tests {
             corrupted[pos] = !corrupted[pos];
         }
         assert_eq!(padded.extract_message(&corrupted), message);
+    }
+
+    #[test]
+    fn embedding_into_warm_buffers_matches_a_fresh_embedding() {
+        let (mut fresh_rng, mut pooled_rng) = (rng(), rng());
+        let mut pooled = PaddedMessage::empty();
+        let mut slots = Vec::new();
+        for (bits, check_bits) in [(14, 6), (8, 2), (20, 4), (8, 0)] {
+            let message = SecretMessage::random(bits, &mut fresh_rng);
+            let fresh = PaddedMessage::embed(&message, check_bits, &mut fresh_rng).unwrap();
+            let _ = SecretMessage::random(bits, &mut pooled_rng);
+            pooled
+                .embed_into(&message, check_bits, &mut pooled_rng, &mut slots)
+                .unwrap();
+            assert_eq!(pooled, fresh);
+        }
+    }
+
+    #[test]
+    fn message_bit_error_rate_matches_the_extracted_message() {
+        let mut r = rng();
+        let message = SecretMessage::random(10, &mut r);
+        let padded = PaddedMessage::embed(&message, 4, &mut r).unwrap();
+        for flip in 0..padded.len() {
+            let mut received = padded.bits().to_vec();
+            received[flip] = !received[flip];
+            received[(flip * 5) % padded.len()] ^= true;
+            assert_eq!(
+                padded.message_bit_error_rate(&received, &message),
+                message.bit_error_rate(&padded.extract_message(&received))
+            );
+        }
     }
 
     #[test]

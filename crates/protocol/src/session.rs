@@ -118,8 +118,9 @@ impl ResourceUsage {
     /// The session's planned resource accounting: every field except the
     /// transcript-dependent `classical_messages` (left at zero) is a pure
     /// function of the configuration and the identity length, so Table I's
-    /// cost columns can be checked without running a session. A test locks
-    /// this arithmetic to the engine's live per-outcome accounting.
+    /// cost columns can be checked without running a session. Every
+    /// Outcomes-mode [`SessionOutcome`] carries this value with the
+    /// transcript's message count filled in.
     #[must_use]
     pub fn planned(config: &SessionConfig, identity_qubits: usize) -> Self {
         let padded_bits = config.message_bits() + config.check_bits();

@@ -61,15 +61,14 @@ pub fn correlator(
     alice_setting: usize,
     bob_setting: usize,
 ) -> Option<f64> {
-    let matching: Vec<f64> = records
-        .iter()
-        .filter(|r| r.alice_setting == alice_setting && r.bob_setting == bob_setting)
-        .map(MeasurementRecord::product)
-        .collect();
-    if matching.is_empty() {
-        None
-    } else {
-        Some(matching.iter().sum::<f64>() / matching.len() as f64)
+    let matching = || {
+        records
+            .iter()
+            .filter(|r| r.alice_setting == alice_setting && r.bob_setting == bob_setting)
+    };
+    match matching().count() {
+        0 => None,
+        count => Some(matching().map(MeasurementRecord::product).sum::<f64>() / count as f64),
     }
 }
 
