@@ -9,7 +9,7 @@
 
 use qchannel::epr::EprPair;
 use qsim::chsh::{chsh_value, MeasurementRecord};
-use qsim::measurement::MeasurementBasis;
+use qsim::measurement::{BasisPhase, MeasurementBasis};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -142,6 +142,21 @@ pub(crate) fn run_di_check_into<R: Rng + ?Sized>(
     run_check_loop(round, pairs, Some(positions), threshold, rng, records)
 }
 
+/// The DI-check bases with their phases, Alice's `A0..A2` and Bob's `B1, B2`,
+/// built once per process: the check loop then makes no transcendental call
+/// per pair, and the phases are the same `cis(θ)` values a per-pair call
+/// would build.
+fn check_phases() -> &'static ([BasisPhase; 3], [BasisPhase; 2]) {
+    static PHASES: std::sync::OnceLock<([BasisPhase; 3], [BasisPhase; 2])> =
+        std::sync::OnceLock::new();
+    PHASES.get_or_init(|| {
+        (
+            MeasurementBasis::alice_all().map(BasisPhase::from),
+            MeasurementBasis::bob_all().map(BasisPhase::from),
+        )
+    })
+}
+
 fn run_check_loop<R: Rng + ?Sized>(
     round: DiCheckRound,
     pairs: &mut [EprPair],
@@ -151,6 +166,7 @@ fn run_check_loop<R: Rng + ?Sized>(
     records: &mut Vec<MeasurementRecord>,
 ) -> DiCheckReport {
     let pairs_used = positions.map_or(pairs.len(), <[usize]>::len);
+    let (alice, bob) = check_phases();
     records.clear();
     let mut in_estimate = 0usize;
     for i in 0..pairs_used {
@@ -160,11 +176,8 @@ fn run_check_loop<R: Rng + ?Sized>(
         };
         let alice_setting = rng.gen_range(0..3usize);
         let bob_setting = rng.gen_range(1..=2usize);
-        let (alice_outcome, bob_outcome) = pair.measure_both_in_bases(
-            MeasurementBasis::alice(alice_setting).angle(),
-            MeasurementBasis::bob(bob_setting).angle(),
-            rng,
-        );
+        let (alice_outcome, bob_outcome) =
+            pair.measure_both_in_bases(alice[alice_setting], bob[bob_setting - 1], rng);
         if alice_setting == 1 || alice_setting == 2 {
             in_estimate += 1;
             records.push(MeasurementRecord::new(

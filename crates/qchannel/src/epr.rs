@@ -9,7 +9,7 @@
 use noise::DeviceModel;
 use qsim::bell::{bell_diagonal_probabilities, bell_measure_density, BellOutcome, BellState};
 use qsim::density::DensityMatrix;
-use qsim::measurement::MeasurementOutcome;
+use qsim::measurement::{BasisPhase, MeasurementOutcome};
 use qsim::pauli::Pauli;
 use qsim::pauli_frame::PauliFrame;
 use qsim::statevector::StateVector;
@@ -307,18 +307,19 @@ impl EprPair {
     /// [`EprPair::measure_alice_in_basis`] followed by
     /// [`EprPair::measure_bob_in_basis`] (same two RNG draws, same
     /// distribution), via the fused two-qubit kernel
-    /// [`DensityMatrix::measure_two_in_bases`].
+    /// [`DensityMatrix::measure_two_in_bases`]. Each basis comes with its
+    /// phase, built once by the caller.
     pub fn measure_both_in_bases<R: Rng + ?Sized>(
         &mut self,
-        theta_a: f64,
-        theta_b: f64,
+        basis_a: BasisPhase,
+        basis_b: BasisPhase,
         rng: &mut R,
     ) -> (MeasurementOutcome, MeasurementOutcome) {
         match self.frame {
-            Some(f) => f.measure_in_bases(theta_a, theta_b, rng),
+            Some(f) => f.measure_in_bases(basis_a.angle(), basis_b.angle(), rng),
             None => self
                 .rho
-                .measure_two_in_bases(ALICE_QUBIT, theta_a, BOB_QUBIT, theta_b, rng),
+                .measure_two_in_bases(ALICE_QUBIT, basis_a, BOB_QUBIT, basis_b, rng),
         }
     }
 
@@ -608,7 +609,8 @@ mod tests {
         for _ in 0..trials {
             let mut pair = EprPair::ideal();
             pair.reset_frame_ideal();
-            let (a, b) = pair.measure_both_in_bases(ta, tb, &mut r);
+            let (a, b) =
+                pair.measure_both_in_bases(BasisPhase::new(ta), BasisPhase::new(tb), &mut r);
             sum += a.value() * b.value();
         }
         let expect = (ta + tb).cos();

@@ -61,25 +61,47 @@ pub fn correlator(
     alice_setting: usize,
     bob_setting: usize,
 ) -> Option<f64> {
-    let matching = || {
-        records
-            .iter()
-            .filter(|r| r.alice_setting == alice_setting && r.bob_setting == bob_setting)
-    };
-    match matching().count() {
-        0 => None,
-        count => Some(matching().map(MeasurementRecord::product).sum::<f64>() / count as f64),
+    let mut tally = Tally::default();
+    for record in records {
+        if record.alice_setting == alice_setting && record.bob_setting == bob_setting {
+            tally.add(record);
+        }
     }
+    tally.mean()
 }
 
 /// Estimates the CHSH polynomial `S = ⟨a1 b1⟩ + ⟨a1 b2⟩ + ⟨a2 b1⟩ − ⟨a2 b2⟩` from measurement
 /// records. Returns `None` if any of the four setting combinations has no data.
+///
+/// One pass over the records; each correlator adds its products in record order, exactly as
+/// [`correlator`] does.
 pub fn chsh_value(records: &[MeasurementRecord]) -> Option<f64> {
-    let e11 = correlator(records, 1, 1)?;
-    let e12 = correlator(records, 1, 2)?;
-    let e21 = correlator(records, 2, 1)?;
-    let e22 = correlator(records, 2, 2)?;
-    Some(e11 + e12 + e21 - e22)
+    let mut tallies = [[Tally::default(); 2]; 2];
+    for record in records {
+        if let (1..=2, 1..=2) = (record.alice_setting, record.bob_setting) {
+            tallies[record.alice_setting - 1][record.bob_setting - 1].add(record);
+        }
+    }
+    let [[t11, t12], [t21, t22]] = tallies;
+    Some(t11.mean()? + t12.mean()? + t21.mean()? - t22.mean()?)
+}
+
+/// Running sum and count of the record products of one setting pair.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    sum: f64,
+    count: usize,
+}
+
+impl Tally {
+    fn add(&mut self, record: &MeasurementRecord) {
+        self.sum += record.product();
+        self.count += 1;
+    }
+
+    fn mean(self) -> Option<f64> {
+        (self.count > 0).then(|| self.sum / self.count as f64)
+    }
 }
 
 /// The observable measured by a basis `B(θ) = {|0⟩ ± e^{iθ}|1⟩}`: `cos θ·X + sin θ·Y`.

@@ -8,7 +8,7 @@
 
 use crate::error::QsimError;
 use crate::gates;
-use crate::measurement::MeasurementOutcome;
+use crate::measurement::{BasisPhase, MeasurementOutcome};
 use crate::statevector::StateVector;
 use mathkit::complex::Complex64;
 use mathkit::matrix::CMatrix;
@@ -102,6 +102,143 @@ pub(crate) fn embed_operator(op: &CMatrix, qubits: &[usize], num_qubits: usize) 
         }
     }
     full
+}
+
+/// The 4×4 storage of a two-qubit register, for the fixed-size kernels.
+fn pair_ref(state: &DensityMatrix) -> Option<&[Complex64; 16]> {
+    (state.num_qubits == 2).then(|| {
+        state
+            .rho
+            .as_slice()
+            .try_into()
+            .expect("a two-qubit density matrix has 16 entries")
+    })
+}
+
+/// Mutable [`pair_ref`].
+pub(crate) fn pair_mut(state: &mut DensityMatrix) -> Option<&mut [Complex64; 16]> {
+    (state.num_qubits == 2).then(|| {
+        state
+            .rho
+            .as_mut_slice()
+            .try_into()
+            .expect("a two-qubit density matrix has 16 entries")
+    })
+}
+
+// The two-qubit kernels below are generic over the measured qubit's bit in
+// a basis index (`MASK`: 2 for qubit 0, 1 for qubit 1) or over both qubits'
+// strides (`SA`, `SB`), so every index is a constant. Each one performs the
+// floating-point operations of its any-size body in the same order, so the
+// results agree to the bit (`crate::kernel_identity` checks this).
+
+/// [`DensityMatrix::probability_one`] on a two-qubit register: the same
+/// two diagonal entries, summed by the same `Sum`.
+fn probability_one_pair<const MASK: usize>(rho: &[Complex64; 16]) -> f64 {
+    [MASK, MASK | (3 ^ MASK)]
+        .into_iter()
+        .map(|i| rho[i * 5].re)
+        .sum()
+}
+
+/// [`DensityMatrix::collapse`] on a two-qubit register. The kept block is
+/// rows and columns `k0 < k1`, the two indices whose `MASK` bit equals
+/// `outcome`.
+fn collapse_pair<const MASK: usize>(rho: &mut [Complex64; 16], qubit: usize, outcome: u8) {
+    let k0 = if outcome == 1 { MASK } else { 0 };
+    let k1 = k0 | (3 ^ MASK);
+    let mut p = 0.0;
+    p += rho[k0 * 5].re;
+    p += rho[k1 * 5].re;
+    assert!(
+        p > 1e-12,
+        "collapse onto a zero-probability outcome (qubit {qubit}, outcome {outcome})"
+    );
+    let factor = Complex64::real(1.0 / p);
+    let kept = [k0 * 4 + k0, k0 * 4 + k1, k1 * 4 + k0, k1 * 4 + k1];
+    let values = kept.map(|at| rho[at] * factor);
+    rho.fill(Complex64::ZERO);
+    for (at, value) in kept.into_iter().zip(values) {
+        rho[at] = value;
+    }
+}
+
+/// [`DensityMatrix::measure_two_in_bases`] on a two-qubit register whose
+/// measured qubits have basis-index strides `SA` (Alice's side of the
+/// record) and `SB`. Returns the two bits.
+fn measure_pair_in_bases<const SA: usize, const SB: usize, R: Rng + ?Sized>(
+    rho: &mut [Complex64; 16],
+    e_a: Complex64,
+    e_b: Complex64,
+    rng: &mut R,
+) -> (u8, u8) {
+    let (qubit_a, qubit_b) = (2 - SA, 2 - SB);
+    let idx = |x: usize, y: usize| x * SA + y * SB;
+    // Measuring in B(θ) is projecting onto the rank-1 projector
+    // P_m(θ) = |v_m⟩⟨v_m| with v_m(θ) = (|0⟩ ± e^{iθ}|1⟩)/√2
+    // (+ for m = 0, − for m = 1), equivalently the 2×2 matrix
+    // ½ [[1, ±e^{-iθ}], [±e^{+iθ}, 1]].
+    //
+    // Alice's marginal: p(a = 1) = Tr((P₁(θ_a) ⊗ I) ρ). Expanding the
+    // projector and using Hermiticity of ρ this is
+    // ½·Tr(ρ) − Re(e^{-iθ_a}·t_a) with t_a = Σ_b ρ[(1,b), (0,b)].
+    let trace = rho[0].re + rho[5].re + rho[10].re + rho[15].re;
+    let t_a = rho[idx(1, 0) * 4 + idx(0, 0)] + rho[idx(1, 1) * 4 + idx(0, 1)];
+    let cross_a = (e_a.conj() * t_a).re;
+    let p_a1 = (0.5 * trace - cross_a).clamp(0.0, 1.0);
+    let bit_a = u8::from(rng.gen::<f64>() < p_a1);
+    let p_a = if bit_a == 1 { p_a1 } else { 1.0 - p_a1 };
+    assert!(
+        p_a > 1e-12,
+        "collapse onto a zero-probability outcome (qubit {qubit_a}, outcome {bit_a})"
+    );
+    // Bob's conditional: p(b = 1 | a) = ⟨ψ|ρ|ψ⟩ / p(a), where
+    // ψ = v_a(θ_a) ⊗ v_1(θ_b) since both projectors are rank-1.
+    let amp = |x: usize, s: f64, e: Complex64| -> Complex64 {
+        if x == 0 {
+            Complex64::real(std::f64::consts::FRAC_1_SQRT_2)
+        } else {
+            e * (s * std::f64::consts::FRAC_1_SQRT_2)
+        }
+    };
+    let s_a = if bit_a == 0 { 1.0 } else { -1.0 };
+    let mut psi = [Complex64::ZERO; 4];
+    for x in 0..2 {
+        let va = amp(x, s_a, e_a);
+        for y in 0..2 {
+            psi[idx(x, y)] = va * amp(y, -1.0, e_b);
+        }
+    }
+    // ⟨ψ|ρ|ψ⟩ = Σ_r |ψ_r|²ρ_rr + 2 Σ_{r<c} Re(ψ̄_r ρ_rc ψ_c); every
+    // |ψ_r|² is ¼, so the diagonal part is ¼·Tr(ρ).
+    let mut cross = 0.0;
+    for r in 0..4 {
+        for c in (r + 1)..4 {
+            cross += (psi[r].conj() * rho[r * 4 + c] * psi[c]).re;
+        }
+    }
+    let joint = 0.25 * trace + 2.0 * cross;
+    let p_b1 = (joint / p_a).clamp(0.0, 1.0);
+    let bit_b = u8::from(rng.gen::<f64>() < p_b1);
+    let p_b = if bit_b == 1 { p_b1 } else { 1.0 - p_b1 };
+    assert!(
+        p_b > 1e-12,
+        "collapse onto a zero-probability outcome (qubit {qubit_b}, outcome {bit_b})"
+    );
+    // Both qubits are now fully measured: the post-measurement state is
+    // the pure product of the selected basis vectors. ψ already holds
+    // the product for Bob's outcome 1; flip his phase sign for 0.
+    if bit_b == 0 {
+        for x in 0..2 {
+            psi[idx(x, 1)] = -psi[idx(x, 1)];
+        }
+    }
+    for (r, amp_r) in psi.iter().enumerate() {
+        for (c, amp_c) in psi.iter().enumerate() {
+            rho[r * 4 + c] = *amp_r * amp_c.conj();
+        }
+    }
+    (bit_a, bit_b)
 }
 
 impl DensityMatrix {
@@ -528,6 +665,15 @@ impl DensityMatrix {
     /// Probability that measuring `qubit` in the computational basis yields `1`.
     pub fn probability_one(&self, qubit: usize) -> f64 {
         assert!(qubit < self.num_qubits, "qubit out of range");
+        match (pair_ref(self), qubit) {
+            (Some(rho), 0) => probability_one_pair::<2>(rho),
+            (Some(rho), _) => probability_one_pair::<1>(rho),
+            (None, _) => self.probability_one_strided(qubit),
+        }
+    }
+
+    /// The any-size body of [`DensityMatrix::probability_one`].
+    pub(crate) fn probability_one_strided(&self, qubit: usize) -> f64 {
         let shift = self.num_qubits - 1 - qubit;
         let mask = 1usize << shift;
         (0..self.dim())
@@ -558,6 +704,15 @@ impl DensityMatrix {
     /// Panics if the outcome has (numerically) zero probability.
     pub fn collapse(&mut self, qubit: usize, outcome: u8) {
         assert!(qubit < self.num_qubits, "qubit out of range");
+        match (pair_mut(self), qubit) {
+            (Some(rho), 0) => collapse_pair::<2>(rho, qubit, outcome),
+            (Some(rho), _) => collapse_pair::<1>(rho, qubit, outcome),
+            (None, _) => self.collapse_strided(qubit, outcome),
+        }
+    }
+
+    /// The any-size body of [`DensityMatrix::collapse`].
+    pub(crate) fn collapse_strided(&mut self, qubit: usize, outcome: u8) {
         let shift = self.num_qubits - 1 - qubit;
         let mask = 1usize << shift;
         let keep_set = outcome == 1;
@@ -635,6 +790,10 @@ impl DensityMatrix {
     /// vectors — is written directly, skipping the rotate/collapse/unrotate
     /// round-trips entirely.
     ///
+    /// Each basis comes with its phase `e^{iθ}` ([`BasisPhase`]), so a loop
+    /// over fixed bases builds the phases once and the two-qubit kernel
+    /// makes no transcendental call.
+    ///
     /// # Panics
     ///
     /// Panics if the qubits coincide or are out of range, or when an
@@ -642,9 +801,9 @@ impl DensityMatrix {
     pub fn measure_two_in_bases<R: Rng + ?Sized>(
         &mut self,
         qubit_a: usize,
-        theta_a: f64,
+        basis_a: BasisPhase,
         qubit_b: usize,
-        theta_b: f64,
+        basis_b: BasisPhase,
         rng: &mut R,
     ) -> (MeasurementOutcome, MeasurementOutcome) {
         assert!(
@@ -652,83 +811,19 @@ impl DensityMatrix {
             "qubit out of range"
         );
         assert_ne!(qubit_a, qubit_b, "measured qubits must be distinct");
-        if self.num_qubits != 2 {
-            // On larger registers the remaining qubits stay entangled with
-            // nothing we can shortcut; run the two measurements plainly.
-            let a = self.measure_in_basis(qubit_a, theta_a, rng);
-            let b = self.measure_in_basis(qubit_b, theta_b, rng);
-            return (a, b);
-        }
-        let stride_a = 1usize << (self.num_qubits - 1 - qubit_a);
-        let stride_b = 1usize << (self.num_qubits - 1 - qubit_b);
-        let dim = self.dim();
-        let idx = |x: usize, y: usize| x * stride_a + y * stride_b;
-        // Measuring in B(θ) is projecting onto the rank-1 projector
-        // P_m(θ) = |v_m⟩⟨v_m| with v_m(θ) = (|0⟩ ± e^{iθ}|1⟩)/√2
-        // (+ for m = 0, − for m = 1), equivalently the 2×2 matrix
-        // ½ [[1, ±e^{-iθ}], [±e^{+iθ}, 1]].
-        let e_a = Complex64::cis(theta_a);
-        let e_b = Complex64::cis(theta_b);
-        let rho = self.rho.as_mut_slice();
-        // Alice's marginal: p(a = 1) = Tr((P₁(θ_a) ⊗ I) ρ). Expanding the
-        // projector and using Hermiticity of ρ this is
-        // ½·Tr(ρ) − Re(e^{-iθ_a}·t_a) with t_a = Σ_b ρ[(1,b), (0,b)].
-        let trace = rho[0].re + rho[5].re + rho[10].re + rho[15].re;
-        let t_a = rho[idx(1, 0) * dim + idx(0, 0)] + rho[idx(1, 1) * dim + idx(0, 1)];
-        let cross_a = (e_a.conj() * t_a).re;
-        let p_a1 = (0.5 * trace - cross_a).clamp(0.0, 1.0);
-        let bit_a = u8::from(rng.gen::<f64>() < p_a1);
-        let p_a = if bit_a == 1 { p_a1 } else { 1.0 - p_a1 };
-        assert!(
-            p_a > 1e-12,
-            "collapse onto a zero-probability outcome (qubit {qubit_a}, outcome {bit_a})"
-        );
-        // Bob's conditional: p(b = 1 | a) = ⟨ψ|ρ|ψ⟩ / p(a), where
-        // ψ = v_a(θ_a) ⊗ v_1(θ_b) since both projectors are rank-1.
-        let amp = |x: usize, s: f64, e: Complex64| -> Complex64 {
-            if x == 0 {
-                Complex64::real(std::f64::consts::FRAC_1_SQRT_2)
-            } else {
-                e * (s * std::f64::consts::FRAC_1_SQRT_2)
+        let (e_a, e_b) = (basis_a.phase(), basis_b.phase());
+        let (bit_a, bit_b) = match pair_mut(self) {
+            Some(rho) if qubit_a == 0 => measure_pair_in_bases::<2, 1, R>(rho, e_a, e_b, rng),
+            Some(rho) => measure_pair_in_bases::<1, 2, R>(rho, e_a, e_b, rng),
+            None => {
+                // On larger registers the remaining qubits stay entangled
+                // with nothing we can shortcut; run the two measurements
+                // plainly.
+                let a = self.measure_in_basis(qubit_a, basis_a.angle(), rng);
+                let b = self.measure_in_basis(qubit_b, basis_b.angle(), rng);
+                return (a, b);
             }
         };
-        let s_a = if bit_a == 0 { 1.0 } else { -1.0 };
-        let mut psi = [Complex64::ZERO; 4];
-        for x in 0..2 {
-            let va = amp(x, s_a, e_a);
-            for y in 0..2 {
-                psi[idx(x, y)] = va * amp(y, -1.0, e_b);
-            }
-        }
-        // ⟨ψ|ρ|ψ⟩ = Σ_r |ψ_r|²ρ_rr + 2 Σ_{r<c} Re(ψ̄_r ρ_rc ψ_c); every
-        // |ψ_r|² is ¼, so the diagonal part is ¼·Tr(ρ).
-        let mut cross = 0.0;
-        for r in 0..4 {
-            for c in (r + 1)..4 {
-                cross += (psi[r].conj() * rho[r * dim + c] * psi[c]).re;
-            }
-        }
-        let joint = 0.25 * trace + 2.0 * cross;
-        let p_b1 = (joint / p_a).clamp(0.0, 1.0);
-        let bit_b = u8::from(rng.gen::<f64>() < p_b1);
-        let p_b = if bit_b == 1 { p_b1 } else { 1.0 - p_b1 };
-        assert!(
-            p_b > 1e-12,
-            "collapse onto a zero-probability outcome (qubit {qubit_b}, outcome {bit_b})"
-        );
-        // Both qubits are now fully measured: the post-measurement state is
-        // the pure product of the selected basis vectors. ψ already holds
-        // the product for Bob's outcome 1; flip his phase sign for 0.
-        if bit_b == 0 {
-            for x in 0..2 {
-                psi[idx(x, 1)] = -psi[idx(x, 1)];
-            }
-        }
-        for (r, amp_r) in psi.iter().enumerate() {
-            for (c, amp_c) in psi.iter().enumerate() {
-                rho[r * dim + c] = *amp_r * amp_c.conj();
-            }
-        }
         (
             MeasurementOutcome::from_bit(bit_a),
             MeasurementOutcome::from_bit(bit_b),

@@ -51,6 +51,8 @@ pub mod density;
 pub mod error;
 pub mod gates;
 pub mod kernel;
+#[cfg(test)]
+mod kernel_identity;
 pub mod measurement;
 pub mod pauli;
 pub mod pauli_frame;

@@ -5,6 +5,7 @@
 //! two bases with `B_1 = π/4`, `B_2 = −π/4`. This module names those bases and the ±1-valued
 //! outcomes they produce.
 
+use mathkit::complex::Complex64;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 use std::fmt;
@@ -120,6 +121,44 @@ impl MeasurementBasis {
 impl fmt::Display for MeasurementBasis {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}(θ={:.4})", self.label, self.angle)
+    }
+}
+
+/// A basis angle `θ` together with its phase `e^{iθ}`.
+///
+/// The fused pair measurement ([`crate::density::DensityMatrix::measure_two_in_bases`])
+/// needs `e^{iθ}` for both bases. Building the phase once per basis — not once per measured
+/// pair — takes every transcendental call out of the DI-check loop. The phase is the same
+/// `Complex64::cis(θ)` value either way, so results are unchanged to the bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BasisPhase {
+    angle: f64,
+    phase: Complex64,
+}
+
+impl BasisPhase {
+    /// The phase of the basis `B(θ)`.
+    pub fn new(angle: f64) -> Self {
+        Self {
+            angle,
+            phase: Complex64::cis(angle),
+        }
+    }
+
+    /// The basis angle `θ`.
+    pub fn angle(self) -> f64 {
+        self.angle
+    }
+
+    /// The phase `e^{iθ}`.
+    pub fn phase(self) -> Complex64 {
+        self.phase
+    }
+}
+
+impl From<MeasurementBasis> for BasisPhase {
+    fn from(basis: MeasurementBasis) -> Self {
+        Self::new(basis.angle())
     }
 }
 

@@ -6,6 +6,7 @@
 //! operators and knows the paper's bit-pair mapping.
 
 use crate::gates;
+use mathkit::complex::Complex64;
 use mathkit::matrix::CMatrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -115,13 +116,73 @@ impl Pauli {
     /// Equivalent to `rho.apply_single(&self.matrix(), qubit)`, but Pauli
     /// conjugation is a pure permutation-with-signs of the entries, so the
     /// encoding hot path (one Pauli per transmitted qubit) runs without a
-    /// single multiplication or allocation.
+    /// single multiplication or allocation. Two-qubit registers take a
+    /// fixed-size body with constant indices.
     ///
     /// # Panics
     ///
     /// Panics if `qubit` is out of range.
     pub fn apply_to_density(self, rho: &mut crate::density::DensityMatrix, qubit: usize) {
         assert!(qubit < rho.num_qubits(), "qubit out of range");
+        match (crate::density::pair_mut(rho), qubit) {
+            (Some(m), 0) => self.apply_to_pair::<2>(m),
+            (Some(m), _) => self.apply_to_pair::<1>(m),
+            (None, _) => self.apply_to_density_strided(rho, qubit),
+        }
+    }
+
+    /// [`Pauli::apply_to_density`] on a two-qubit register, where `MASK` is
+    /// the target qubit's bit in a basis index. The same moves and sign
+    /// flips as the any-size body, so the result is the same to the bit.
+    fn apply_to_pair<const MASK: usize>(self, m: &mut [Complex64; 16]) {
+        // The two row (and column) indices with the target bit clear.
+        const fn clear(mask: usize) -> [usize; 2] {
+            [0, 3 ^ mask]
+        }
+        match self {
+            Pauli::I => {}
+            // ZρZ: negate entries whose row/column target bits differ.
+            Pauli::Z => {
+                for i in clear(MASK) {
+                    for j in clear(MASK) {
+                        let (a, b) = (i * 4 + (j | MASK), (i | MASK) * 4 + j);
+                        m[a] = -m[a];
+                        m[b] = -m[b];
+                    }
+                }
+            }
+            // XρX: exchange entries across the target-bit flip.
+            Pauli::X => {
+                for i in clear(MASK) {
+                    for j in 0..4 {
+                        m.swap(i * 4 + j, (i | MASK) * 4 + (j ^ MASK));
+                    }
+                }
+            }
+            // (iY)ρ(iY)†: the X exchange with a sign wherever the row and
+            // column target bits of the destination differ.
+            Pauli::IY => {
+                for i in clear(MASK) {
+                    for j in clear(MASK) {
+                        // Destination column bit clear: a plain exchange.
+                        m.swap(i * 4 + j, (i | MASK) * 4 + (j | MASK));
+                        // Destination column bit set: exchange and negate.
+                        let (a, b) = (i * 4 + (j | MASK), (i | MASK) * 4 + j);
+                        let moved = m[b];
+                        m[b] = -m[a];
+                        m[a] = -moved;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The any-size body of [`Pauli::apply_to_density`].
+    pub(crate) fn apply_to_density_strided(
+        self,
+        rho: &mut crate::density::DensityMatrix,
+        qubit: usize,
+    ) {
         let num_qubits = rho.num_qubits();
         let dim = 1usize << num_qubits;
         let mask = 1usize << (num_qubits - 1 - qubit);

@@ -212,7 +212,7 @@ mod tests {
                     let mut sum = 0.0;
                     for _ in 0..trials {
                         let mut rho = DensityMatrix::from_statevector(&bell.statevector());
-                        let (oa, ob) = rho.measure_two_in_bases(0, a.angle(), 1, b.angle(), &mut r);
+                        let (oa, ob) = rho.measure_two_in_bases(0, a.into(), 1, b.into(), &mut r);
                         sum += oa.value() * ob.value();
                     }
                     let sampled = sum / trials as f64;
