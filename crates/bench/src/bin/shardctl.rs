@@ -32,7 +32,7 @@
 //! variable, so each worker process additionally fans its shard's trials
 //! across its own cores.
 
-use bench::campaigns::{figure_sampler, stored_campaign};
+use bench::campaigns::stored_campaign;
 use bench::shard_io::{self, MergeFileError};
 use protocol::engine::{
     BackendKind, Campaign, CampaignRun, ClaimOutcome, MergedRun, Scenario, SessionEngine,
@@ -535,9 +535,7 @@ fn campaign_run_cmd(mut args: Args) {
         },
         None => CampaignRun::open(&dir).unwrap_or_else(|e| fail(e)),
     };
-    let report = run
-        .run(&worker, &figure_sampler())
-        .unwrap_or_else(|e| fail(e));
+    let report = run.run(&worker).unwrap_or_else(|e| fail(e));
     eprintln!(
         "campaign `{}` drained: {} point(s)",
         report.label,
@@ -551,9 +549,7 @@ fn campaign_resume_cmd(mut args: Args) {
     let worker = shard_worker(&mut args, Some("campaign-worker"), 30_000, 200);
     args.finish();
     let run = CampaignRun::open(&dir).unwrap_or_else(|e| fail(e));
-    let report = run
-        .resume(&worker, &figure_sampler())
-        .unwrap_or_else(|e| fail(e));
+    let report = run.resume(&worker).unwrap_or_else(|e| fail(e));
     eprintln!(
         "campaign `{}` resumed and drained: {} point(s)",
         report.label,

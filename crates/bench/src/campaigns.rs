@@ -1,72 +1,41 @@
-//! Stored [`Campaign`] definitions behind the figure binaries, and the
-//! [`Sampler`] that executes their circuit-level points.
+//! Stored [`Campaign`] definitions behind the figure binaries.
 //!
-//! Each figure is now "a checked-in campaign plus a report formatter": the
+//! Each figure is "a checked-in campaign plus a report formatter": the
 //! builders here construct the exact campaigns stored under
-//! `crates/bench/campaigns/*.json` (a test locks the bytes), the
-//! [`figure_sampler`] executes the sampled kinds (`fig2-histogram`,
-//! `fig3-accuracy`), and the `*_rows` helpers recover each figure's row type
-//! from a [`CampaignReport`]. Sampled points seed their RNG with
-//! [`derive_seed`](crate::derive_seed) of the point index, and session
-//! campaigns plan under the master seed like
+//! `crates/bench/campaigns/*.json` (a test locks the bytes), the campaign
+//! engine executes them (circuit points through [`CircuitExperiment`]), and
+//! the `*_rows` helpers recover each figure's row type from a
+//! [`CampaignReport`]. Sampled points seed their RNG with
+//! [`derive_point_seed`](protocol::engine::derive_point_seed) of the point
+//! index, and session campaigns plan under the master seed like
 //! [`SessionEngine::run_trials`](protocol::engine::SessionEngine::run_trials),
 //! so the figures match the hand-rolled loops they replaced bit-for-bit
 //! (`tests/figure_outputs.rs` holds those loops' outputs as golden fixtures).
 
-use crate::{
-    decode_readout_counts, message_transfer_circuit, BackendAblationRow, ChannelAttackKind,
-    FIG2_MESSAGES,
-};
-use analysis::histogram::counts_to_row;
+use crate::{BackendAblationRow, ChannelAttackKind};
 use analysis::rows::{AccuracyPoint, AttackRow, HistogramRow};
-use noise::{DeviceModel, NoisyExecutor};
+use noise::DeviceModel;
 use protocol::config::SessionConfig;
+use protocol::engine::circuit::FIG2_MESSAGES;
 use protocol::engine::{
-    Adversary, Axis, AxisValue, BackendKind, Campaign, CampaignPoint, CampaignReport,
-    CampaignSpace, CampaignWorkload, Sampler, Scenario, TrialSummary,
+    Adversary, Axis, AxisValue, BackendKind, Campaign, CampaignReport, CampaignSpace,
+    CampaignWorkload, CircuitDevice, CircuitExperiment, Scenario, TrialSummary,
 };
 use protocol::identity::IdentityPair;
 use qchannel::quantum::ChannelSpec;
 use qchannel::taps::{InterceptBasis, SubstituteState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize, Value};
-
-/// Sampler kind of the Fig. 2 decoded-counts histogram.
-pub const FIG2_KIND: &str = "fig2-histogram";
-
-/// Sampler kind of the Fig. 3 accuracy-vs-η sweep.
-pub const FIG3_KIND: &str = "fig3-accuracy";
-
-/// Resolves a device model stored by name in campaign parameters.
-///
-/// # Errors
-///
-/// Returns an error naming the unknown device.
-pub fn device_by_name(name: &str) -> Result<DeviceModel, String> {
-    match name {
-        "ideal" => Ok(DeviceModel::ideal()),
-        "ibm_brisbane_like" => Ok(DeviceModel::ibm_brisbane_like()),
-        other => Err(format!("unknown device model `{other}`")),
-    }
-}
+use serde::Deserialize;
 
 /// The Fig. 2 campaign: one sampled point per 2-bit message panel,
 /// transmitting over `eta` identity gates on `device` with `shots` shots.
-pub fn fig2_campaign(device: &DeviceModel, eta: usize, shots: usize, seed: u64) -> Campaign {
+pub fn fig2_campaign(device: CircuitDevice, eta: usize, shots: usize, seed: u64) -> Campaign {
     Campaign {
         label: "fig2".into(),
         master_seed: seed,
         trials: shots,
-        workload: CampaignWorkload::Sampled {
-            kind: FIG2_KIND.into(),
-            params: Value::Map(vec![
-                ("device".into(), Value::Str(device.name().into())),
-                // Int, not UInt: JSON parsing yields Int, and the stored
-                // definition must round-trip to an equal value.
-                ("eta".into(), Value::Int(eta as i64)),
-            ]),
-        },
+        workload: CampaignWorkload::Sampled(CircuitExperiment::Fig2Histogram { device, eta }),
         space: CampaignSpace::Grid(vec![Axis::Message(
             FIG2_MESSAGES.iter().map(|m| (*m).to_string()).collect(),
         )]),
@@ -76,7 +45,7 @@ pub fn fig2_campaign(device: &DeviceModel, eta: usize, shots: usize, seed: u64) 
 /// The Fig. 3 campaign: one sampled point per channel length, measuring the
 /// four-message decoding accuracy with `shots_per_message` shots each.
 pub fn fig3_campaign(
-    device: &DeviceModel,
+    device: CircuitDevice,
     eta_values: &[usize],
     shots_per_message: usize,
     seed: u64,
@@ -85,10 +54,7 @@ pub fn fig3_campaign(
         label: "fig3".into(),
         master_seed: seed,
         trials: shots_per_message,
-        workload: CampaignWorkload::Sampled {
-            kind: FIG3_KIND.into(),
-            params: Value::Map(vec![("device".into(), Value::Str(device.name().into()))]),
-        },
+        workload: CampaignWorkload::Sampled(CircuitExperiment::Fig3Accuracy { device }),
         space: CampaignSpace::Grid(vec![Axis::Eta(eta_values.to_vec())]),
     }
 }
@@ -257,87 +223,6 @@ pub fn table1_campaign(trials: usize, seed: u64) -> Campaign {
     }
 }
 
-/// The [`Sampler`] executing this crate's sampled campaign kinds
-/// ([`FIG2_KIND`], [`FIG3_KIND`]). Pure per point: device and η come from
-/// the campaign parameters, the message/η coordinate from the point, and all
-/// randomness from the point's derived seed.
-pub fn figure_sampler() -> impl Sampler {
-    |kind: &str, params: &Value, point: &CampaignPoint| match kind {
-        FIG2_KIND => sample_fig2(params, point),
-        FIG3_KIND => sample_fig3(params, point),
-        other => Err(format!("unknown sampler kind `{other}`")),
-    }
-}
-
-fn sample_fig2(params: &Value, point: &CampaignPoint) -> Result<Value, String> {
-    let device = device_by_name(
-        params
-            .get_field("device")
-            .and_then(|v| v.as_str())
-            .map_err(|e| e.to_string())?,
-    )?;
-    let eta = params
-        .get_field("eta")
-        .and_then(|v| v.as_u64())
-        .map_err(|e| e.to_string())? as usize;
-    let message = point
-        .coords
-        .iter()
-        .find_map(|coord| match coord {
-            AxisValue::Message(message) => Some(message.as_str()),
-            _ => None,
-        })
-        .ok_or_else(|| "fig2 points need a message coordinate".to_string())?;
-    let mut rng = StdRng::seed_from_u64(point.seed);
-    let circuit = message_transfer_circuit(message, eta);
-    let raw = NoisyExecutor::new(device)
-        .sample(&circuit, point.trials, &mut rng)
-        .map_err(|e| e.to_string())?;
-    let decoded = decode_readout_counts(&raw);
-    Ok(counts_to_row(message, &decoded).to_value())
-}
-
-fn sample_fig3(params: &Value, point: &CampaignPoint) -> Result<Value, String> {
-    let device = device_by_name(
-        params
-            .get_field("device")
-            .and_then(|v| v.as_str())
-            .map_err(|e| e.to_string())?,
-    )?;
-    let eta = point
-        .coords
-        .iter()
-        .find_map(|coord| match coord {
-            AxisValue::Eta(eta) => Some(*eta),
-            _ => None,
-        })
-        .ok_or_else(|| "fig3 points need an η coordinate".to_string())?;
-    let mut rng = StdRng::seed_from_u64(point.seed);
-    let executor = NoisyExecutor::new(device.clone());
-    let mut correct = 0u64;
-    let mut total = 0u64;
-    for message in FIG2_MESSAGES {
-        let circuit = message_transfer_circuit(message, eta);
-        let raw = executor
-            .sample(&circuit, point.trials, &mut rng)
-            .map_err(|e| e.to_string())?;
-        let decoded = decode_readout_counts(&raw);
-        correct += decoded.get(message);
-        total += decoded.total();
-    }
-    Ok(AccuracyPoint {
-        eta,
-        duration_us: eta as f64 * device.identity_gate_time_ns() / 1000.0,
-        accuracy: if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        },
-        shots: total,
-    }
-    .to_value())
-}
-
 /// Recovers the Fig. 2 histogram rows from a campaign report, in panel
 /// order.
 ///
@@ -346,17 +231,7 @@ fn sample_fig3(params: &Value, point: &CampaignPoint) -> Result<Value, String> {
 /// Returns an error when a point carries no sampled payload or the payload
 /// is not a [`HistogramRow`].
 pub fn fig2_rows(report: &CampaignReport) -> Result<Vec<HistogramRow>, String> {
-    report
-        .points
-        .iter()
-        .map(|point| {
-            let value = point
-                .sampled
-                .as_ref()
-                .ok_or_else(|| format!("point {} carries no sampled payload", point.index))?;
-            HistogramRow::from_value(value).map_err(|e| e.to_string())
-        })
-        .collect()
+    sampled_rows(report)
 }
 
 /// Recovers the Fig. 3 accuracy points from a campaign report, in sweep
@@ -367,6 +242,11 @@ pub fn fig2_rows(report: &CampaignReport) -> Result<Vec<HistogramRow>, String> {
 /// Returns an error when a point carries no sampled payload or the payload
 /// is not an [`AccuracyPoint`].
 pub fn fig3_points(report: &CampaignReport) -> Result<Vec<AccuracyPoint>, String> {
+    sampled_rows(report)
+}
+
+/// Decodes every point's sampled payload as a `T`, in sweep order.
+fn sampled_rows<T: Deserialize>(report: &CampaignReport) -> Result<Vec<T>, String> {
     report
         .points
         .iter()
@@ -375,7 +255,7 @@ pub fn fig3_points(report: &CampaignReport) -> Result<Vec<AccuracyPoint>, String
                 .sampled
                 .as_ref()
                 .ok_or_else(|| format!("point {} carries no sampled payload", point.index))?;
-            AccuracyPoint::from_value(value).map_err(|e| e.to_string())
+            T::from_value(value).map_err(|e| e.to_string())
         })
         .collect()
 }
@@ -461,16 +341,15 @@ pub fn attack_experiment_rows(
 }
 
 /// Runs `campaign` in this process under
-/// [`engine_parallelism`](crate::engine_parallelism), executing sampled
-/// points with the [`figure_sampler`] — the one execution path behind every
-/// figure binary.
+/// [`engine_parallelism`](crate::engine_parallelism) — the one execution
+/// path behind every figure binary.
 ///
 /// # Errors
 ///
 /// Returns an error naming the campaign when it fails to expand or execute.
 pub fn run(campaign: &Campaign) -> Result<CampaignReport, String> {
     campaign
-        .run_direct(crate::engine_parallelism(), &figure_sampler())
+        .run_direct(crate::engine_parallelism())
         .map_err(|e| format!("campaign `{}` failed: {e}", campaign.label))
 }
 
@@ -551,19 +430,17 @@ pub fn ablation_rows(report: &CampaignReport) -> Result<Vec<BackendAblationRow>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use protocol::engine::{CampaignRun, ShardWorker};
     use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The builders behind the checked-in definitions, with the default
     /// arguments of their binaries.
     fn stored_definitions() -> Vec<(&'static str, Campaign)> {
-        let brisbane = DeviceModel::ibm_brisbane_like();
+        let brisbane = CircuitDevice::IbmBrisbaneLike;
         let mut definitions = vec![
-            ("fig2", fig2_campaign(&brisbane, 10, 1024, 20240916)),
+            ("fig2", fig2_campaign(brisbane, 10, 1024, 20240916)),
             (
                 "fig3",
-                fig3_campaign(&brisbane, &crate::fig3_eta_values(), 256, 424242),
+                fig3_campaign(brisbane, &crate::fig3_eta_values(), 256, 424242),
             ),
             ("ablation_backend", ablation_campaign(&[0, 10, 50], 20, 11)),
             ("demo", demo_campaign(3, 7)),
@@ -615,44 +492,5 @@ mod tests {
     #[test]
     fn stored_campaign_rejects_unknown_names() {
         assert!(stored_campaign("fig9").is_err());
-    }
-
-    /// A scratch directory under the system temp dir, removed on drop.
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            static COUNTER: AtomicU64 = AtomicU64::new(0);
-            let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
-            let path = std::env::temp_dir().join(format!(
-                "ua-di-qsdc-bench-{tag}-{}-{unique}",
-                std::process::id()
-            ));
-            std::fs::create_dir_all(&path).unwrap();
-            TempDir(path)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    #[test]
-    fn sampled_campaign_through_a_run_directory_matches_run_direct() {
-        let device = DeviceModel::ibm_brisbane_like();
-        let campaign = fig2_campaign(&device, 10, 32, 20240916);
-        let direct = run(&campaign).expect("direct run succeeds");
-        let dir = TempDir::new("fig2-run");
-        let run = CampaignRun::init(&dir.0, &campaign, 8).expect("run initialises");
-        let report = run
-            .run(&ShardWorker::default(), &figure_sampler())
-            .expect("run drains");
-        assert_eq!(
-            serde::json::to_string(&report),
-            serde::json::to_string(&direct),
-            "persisted sampled campaign must match the in-process run byte-for-byte"
-        );
     }
 }

@@ -50,28 +50,24 @@ use protocol::config::SessionConfig;
 use protocol::descriptor::ProtocolDescriptor;
 use protocol::di_check::{run_di_check, DiCheckRound};
 use protocol::engine::parallel::scatter;
-use protocol::engine::{BackendKind, Parallelism, Scenario, SessionEngine, TrialSummary};
+use protocol::engine::{
+    derive_point_seed, BackendKind, Parallelism, Scenario, SessionEngine, TrialSummary,
+};
 use protocol::identity::IdentityPair;
 use protocol::session::Impersonation;
 use qchannel::epr::EprPair;
 use qchannel::quantum::ChannelSpec;
-use qsim::circuit::{Circuit, CircuitBuilder};
-use qsim::counts::Counts;
-use qsim::pauli::Pauli;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-
-/// The four 2-bit messages of Fig. 2 in panel order.
-pub const FIG2_MESSAGES: [&str; 4] = ["00", "01", "10", "11"];
 
 /// The execution policy every experiment in this crate runs under: the
 /// [`Parallelism::ENV_VAR`] environment variable when set (`serial`, `auto`,
 /// `threads:N`), all available cores otherwise.
 ///
 /// Every experiment is deterministic *per point* — engine trials by the
-/// per-trial RNG stream contract, sweep points by [`derive_seed`] — so for a
-/// given seed the policy changes wall time only, never a number in a table
+/// per-trial RNG stream contract, sweep points by [`derive_point_seed`] — so
+/// for a given seed the policy changes wall time only, never a number in a table
 /// (CI runs `tests/figure_outputs.rs` under several policies to prove it).
 /// Wall time itself is measured by the repository benchmark in `perfbench/`,
 /// not by these binaries.
@@ -131,56 +127,6 @@ pub fn backend_from_args() -> BackendKind {
         }
     }
     backend
-}
-
-/// Derives an independent RNG seed for sweep point `index` of an experiment
-/// seeded with `seed` (one [`rand::splitmix64`] step — the same finalizer the
-/// engine derives trial streams with), so sweep points can execute on any
-/// worker in any order and still reproduce bit-for-bit. This is the same
-/// derivation campaign expansion applies
-/// ([`protocol::engine::derive_point_seed`]).
-pub fn derive_seed(seed: u64, index: u64) -> u64 {
-    protocol::engine::derive_point_seed(seed, index)
-}
-
-/// Builds the single-EPR-pair message-transfer circuit the paper runs on `ibm_brisbane`:
-/// prepare `|Φ+⟩`, apply the encoding Pauli for `message` on Alice's qubit, push it through
-/// `eta` identity gates, and Bell-measure.
-///
-/// # Panics
-///
-/// Panics if `message` is not one of `00`, `01`, `10`, `11`.
-pub fn message_transfer_circuit(message: &str, eta: usize) -> Circuit {
-    let pauli = match message {
-        "00" => Pauli::I,
-        "01" => Pauli::Z,
-        "10" => Pauli::X,
-        "11" => Pauli::IY,
-        other => panic!("{other:?} is not a 2-bit message"),
-    };
-    let mut builder = CircuitBuilder::new(2, 2).h(0).cnot(0, 1).barrier();
-    builder = builder.unitary(pauli.symbol(), pauli.matrix(), &[0]);
-    builder = builder.identity_chain(0, eta).barrier();
-    // Bell-state measurement: disentangle and read out.
-    builder.cnot(0, 1).h(0).measure(0, 0).measure(1, 1).build()
-}
-
-/// Decodes the raw Bell-measurement readout histogram into a histogram over decoded 2-bit
-/// messages: readout `m_a m_b` identifies the Bell state (`00→Φ+`, `10→Φ−`, `01→Ψ+`,
-/// `11→Ψ−`), which decodes to the message via the paper's encoding rule.
-pub fn decode_readout_counts(raw: &Counts) -> Counts {
-    let mut decoded = Counts::new();
-    for (label, count) in raw.iter() {
-        let message = match label {
-            "00" => "00",
-            "10" => "01",
-            "01" => "10",
-            "11" => "11",
-            other => other,
-        };
-        decoded.record_many(message, count);
-    }
-    decoded
 }
 
 /// The η values of the paper's Fig. 3 sweep: 10 to 700 in steps of 10 (0.6 µs to 42 µs).
@@ -421,7 +367,7 @@ pub fn chsh_baseline_experiment(
         .collect();
     let (points, _stats) = scatter(engine_parallelism(), grid.len(), |index| {
         let (p, d) = grid[index];
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, index as u64));
+        let mut rng = StdRng::seed_from_u64(derive_point_seed(seed, index as u64));
         let mut estimates = Vec::with_capacity(repetitions);
         for _ in 0..repetitions {
             let mut pairs: Vec<EprPair> = (0..d)
@@ -457,35 +403,11 @@ mod tests {
         ablation_campaign, ablation_rows, attack_campaign, attack_rows, fig2_campaign, fig2_rows,
         fig3_campaign, fig3_points,
     };
-
-    #[test]
-    fn message_transfer_circuit_shape() {
-        let c = message_transfer_circuit("10", 10);
-        assert_eq!(c.num_qubits(), 2);
-        assert_eq!(c.num_clbits(), 2);
-        // 2 prep + 1 encode + 10 channel + 2 BSM gates
-        assert_eq!(c.gate_count(), 15);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a 2-bit message")]
-    fn bad_message_panics() {
-        let _ = message_transfer_circuit("0", 1);
-    }
-
-    #[test]
-    fn decode_readout_maps_bell_states_to_messages() {
-        let mut raw = Counts::new();
-        raw.record_many("10", 5); // Φ− → message 01
-        raw.record_many("01", 3); // Ψ+ → message 10
-        let decoded = decode_readout_counts(&raw);
-        assert_eq!(decoded.get("01"), 5);
-        assert_eq!(decoded.get("10"), 3);
-    }
+    use protocol::engine::CircuitDevice;
 
     #[test]
     fn fig2_on_ideal_device_is_perfect() {
-        let report = campaigns::run(&fig2_campaign(&DeviceModel::ideal(), 10, 64, 1)).unwrap();
+        let report = campaigns::run(&fig2_campaign(CircuitDevice::Ideal, 10, 64, 1)).unwrap();
         let rows = fig2_rows(&report).unwrap();
         assert_eq!(rows.len(), 4);
         for row in rows {
@@ -501,7 +423,7 @@ mod tests {
 
     #[test]
     fn fig2_on_noisy_device_keeps_high_fidelity_at_eta_10() {
-        let campaign = fig2_campaign(&DeviceModel::ibm_brisbane_like(), 10, 256, 2);
+        let campaign = fig2_campaign(CircuitDevice::IbmBrisbaneLike, 10, 256, 2);
         let rows = fig2_rows(&campaigns::run(&campaign).unwrap()).unwrap();
         for row in &rows {
             assert!(
@@ -515,7 +437,7 @@ mod tests {
 
     #[test]
     fn fig3_accuracy_decreases_with_channel_length() {
-        let campaign = fig3_campaign(&DeviceModel::ibm_brisbane_like(), &[10, 700], 128, 3);
+        let campaign = fig3_campaign(CircuitDevice::IbmBrisbaneLike, &[10, 700], 128, 3);
         let points = fig3_points(&campaigns::run(&campaign).unwrap()).unwrap();
         assert_eq!(points.len(), 2);
         assert!(points[0].accuracy > points[1].accuracy + 0.1);

@@ -22,8 +22,7 @@ use bench::campaigns::{
     fig3_campaign, fig3_points, run, table1_campaign, table1_summary,
 };
 use bench::ChannelAttackKind;
-use noise::DeviceModel;
-use protocol::engine::{BackendKind, TrialSummary};
+use protocol::engine::{BackendKind, CircuitDevice, TrialSummary};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -108,14 +107,14 @@ fn legacy_flag_is_an_unknown_option() {
 
 #[test]
 fn fig2_rows_match_the_fixture() {
-    let campaign = fig2_campaign(&DeviceModel::ibm_brisbane_like(), 10, 64, 20240916);
+    let campaign = fig2_campaign(CircuitDevice::IbmBrisbaneLike, 10, 64, 20240916);
     let rows = fig2_rows(&run(&campaign).unwrap()).unwrap();
     check_fixture("fig2_rows.json", &serde::json::to_string(&rows));
 }
 
 #[test]
 fn fig3_points_match_the_fixture() {
-    let campaign = fig3_campaign(&DeviceModel::ibm_brisbane_like(), &[10, 50], 64, 424242);
+    let campaign = fig3_campaign(CircuitDevice::IbmBrisbaneLike, &[10, 50], 64, 424242);
     let points = fig3_points(&run(&campaign).unwrap()).unwrap();
     check_fixture("fig3_points.json", &serde::json::to_string(&points));
 }

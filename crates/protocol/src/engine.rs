@@ -62,6 +62,7 @@
 //! ```
 
 pub mod campaign;
+pub mod circuit;
 pub mod parallel;
 pub mod queue;
 pub mod shard;
@@ -69,8 +70,9 @@ pub mod shard;
 pub use campaign::{
     derive_point_seed, Axis, AxisValue, Campaign, CampaignError, CampaignPoint,
     CampaignPointReport, CampaignReport, CampaignRun, CampaignSpace, CampaignStatus,
-    CampaignWorkload, NoSampler, RateInterval, Sampler,
+    CampaignWorkload, PointWork, RateInterval,
 };
+pub use circuit::{CircuitDevice, CircuitExperiment, CircuitPoint};
 pub use parallel::{ExecutorStats, Parallelism};
 pub use queue::{
     ClaimOutcome, LeaseHeartbeat, MergeCheckpoint, QueueError, QueueStatus, ShardQueue, ShardSlot,
@@ -509,40 +511,14 @@ impl Deserialize for BackendKind {
 
 // ---------------------------------------------------------------- adversary --
 
-/// A user-supplied channel tap, wrapped so scenarios stay cloneable.
-#[derive(Clone)]
-pub struct CustomAdversary {
-    name: String,
-    factory: Arc<dyn Fn() -> Box<dyn ChannelTap> + Send + Sync>,
-}
-
-impl CustomAdversary {
-    /// The adversary's display name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Builds a fresh tap instance for one session.
-    pub fn make_tap(&self) -> Box<dyn ChannelTap> {
-        (self.factory)()
-    }
-}
-
-impl fmt::Debug for CustomAdversary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CustomAdversary")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
-
 /// The unified adversary vocabulary of a [`Scenario`].
 ///
 /// This single enum covers what the legacy API split across the
 /// [`Impersonation`] parameter and the generic `ChannelTap` type parameter:
-/// impersonation of either party, the three channel attacks of the paper's
-/// Section III, and arbitrary user-supplied taps.
-#[derive(Debug, Clone)]
+/// impersonation of either party and the three channel attacks of the
+/// paper's Section III. It is plain data: every variant compares by value
+/// and round-trips through serde (decoding validates the parameters).
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Adversary {
     /// No adversary: both parties legitimate, channel untapped.
     Honest,
@@ -562,30 +538,9 @@ pub enum Adversary {
         /// Interaction strength in `[0, 1]`: 0 = no coupling, 1 = full CNOT.
         strength: f64,
     },
-    /// An arbitrary user-supplied channel tap. Not serializable; scenarios
-    /// carrying one cannot be round-tripped through serde.
-    ///
-    /// Custom adversaries are identified by their *name* for equality and
-    /// [`Scenario::fingerprint`] purposes — the boxed behavior cannot be
-    /// inspected. Give behaviorally different taps different names, or two
-    /// scenarios differing only in tap behavior will compare equal and draw
-    /// identical per-trial RNG streams.
-    Custom(CustomAdversary),
 }
 
 impl Adversary {
-    /// Wraps a tap factory as a custom adversary. The factory is invoked once
-    /// per session so per-session tap state stays independent.
-    pub fn custom(
-        name: impl Into<String>,
-        factory: impl Fn() -> Box<dyn ChannelTap> + Send + Sync + 'static,
-    ) -> Self {
-        Adversary::Custom(CustomAdversary {
-            name: name.into(),
-            factory: Arc::new(factory),
-        })
-    }
-
     /// The adversary's display name (used in [`TrialSummary::adversary`]).
     pub fn name(&self) -> String {
         match self {
@@ -595,7 +550,6 @@ impl Adversary {
             Adversary::InterceptResend(_) => "intercept-and-resend".into(),
             Adversary::ManInTheMiddle(_) => "man-in-the-middle".into(),
             Adversary::EntangleMeasure { .. } => "entangle-and-measure".into(),
-            Adversary::Custom(custom) => custom.name.clone(),
         }
     }
 
@@ -656,25 +610,6 @@ impl Adversary {
             Adversary::EntangleMeasure { strength } => {
                 Box::new(EntangleMeasureAttack::with_strength(*strength))
             }
-            Adversary::Custom(custom) => custom.make_tap(),
-        }
-    }
-}
-
-impl PartialEq for Adversary {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Adversary::Honest, Adversary::Honest)
-            | (Adversary::ImpersonateAlice, Adversary::ImpersonateAlice)
-            | (Adversary::ImpersonateBob, Adversary::ImpersonateBob) => true,
-            (Adversary::InterceptResend(a), Adversary::InterceptResend(b)) => a == b,
-            (Adversary::ManInTheMiddle(a), Adversary::ManInTheMiddle(b)) => a == b,
-            (
-                Adversary::EntangleMeasure { strength: a },
-                Adversary::EntangleMeasure { strength: b },
-            ) => a == b,
-            (Adversary::Custom(a), Adversary::Custom(b)) => a.name == b.name,
-            _ => false,
         }
     }
 }
@@ -682,30 +617,6 @@ impl PartialEq for Adversary {
 impl fmt::Display for Adversary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.name())
-    }
-}
-
-impl Serialize for Adversary {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            Adversary::Honest => serde::Value::Str("Honest".into()),
-            Adversary::ImpersonateAlice => serde::Value::Str("ImpersonateAlice".into()),
-            Adversary::ImpersonateBob => serde::Value::Str("ImpersonateBob".into()),
-            Adversary::InterceptResend(basis) => {
-                serde::Value::Map(vec![("InterceptResend".into(), basis.to_value())])
-            }
-            Adversary::ManInTheMiddle(substitute) => {
-                serde::Value::Map(vec![("ManInTheMiddle".into(), substitute.to_value())])
-            }
-            Adversary::EntangleMeasure { strength } => serde::Value::Map(vec![(
-                "EntangleMeasure".into(),
-                serde::Value::Map(vec![("strength".into(), strength.to_value())]),
-            )]),
-            Adversary::Custom(custom) => serde::Value::Map(vec![(
-                "Custom".into(),
-                serde::Value::Str(custom.name.clone()),
-            )]),
-        }
     }
 }
 
@@ -737,9 +648,6 @@ impl Deserialize for Adversary {
                             .map_err(|e| serde::Error::new(format!("invalid adversary: {e}")))?;
                         Ok(adversary)
                     }
-                    "Custom" => Err(serde::Error::new(
-                        "custom adversaries carry arbitrary code and cannot be deserialized",
-                    )),
                     other => Err(serde::Error::new(format!(
                         "unknown adversary variant `{other}`"
                     ))),
@@ -757,9 +665,9 @@ impl Deserialize for Adversary {
 
 /// A declarative description of one kind of session to execute.
 ///
-/// Scenarios are plain data: cloneable, comparable and (for every adversary
-/// except [`Adversary::Custom`]) serde round-trippable, so whole experiment
-/// suites can be stored, shipped to remote workers, or replayed later.
+/// Scenarios are plain data: cloneable, comparable and serde
+/// round-trippable, so whole experiment suites can be stored, shipped to
+/// remote workers, or replayed later.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Display label (used in [`TrialSummary::label`]).
@@ -2001,89 +1909,35 @@ mod tests {
     }
 
     #[test]
-    fn custom_tap_that_destroys_entanglement_triggers_an_abort() {
-        /// A crude "dephase everything" interceptor.
-        struct ZMeasureTap;
-        impl ChannelTap for ZMeasureTap {
-            fn on_transmit(&mut self, pair: &mut EprPair, _rng: &mut dyn RngCore) {
-                noise::KrausChannel::phase_flip(0.5).apply(pair.density_mut(), &[0]);
-            }
-            fn name(&self) -> &str {
-                "z-measure"
-            }
-        }
-        let identities = IdentityPair::generate(4, &mut rng(99));
-        let config = SessionConfig::builder()
-            .message_bits(8)
-            .check_bits(2)
-            .di_check_pairs(220)
-            .auth_error_tolerance(0.6)
-            .build()
-            .unwrap();
-        let scenario = Scenario::new(config, identities)
-            .with_adversary(Adversary::custom("z-measure", || Box::new(ZMeasureTap)));
-        let outcome = SessionEngine::new(99).run(&scenario).unwrap();
-        assert!(
-            !outcome.is_delivered(),
-            "a channel that destroys coherence must be detected, got {}",
-            outcome.status
-        );
-        // Round 1 ran before transmission, so it passed; the abort happened later.
-        assert!(outcome.di_check_round1.as_ref().unwrap().passed);
-        assert!(!outcome.aborted_at(AbortStage::DiCheck1));
-    }
-
-    #[test]
     fn every_session_exit_counts_its_transcript() {
         // Every exit, abort or delivery, must count the messages it
         // published, and only an abort ends on an `abort` announcement. At
         // every exit the Summary-mode fold of the trial must equal recording
         // its Outcomes-mode outcome.
-        /// Dephases Alice's half of every pair before the first DI check.
-        struct DephaseAtEmission;
-        impl ChannelTap for DephaseAtEmission {
-            fn on_pair_emitted(&mut self, pair: &mut EprPair, _rng: &mut dyn RngCore) {
-                noise::KrausChannel::phase_flip(0.5).apply(pair.density_mut(), &[0]);
-            }
-            fn acts_on_transmit(&self) -> bool {
-                false
-            }
-        }
-        /// Flips Alice's qubit in flight: mild enough for the first check to
-        /// pass, strong enough to reach the later checks.
-        struct BitFlipInFlight;
-        impl ChannelTap for BitFlipInFlight {
-            fn on_transmit(&mut self, pair: &mut EprPair, _rng: &mut dyn RngCore) {
-                noise::KrausChannel::bit_flip(0.15).apply(pair.density_mut(), &[0]);
-            }
-            fn acts_on_emission(&self) -> bool {
-                false
-            }
-        }
         let identities = IdentityPair::generate(4, &mut rng(17));
-        let config = |auth_error_tolerance| {
+        let config = |auth_error_tolerance, chsh_abort_threshold, channel| {
             SessionConfig::builder()
                 .message_bits(8)
                 .check_bits(4)
                 .di_check_pairs(64)
                 .auth_error_tolerance(auth_error_tolerance)
+                .chsh_abort_threshold(chsh_abort_threshold)
+                .channel(channel)
                 .build()
                 .unwrap()
         };
-        let strict = Scenario::new(config(0.0), identities.clone());
+        let strict = Scenario::new(config(0.0, 2.0, ChannelSpec::ideal()), identities.clone());
+        // A noisy channel decoheres Alice's qubit in flight: mild enough for
+        // the first check to pass, strong enough to reach the later checks.
+        let noisy = ChannelSpec::noisy_identity_chain(100, DeviceModel::ibm_brisbane_like());
         let scenarios = [
             strict.clone(),
-            strict
-                .clone()
-                .with_adversary(Adversary::custom("dephase-at-emission", || {
-                    Box::new(DephaseAtEmission)
-                })),
+            // No estimate exceeds the algebraic maximum 4 (above Tsirelson's
+            // 2√2), so the first DI check always aborts.
+            Scenario::new(config(0.0, 4.0, ChannelSpec::ideal()), identities.clone()),
             strict.clone().with_adversary(Adversary::ImpersonateBob),
             strict.with_adversary(Adversary::ImpersonateAlice),
-            Scenario::new(config(1.0), identities)
-                .with_adversary(Adversary::custom("bit-flip-in-flight", || {
-                    Box::new(BitFlipInFlight)
-                })),
+            Scenario::new(config(1.0, 2.0, noisy), identities),
         ];
         let mut exits = Vec::new();
         let engine = SessionEngine::new(17);
@@ -2153,6 +2007,9 @@ mod tests {
             let summary = engine.run_trials(&scenario, 3).unwrap();
             assert_eq!(summary.delivered, 0, "{summary}");
             assert!(summary.detection_rate() > 0.99, "{summary}");
+            // Round 1 runs before transmission, so it passes: the attack is
+            // caught later.
+            assert_eq!(summary.aborted_di_check1, 0, "{summary}");
         }
     }
 
@@ -2269,7 +2126,7 @@ mod tests {
     }
 
     #[test]
-    fn adversary_serde_round_trips_except_custom() {
+    fn adversary_serde_round_trips() {
         for adversary in [
             Adversary::Honest,
             Adversary::ImpersonateAlice,
@@ -2282,9 +2139,31 @@ mod tests {
             let back: Adversary = serde::json::from_str(&json).unwrap();
             assert_eq!(back, adversary, "via {json}");
         }
-        let custom = Adversary::custom("noop", || Box::new(NoTap));
-        let json = serde::json::to_string(&custom);
-        assert!(serde::json::from_str::<Adversary>(&json).is_err());
+        // Circuit campaigns are plain data too, fingerprint included.
+        let device = CircuitDevice::IbmBrisbaneLike;
+        for (experiment, axis) in [
+            (
+                CircuitExperiment::Fig2Histogram { device, eta: 10 },
+                Axis::Message(vec!["00".into(), "11".into()]),
+            ),
+            (
+                CircuitExperiment::Fig3Accuracy { device },
+                Axis::Eta(vec![10, 700]),
+            ),
+        ] {
+            let campaign = Campaign {
+                label: "round-trip".into(),
+                master_seed: 5,
+                trials: 8,
+                workload: CampaignWorkload::Sampled(experiment),
+                space: CampaignSpace::Grid(vec![axis]),
+            };
+            let json = serde::json::to_string(&campaign);
+            let back: Campaign = serde::json::from_str(&json).unwrap();
+            assert_eq!(back, campaign, "via {json}");
+            assert_eq!(back.fingerprint(), campaign.fingerprint(), "via {json}");
+            assert_eq!(serde::json::to_string(&back), json);
+        }
     }
 
     #[test]
@@ -2298,9 +2177,15 @@ mod tests {
                 .with_label("imp-bob")
                 .with_adversary(Adversary::ImpersonateBob),
         ];
+        // The intercept tap is stateful (it counts what it intercepted): each
+        // session builds a fresh one inside the worker that runs the trial.
         let serial_engine = SessionEngine::new(2025);
         let serial_outcomes = serial_engine.run_outcomes(&scenarios[0], 4).unwrap();
         let serial_batch = serial_engine.run_batch(&scenarios, 3).unwrap();
+        assert_eq!(
+            serial_batch[1].delivered, 0,
+            "intercepting everything must abort"
+        );
         for parallelism in [
             Parallelism::Threads(2),
             Parallelism::Threads(8),
@@ -2366,34 +2251,6 @@ mod tests {
             assert_eq!(batch.len(), 1);
             assert_eq!(batch[0].trials, 0);
         }
-    }
-
-    #[test]
-    fn custom_adversaries_run_in_parallel() {
-        // A stateful tap: per-session state must stay per-worker because the
-        // factory builds a fresh tap inside the worker that runs the trial.
-        struct FlipCounter {
-            flips: usize,
-        }
-        impl ChannelTap for FlipCounter {
-            fn on_transmit(&mut self, pair: &mut EprPair, _rng: &mut dyn RngCore) {
-                self.flips += 1;
-                noise::KrausChannel::phase_flip(0.5).apply(pair.density_mut(), &[0]);
-            }
-            fn name(&self) -> &str {
-                "flip-counter"
-            }
-        }
-        let scenario = small_scenario(64).with_adversary(Adversary::custom("flip-counter", || {
-            Box::new(FlipCounter { flips: 0 })
-        }));
-        let serial = SessionEngine::new(64).run_trials(&scenario, 4).unwrap();
-        let threaded = SessionEngine::new(64)
-            .with_parallelism(Parallelism::Threads(4))
-            .run_trials(&scenario, 4)
-            .unwrap();
-        assert_eq!(serial, threaded);
-        assert_eq!(serial.delivered, 0, "dephasing everything must abort");
     }
 
     #[test]

@@ -16,16 +16,16 @@
 //!
 //! - [`CampaignWorkload::Session`]: each point is a full protocol session
 //!   sweep executed by [`SessionEngine`] (the detection-rate tables).
-//! - [`CampaignWorkload::Sampled`]: each point is handed, with its
-//!   coordinates and a derived seed, to a caller-registered [`Sampler`] —
-//!   circuit-level experiments (the fig. 2 histogram, the fig. 3 accuracy
-//!   sweep) that sample shots rather than run sessions.
+//! - [`CampaignWorkload::Sampled`]: each point binds its coordinates into a
+//!   [`CircuitPoint`] of a [`CircuitExperiment`] — the fig. 2 histogram and
+//!   the fig. 3 accuracy sweep, which sample shots of one circuit rather than
+//!   run sessions — and samples it under a derived seed.
 //!
 //! # Example
 //!
 //! ```rust
 //! use protocol::engine::{Axis, BackendKind, Campaign, CampaignSpace, CampaignWorkload,
-//!                        NoSampler, Parallelism, Scenario};
+//!                        Parallelism, Scenario};
 //! use protocol::identity::IdentityPair;
 //! use protocol::SessionConfig;
 //! use rand::SeedableRng;
@@ -45,15 +45,18 @@
 //!     workload: CampaignWorkload::Session { base },
 //!     space: CampaignSpace::Grid(vec![Axis::Backend(BackendKind::ALL.to_vec())]),
 //! };
-//! let report = campaign.run_direct(Parallelism::Serial, &NoSampler)?;
+//! let report = campaign.run_direct(Parallelism::Serial)?;
 //! assert_eq!(report.points.len(), BackendKind::ALL.len());
 //! assert!(report.points[0].summary.is_some());
 //! # Ok(())
 //! # }
 //! ```
 
+use super::circuit::{CircuitExperiment, CircuitPoint};
 use super::parallel::scatter;
-use super::queue::{write_atomically, QueueError, ShardQueue, ShardWorker, WorkerError};
+use super::queue::{
+    content_fingerprint, write_atomically, QueueError, ShardQueue, ShardWorker, WorkerError,
+};
 use super::shard::ShardOutput;
 use super::{fnv1a64, Adversary, BackendKind, Parallelism, Scenario, SessionEngine, TrialSummary};
 use crate::config::SessionConfig;
@@ -108,8 +111,8 @@ pub enum Axis {
     /// Coupling strength of an [`Adversary::EntangleMeasure`] adversary,
     /// in `[0, 1]`.
     Strength(Vec<f64>),
-    /// Encoded message panel (sampled workloads only, e.g. the fig. 2
-    /// histogram's four two-bit messages).
+    /// Encoded message panel (the fig. 2 histogram's four two-bit
+    /// messages).
     Message(Vec<String>),
 }
 
@@ -215,16 +218,9 @@ pub enum CampaignWorkload {
         /// The scenario every point starts from.
         base: Scenario,
     },
-    /// Each point is handed to a caller-registered [`Sampler`] together with
-    /// its coordinates and derived seed — circuit-level experiments that
-    /// sample shots instead of running sessions.
-    Sampled {
-        /// Sampler kind the executing process must have registered
-        /// (e.g. `"fig2-histogram"`).
-        kind: String,
-        /// Opaque kind-specific parameters (device name, fixed η, …).
-        params: Value,
-    },
+    /// Each point is a circuit run of the experiment, bound from the
+    /// point's coordinates and sampled under its derived seed.
+    Sampled(CircuitExperiment),
 }
 
 /// A declarative, serializable parameter sweep: a [`CampaignWorkload`] swept
@@ -264,7 +260,7 @@ impl Campaign {
                 "Session".into(),
                 Value::Map(vec![("base".into(), base.fingerprint().to_value())]),
             )]),
-            sampled @ CampaignWorkload::Sampled { .. } => sampled.to_value(),
+            sampled @ CampaignWorkload::Sampled(_) => sampled.to_value(),
         };
         let physical = Value::Map(vec![
             ("master_seed".into(), self.master_seed.to_value()),
@@ -284,7 +280,9 @@ impl Campaign {
     /// - [`CampaignError::InvalidPoint`] when a coordinate cannot apply (a
     ///   `Message` axis on a session workload, a `Strength` coordinate
     ///   without an entangle-and-measure adversary, a zero trial budget, an
-    ///   η that produces an invalid configuration);
+    ///   η that produces an invalid configuration, a circuit coordinate
+    ///   outside the experiment's panels or axes, or a circuit point
+    ///   without the coordinate it reads);
     /// - [`CampaignError::DuplicatePoint`] when two points are physically
     ///   identical — a duplicated sweep would silently double-count.
     pub fn expand(&self) -> Result<Vec<CampaignPoint>, CampaignError> {
@@ -343,40 +341,47 @@ impl Campaign {
         index: usize,
         coords: Vec<AxisValue>,
     ) -> Result<CampaignPoint, CampaignError> {
-        let mut trials = self.trials;
-        let mut scenario = match &self.workload {
-            CampaignWorkload::Session { base } => Some(base.clone()),
-            CampaignWorkload::Sampled { .. } => None,
-        };
-        for coord in &coords {
-            if let AxisValue::Trials(t) = coord {
-                trials = *t;
-                continue;
-            }
-            if let Some(current) = scenario.take() {
-                scenario = Some(apply_session_coord(current, coord, index)?);
-            }
-        }
-        if trials == 0 {
-            return Err(CampaignError::InvalidPoint {
-                index,
-                reason: "point has a zero trial budget".into(),
-            });
-        }
+        let trials = coords
+            .iter()
+            .rev()
+            .find_map(|coord| match coord {
+                AxisValue::Trials(t) => Some(*t),
+                _ => None,
+            })
+            .unwrap_or(self.trials);
         let label = if coords.is_empty() {
             format!("{} · base", self.label)
         } else {
             let rendered: Vec<String> = coords.iter().map(|c| c.to_string()).collect();
             format!("{} · {}", self.label, rendered.join(", "))
         };
-        let scenario = scenario.map(|s| s.with_label(label.clone()));
+        let work = match &self.workload {
+            CampaignWorkload::Session { base } => {
+                let mut scenario = base.clone();
+                for coord in &coords {
+                    scenario = apply_session_coord(scenario, coord, index)?;
+                }
+                PointWork::Session(scenario.with_label(label.clone()))
+            }
+            CampaignWorkload::Sampled(experiment) => PointWork::Circuit(
+                experiment
+                    .bind(&coords)
+                    .map_err(|reason| CampaignError::InvalidPoint { index, reason })?,
+            ),
+        };
+        if trials == 0 {
+            return Err(CampaignError::InvalidPoint {
+                index,
+                reason: "point has a zero trial budget".into(),
+            });
+        }
         Ok(CampaignPoint {
             index,
             label,
             coords,
             trials,
             seed: derive_point_seed(self.master_seed, index as u64),
-            scenario,
+            work,
         })
     }
 
@@ -390,50 +395,33 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Expansion errors, [`CampaignError::Protocol`] from session execution,
-    /// or [`CampaignError::Sampler`] when the sampler rejects a point.
-    pub fn run_direct(
-        &self,
-        parallelism: Parallelism,
-        sampler: &dyn Sampler,
-    ) -> Result<CampaignReport, CampaignError> {
+    /// Expansion errors, or [`CampaignError::Protocol`] from session
+    /// execution.
+    pub fn run_direct(&self, parallelism: Parallelism) -> Result<CampaignReport, CampaignError> {
         let points = self.expand()?;
-        let payloads = match &self.workload {
-            CampaignWorkload::Session { .. } => {
-                let engine = SessionEngine::new(self.master_seed).with_parallelism(parallelism);
-                points
-                    .iter()
-                    .map(|point| {
-                        let scenario = point
-                            .scenario
-                            .as_ref()
-                            .expect("session points carry scenarios");
-                        engine
-                            .run_trials(scenario, point.trials)
-                            .map(PointPayload::Summary)
-                            .map_err(|error| CampaignError::Protocol {
-                                index: point.index,
-                                error,
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-            CampaignWorkload::Sampled { kind, params } => {
-                let (results, _) = scatter(parallelism, points.len(), |i| {
-                    sampler.sample(kind, params, &points[i])
-                });
-                results
-                    .into_iter()
-                    .enumerate()
-                    .map(|(index, result)| {
-                        result
-                            .map(PointPayload::Sampled)
-                            .map_err(|reason| CampaignError::Sampler { index, reason })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
+        let engine = SessionEngine::new(self.master_seed).with_parallelism(parallelism);
+        let run = |point: &CampaignPoint| match &point.work {
+            PointWork::Session(scenario) => engine
+                .run_trials(scenario, point.trials)
+                .map(PointPayload::Summary)
+                .map_err(|error| CampaignError::Protocol {
+                    index: point.index,
+                    error,
+                }),
+            PointWork::Circuit(circuit) => Ok(PointPayload::Sampled(
+                circuit.sample(point.trials, point.seed),
+            )),
+        };
+        // Session points spread their trials over `parallelism`; circuit
+        // points spread across points.
+        let payloads: Result<Vec<_>, _> = match &self.workload {
+            CampaignWorkload::Session { .. } => points.iter().map(run).collect(),
+            CampaignWorkload::Sampled(_) => {
+                let (payloads, _) = scatter(parallelism, points.len(), |i| run(&points[i]));
+                payloads.into_iter().collect()
             }
         };
-        Ok(build_report(self, &points, payloads))
+        Ok(build_report(self, &points, payloads?))
     }
 }
 
@@ -479,7 +467,7 @@ fn apply_session_coord(
             }
         }
         AxisValue::Message(_) => Err(invalid(
-            "message axes only apply to sampled campaigns".into(),
+            "message axes only apply to the fig2-histogram circuit experiment".into(),
         )),
         AxisValue::Trials(_) => Ok(scenario), // handled by the caller
     }
@@ -501,55 +489,31 @@ pub struct CampaignPoint {
     /// session workloads ignore it (their streams derive from the master
     /// seed and the scenario fingerprint, as in `run_trials`).
     pub seed: u64,
-    /// The concrete scenario (session workloads only).
-    pub scenario: Option<Scenario>,
+    /// What the point executes.
+    pub work: PointWork,
+}
+
+/// What one [`CampaignPoint`] executes, by workload.
+#[derive(Debug, Clone, PartialEq)]
+#[allow(clippy::large_enum_variant)] // built once per expansion; boxing buys nothing
+pub enum PointWork {
+    /// A session sweep of this concrete scenario.
+    Session(Scenario),
+    /// Shots of this bound circuit run.
+    Circuit(CircuitPoint),
 }
 
 impl CampaignPoint {
     /// A key identifying the point's *physics*, used for duplicate
     /// rejection: scenario fingerprint + trials for session points, the
-    /// serialized coordinates + trials for sampled points.
+    /// bound circuit run + trials for sampled points.
     fn identity_key(&self) -> String {
-        match &self.scenario {
-            Some(scenario) => format!("session:{:016x}:{}", scenario.fingerprint(), self.trials),
-            None => format!(
-                "sampled:{}:{}",
-                serde::json::to_string(&self.coords.to_value()),
-                self.trials
-            ),
+        match &self.work {
+            PointWork::Session(scenario) => {
+                format!("session:{:016x}:{}", scenario.fingerprint(), self.trials)
+            }
+            PointWork::Circuit(circuit) => format!("sampled:{circuit:?}:{}", self.trials),
         }
-    }
-}
-
-// ---------------------------------------------------------------- sampler --
-
-/// Executes sampled campaign points (circuit-level experiments).
-///
-/// Implementations must be pure functions of `(kind, params, point)` — that
-/// is what makes sampled campaigns resumable and their reports reproducible.
-/// The trait is implemented for any matching `Fn` closure.
-pub trait Sampler: Sync {
-    /// Produces the point's result payload, or a reason it cannot.
-    fn sample(&self, kind: &str, params: &Value, point: &CampaignPoint) -> Result<Value, String>;
-}
-
-impl<F> Sampler for F
-where
-    F: Fn(&str, &Value, &CampaignPoint) -> Result<Value, String> + Sync,
-{
-    fn sample(&self, kind: &str, params: &Value, point: &CampaignPoint) -> Result<Value, String> {
-        self(kind, params, point)
-    }
-}
-
-/// A [`Sampler`] that rejects every kind — the right argument when running
-/// session campaigns, which never invoke one.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoSampler;
-
-impl Sampler for NoSampler {
-    fn sample(&self, kind: &str, _params: &Value, _point: &CampaignPoint) -> Result<Value, String> {
-        Err(format!("no sampler registered for kind `{kind}`"))
     }
 }
 
@@ -601,7 +565,7 @@ pub struct CampaignPointReport {
     pub trials: usize,
     /// Merged trial summary (session workloads).
     pub summary: Option<TrialSummary>,
-    /// Sampler payload (sampled workloads).
+    /// Sampled circuit payload (sampled workloads).
     pub sampled: Option<Value>,
     /// Abort rate with confidence interval, for points under attack —
     /// aborts against an adversary are *detections*.
@@ -683,10 +647,7 @@ fn abort_rates(
         return (None, None);
     }
     let interval = RateInterval::wilson(summary.total_aborts(), summary.trials);
-    let honest = matches!(
-        point.scenario.as_ref().map(|s| &s.adversary),
-        Some(Adversary::Honest)
-    );
+    let honest = matches!(&point.work, PointWork::Session(s) if s.adversary == Adversary::Honest);
     if honest {
         (None, Some(interval))
     } else {
@@ -735,13 +696,6 @@ pub enum CampaignError {
         index: usize,
         /// The underlying queue error.
         error: QueueError,
-    },
-    /// The sampler rejected a sampled point.
-    Sampler {
-        /// Sweep index of the point.
-        index: usize,
-        /// The sampler's reason.
-        reason: String,
     },
     /// A report was requested before every point finished.
     Incomplete {
@@ -798,9 +752,6 @@ impl fmt::Display for CampaignError {
             }
             CampaignError::Queue { index, error } => {
                 write!(f, "point {index} queue error: {error}")
-            }
-            CampaignError::Sampler { index, reason } => {
-                write!(f, "sampler rejected point {index}: {reason}")
             }
             CampaignError::Incomplete { done, total } => {
                 write!(f, "campaign incomplete: {done}/{total} points done")
@@ -871,8 +822,24 @@ struct SampleRecord {
     campaign: u64,
     /// Sweep index of the point.
     index: usize,
-    /// The sampler's payload.
+    /// [`content_fingerprint`] of the payload's JSON bytes, so an edited
+    /// payload fails by name instead of entering the report.
+    checksum: u64,
+    /// The sampled payload.
     payload: Value,
+}
+
+impl SampleRecord {
+    /// The record of `payload` as point `index` of campaign `campaign`.
+    fn new(campaign: u64, index: usize, payload: Value) -> Self {
+        let checksum = content_fingerprint(serde::json::to_string(&payload).as_bytes());
+        Self {
+            campaign,
+            index,
+            checksum,
+            payload,
+        }
+    }
 }
 
 /// A campaign lowered onto a state directory: the stored definition plus one
@@ -925,34 +892,28 @@ impl CampaignRun {
             campaign: campaign.clone(),
             points,
         };
-        match &run.campaign.workload {
-            CampaignWorkload::Session { .. } => {
-                let engine = SessionEngine::new(run.campaign.master_seed);
-                for point in &run.points {
-                    let scenario = point
-                        .scenario
-                        .as_ref()
-                        .expect("session points carry scenarios");
-                    let plan = engine.plan(scenario, point.trials);
-                    ShardQueue::init(
-                        run.point_dir(point.index),
-                        &plan,
-                        shard_trials,
-                        ShardOutput::Summary,
-                    )
-                    .map_err(|error| CampaignError::Queue {
-                        index: point.index,
-                        error,
-                    })?;
-                }
-            }
-            CampaignWorkload::Sampled { .. } => {
-                let samples = run.dir.join(SAMPLES_DIR);
-                fs::create_dir_all(&samples).map_err(|e| CampaignError::Io {
-                    path: samples,
-                    message: e.to_string(),
+        let engine = SessionEngine::new(run.campaign.master_seed);
+        for point in &run.points {
+            if let PointWork::Session(scenario) = &point.work {
+                let plan = engine.plan(scenario, point.trials);
+                ShardQueue::init(
+                    run.point_dir(point.index),
+                    &plan,
+                    shard_trials,
+                    ShardOutput::Summary,
+                )
+                .map_err(|error| CampaignError::Queue {
+                    index: point.index,
+                    error,
                 })?;
             }
+        }
+        if let CampaignWorkload::Sampled(_) = &run.campaign.workload {
+            let samples = run.dir.join(SAMPLES_DIR);
+            fs::create_dir_all(&samples).map_err(|e| CampaignError::Io {
+                path: samples,
+                message: e.to_string(),
+            })?;
         }
         // The definition is written last: a campaign file's existence means
         // the directory is fully initialized.
@@ -1031,7 +992,7 @@ impl CampaignRun {
     /// [`CampaignError::InvalidPoint`] for sampled campaigns (their points
     /// have no queues), or the queue's own open errors.
     pub fn point_queue(&self, index: usize) -> Result<ShardQueue, CampaignError> {
-        if matches!(self.campaign.workload, CampaignWorkload::Sampled { .. }) {
+        if matches!(self.campaign.workload, CampaignWorkload::Sampled(_)) {
             return Err(CampaignError::InvalidPoint {
                 index,
                 reason: "sampled points have no shard queues".into(),
@@ -1055,23 +1016,21 @@ impl CampaignRun {
             trials_total: 0,
         };
         for point in &self.points {
+            let index = point.index;
             status.trials_total += point.trials as u64;
-            match &self.campaign.workload {
-                CampaignWorkload::Session { .. } => {
-                    let queue_status =
-                        self.point_queue(point.index)?.status().map_err(|error| {
-                            CampaignError::Queue {
-                                index: point.index,
-                                error,
-                            }
-                        })?;
+            match &point.work {
+                PointWork::Session(_) => {
+                    let queue = self.point_queue(index)?;
+                    let queue_status = queue
+                        .status()
+                        .map_err(|error| CampaignError::Queue { index, error })?;
                     status.trials_done += queue_status.trials_done;
                     if queue_status.complete() {
                         status.points_done += 1;
                     }
                 }
-                CampaignWorkload::Sampled { .. } => {
-                    if self.read_sample(point.index).is_ok() {
+                PointWork::Circuit(_) => {
+                    if self.read_sample(index).is_ok() {
                         status.points_done += 1;
                         status.trials_done += point.trials as u64;
                     }
@@ -1087,22 +1046,19 @@ impl CampaignRun {
     /// Each session point's queue is drained by `worker`
     /// ([`ShardWorker::drain`], which waits out other workers' leases);
     /// sampled points that already have a valid result file are skipped,
-    /// and the rest are sampled after `worker.throttle_ms`. Any number of
-    /// processes can run the same directory concurrently.
+    /// and the rest (including any whose record fails its checks) are
+    /// sampled after `worker.throttle_ms`. Any number of processes can run
+    /// the same directory concurrently.
     ///
     /// # Errors
     ///
-    /// Queue, protocol, sampler, or I/O errors from execution, plus
-    /// anything [`report`](Self::report) can return.
-    pub fn run(
-        &self,
-        worker: &ShardWorker,
-        sampler: &dyn Sampler,
-    ) -> Result<CampaignReport, CampaignError> {
-        match &self.campaign.workload {
-            CampaignWorkload::Session { .. } => {
-                for point in &self.points {
-                    let index = point.index;
+    /// Queue, protocol, or I/O errors from execution, plus anything
+    /// [`report`](Self::report) can return.
+    pub fn run(&self, worker: &ShardWorker) -> Result<CampaignReport, CampaignError> {
+        for point in &self.points {
+            let index = point.index;
+            match &point.work {
+                PointWork::Session(_) => {
                     worker
                         .drain(&self.point_queue(index)?, ShardOutput::Summary)
                         .map_err(|error| match error {
@@ -1110,34 +1066,18 @@ impl CampaignRun {
                             WorkerError::Execute(error) => CampaignError::Protocol { index, error },
                         })?;
                 }
-            }
-            CampaignWorkload::Sampled { kind, params } => {
-                for point in &self.points {
-                    if self.read_sample(point.index).is_ok() {
-                        continue;
-                    }
+                PointWork::Circuit(_) if self.read_sample(index).is_ok() => {}
+                PointWork::Circuit(circuit) => {
                     if worker.throttle_ms > 0 {
                         thread::sleep(Duration::from_millis(worker.throttle_ms));
                     }
-                    let payload = sampler.sample(kind, params, point).map_err(|reason| {
-                        CampaignError::Sampler {
-                            index: point.index,
-                            reason,
-                        }
-                    })?;
-                    let record = SampleRecord {
-                        campaign: self.campaign.fingerprint(),
-                        index: point.index,
-                        payload,
-                    };
+                    let payload = circuit.sample(point.trials, point.seed);
+                    let record = SampleRecord::new(self.campaign.fingerprint(), index, payload);
                     write_atomically(
-                        &self.sample_path(point.index),
+                        &self.sample_path(index),
                         serde::json::to_string(&record).as_bytes(),
                     )
-                    .map_err(|error| CampaignError::Queue {
-                        index: point.index,
-                        error,
-                    })?;
+                    .map_err(|error| CampaignError::Queue { index, error })?;
                 }
             }
         }
@@ -1151,22 +1091,16 @@ impl CampaignRun {
     /// # Errors
     ///
     /// As [`run`](Self::run), plus recovery errors.
-    pub fn resume(
-        &self,
-        worker: &ShardWorker,
-        sampler: &dyn Sampler,
-    ) -> Result<CampaignReport, CampaignError> {
+    pub fn resume(&self, worker: &ShardWorker) -> Result<CampaignReport, CampaignError> {
         if matches!(self.campaign.workload, CampaignWorkload::Session { .. }) {
             for point in &self.points {
-                self.point_queue(point.index)?
+                let index = point.index;
+                self.point_queue(index)?
                     .recover()
-                    .map_err(|error| CampaignError::Queue {
-                        index: point.index,
-                        error,
-                    })?;
+                    .map_err(|error| CampaignError::Queue { index, error })?;
             }
         }
-        self.run(worker, sampler)
+        self.run(worker)
     }
 
     /// Folds the finished campaign into its report without executing
@@ -1178,38 +1112,36 @@ impl CampaignRun {
     /// queue/merge errors, or corrupt sample records.
     pub fn report(&self) -> Result<CampaignReport, CampaignError> {
         let mut payloads = Vec::with_capacity(self.points.len());
-        let mut done = 0usize;
         for point in &self.points {
-            match &self.campaign.workload {
-                CampaignWorkload::Session { .. } => {
-                    let queue = self.point_queue(point.index)?;
-                    let merged = queue.merge().map_err(|error| CampaignError::Queue {
-                        index: point.index,
-                        error,
-                    })?;
+            let index = point.index;
+            match &point.work {
+                PointWork::Session(_) => {
+                    let queue = self.point_queue(index)?;
+                    let merged = queue
+                        .merge()
+                        .map_err(|error| CampaignError::Queue { index, error })?;
                     let summary = merged
                         .into_summary()
                         .expect("campaign queues always carry summary payloads");
                     payloads.push(PointPayload::Summary(summary));
-                    done += 1;
                 }
-                CampaignWorkload::Sampled { .. } => {
-                    if !self.sample_path(point.index).exists() {
+                PointWork::Circuit(_) => {
+                    if !self.sample_path(index).exists() {
                         return Err(CampaignError::Incomplete {
-                            done,
+                            done: payloads.len(),
                             total: self.points.len(),
                         });
                     }
-                    let record = self.read_sample(point.index)?;
+                    let record = self.read_sample(index)?;
                     payloads.push(PointPayload::Sampled(record.payload));
-                    done += 1;
                 }
             }
         }
         Ok(build_report(&self.campaign, &self.points, payloads))
     }
 
-    /// Reads and validates one sampled point's record.
+    /// Reads one sampled point's record and checks its campaign, its index
+    /// and its payload checksum.
     fn read_sample(&self, index: usize) -> Result<SampleRecord, CampaignError> {
         let path = self.sample_path(index);
         let text = fs::read_to_string(&path).map_err(|e| CampaignError::Io {
@@ -1221,15 +1153,20 @@ impl CampaignRun {
                 path: path.clone(),
                 reason: e.to_string(),
             })?;
-        if record.campaign != self.campaign.fingerprint() || record.index != index {
+        let expected =
+            SampleRecord::new(self.campaign.fingerprint(), index, record.payload.clone());
+        if record != expected {
             return Err(CampaignError::Corrupt {
                 path,
                 reason: format!(
-                    "record is for campaign {:016x} point {}, expected {:016x} point {}",
+                    "record states campaign {:016x} point {} checksum {:016x}, expected \
+                     campaign {:016x} point {} and its payload's checksum {:016x}",
                     record.campaign,
                     record.index,
-                    self.campaign.fingerprint(),
-                    index
+                    record.checksum,
+                    expected.campaign,
+                    expected.index,
+                    expected.checksum
                 ),
             });
         }
@@ -1240,6 +1177,7 @@ impl CampaignRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::circuit::CircuitDevice;
     use crate::identity::IdentityPair;
     use rand::SeedableRng;
 
@@ -1291,15 +1229,11 @@ mod tests {
             .collect();
         assert_eq!(coords, expected);
         // Session points carry concrete scenarios with the coords applied.
-        let last = points.last().unwrap();
-        assert_eq!(
-            last.scenario.as_ref().unwrap().backend,
-            *BackendKind::ALL.last().unwrap()
-        );
-        assert_eq!(
-            last.scenario.as_ref().unwrap().config.channel().length(),
-            10
-        );
+        let PointWork::Session(last) = &points.last().unwrap().work else {
+            panic!("session points carry scenarios");
+        };
+        assert_eq!(last.backend, *BackendKind::ALL.last().unwrap());
+        assert_eq!(last.config.channel().length(), 10);
     }
 
     #[test]
@@ -1333,10 +1267,10 @@ mod tests {
             base.adversary = Adversary::EntangleMeasure { strength: 0.0 };
         }
         let points = campaign.expand().expect("expands");
-        assert_eq!(
-            points[0].scenario.as_ref().unwrap().adversary,
-            Adversary::EntangleMeasure { strength: 0.5 }
-        );
+        assert!(matches!(
+            &points[0].work,
+            PointWork::Session(s) if s.adversary == Adversary::EntangleMeasure { strength: 0.5 }
+        ));
     }
 
     #[test]
@@ -1346,6 +1280,64 @@ mod tests {
             campaign.expand(),
             Err(CampaignError::InvalidPoint { .. })
         ));
+    }
+
+    /// The [`CampaignError::InvalidPoint`] a circuit campaign over `axes`
+    /// fails with, as `(index, reason)`.
+    fn invalid_circuit_point(experiment: CircuitExperiment, axes: Vec<Axis>) -> (usize, String) {
+        let campaign = Campaign {
+            workload: CampaignWorkload::Sampled(experiment),
+            space: CampaignSpace::Grid(axes),
+            ..session_campaign(vec![])
+        };
+        match campaign.expand() {
+            Err(CampaignError::InvalidPoint { index, reason }) => (index, reason),
+            other => panic!("expected InvalidPoint, got {other:?}"),
+        }
+    }
+
+    const FIG2: CircuitExperiment = CircuitExperiment::Fig2Histogram {
+        device: CircuitDevice::IbmBrisbaneLike,
+        eta: 10,
+    };
+
+    const FIG3: CircuitExperiment = CircuitExperiment::Fig3Accuracy {
+        device: CircuitDevice::IbmBrisbaneLike,
+    };
+
+    #[test]
+    fn fig2_messages_outside_the_four_panels_are_invalid_points() {
+        let panels = Axis::Message(vec!["00".into(), "0".into()]);
+        let (index, reason) = invalid_circuit_point(FIG2, vec![panels]);
+        assert_eq!(index, 1);
+        assert!(reason.contains("message `0` is not one of"), "{reason}");
+    }
+
+    #[test]
+    fn axes_a_circuit_experiment_ignores_are_invalid_points() {
+        let message = || Axis::Message(vec!["01".into()]);
+        let mut cases = vec![(FIG2, message(), Axis::Eta(vec![20]))];
+        cases.push((FIG3, Axis::Eta(vec![10]), message()));
+        // A second coordinate of a swept axis would silently override the first.
+        cases.push((FIG2, message(), Axis::Message(vec!["00".into()])));
+        cases.push((FIG3, Axis::Eta(vec![10]), Axis::Eta(vec![20])));
+        for ignored in [
+            Axis::Backend(vec![BackendKind::Statevector]),
+            Axis::Adversary(vec![Adversary::Honest]),
+            Axis::Strength(vec![0.5]),
+        ] {
+            cases.push((FIG2, message(), ignored.clone()));
+            cases.push((FIG3, Axis::Eta(vec![10]), ignored));
+        }
+        for (experiment, needed, ignored) in cases {
+            let coord = ignored.values()[0].to_string();
+            let (index, reason) = invalid_circuit_point(experiment, vec![needed, ignored]);
+            assert_eq!(index, 0);
+            assert!(reason.contains(&format!("cannot apply the coordinate {coord}")));
+        }
+        // A point without the coordinate its experiment reads is invalid too.
+        let (_, reason) = invalid_circuit_point(FIG3, vec![Axis::Trials(vec![8])]);
+        assert!(reason.contains("need an η coordinate"), "{reason}");
     }
 
     #[test]

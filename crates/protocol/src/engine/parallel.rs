@@ -32,10 +32,10 @@
 //!
 //! - [`Backend`](super::Backend) is `Send + Sync` by declaration, so the
 //!   engine's `Arc<dyn Backend>` crosses threads freely.
-//! - [`Adversary::custom`](super::Adversary::custom) factories are
-//!   `Fn() -> Box<dyn ChannelTap> + Send + Sync`, so scenarios stay `Sync`;
-//!   the produced tap never leaves the worker that called the factory, so
-//!   `ChannelTap` itself needs no `Send` bound.
+//! - A [`Scenario`](super::Scenario) is plain data, so it is `Sync`; each
+//!   worker builds its own tap with
+//!   [`Adversary::make_tap`](super::Adversary::make_tap) and the tap never
+//!   leaves that worker, so `ChannelTap` itself needs no `Send` bound.
 //!
 //! Both facts are locked in by compile-time assertions in this module's tests.
 

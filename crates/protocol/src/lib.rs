@@ -172,9 +172,9 @@ pub mod prelude {
     pub use crate::engine::{
         derive_point_seed, merge_shard_results, Adversary, Axis, AxisValue, Backend, BackendKind,
         Campaign, CampaignError, CampaignPoint, CampaignPointReport, CampaignReport, CampaignRun,
-        CampaignSpace, CampaignStatus, CampaignWorkload, ClaimOutcome, DensityMatrixBackend,
-        ExecutorStats, MergeCheckpoint, MergeError, MergedRun, NoSampler, Parallelism,
-        PauliTwirledBackend, QueueError, QueueStatus, RateInterval, Sampler, Scenario,
+        CampaignSpace, CampaignStatus, CampaignWorkload, CircuitDevice, CircuitExperiment,
+        ClaimOutcome, DensityMatrixBackend, ExecutorStats, MergeCheckpoint, MergeError, MergedRun,
+        Parallelism, PauliTwirledBackend, QueueError, QueueStatus, RateInterval, Scenario,
         SessionEngine, ShardMerger, ShardOutput, ShardPayload, ShardPlan, ShardQueue, ShardResult,
         ShardSlot, ShardWorker, SlotState, StatevectorBackend, SubmitOutcome, TrialSummary,
     };

@@ -55,8 +55,8 @@ pub enum JobSpec {
         seed: u64,
     },
     /// Run a stored campaign definition (session workloads only — sampled
-    /// workloads need a process-local sampler and are refused with
-    /// [`ErrorKind::Unsupported`]).
+    /// workloads run circuit experiments, which have no shard queue, and
+    /// are refused with [`ErrorKind::Unsupported`]).
     Campaign {
         /// The campaign to execute.
         campaign: Campaign,
@@ -115,7 +115,7 @@ pub enum ErrorKind {
     /// A `Cancel`/`Status` named a job this server does not know.
     UnknownJob,
     /// The job is well-formed but not servable (e.g. a sampled-workload
-    /// campaign, which needs a process-local sampler).
+    /// campaign, whose circuit points have no shard queue).
     Unsupported,
     /// The job would split into more shards than the server admits per
     /// job; the message names the limit. Nothing was reserved or spooled.

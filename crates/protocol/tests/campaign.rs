@@ -4,13 +4,14 @@
 //! on every rate, plus the serialized bytes) to executing each point
 //! directly with a [`SessionEngine`] — plus expansion unit tests (empty
 //! spaces, explicit point lists, duplicate rejection, fingerprint
-//! stability).
+//! stability) and the integrity checks of sampled-point records.
 
 use proptest::prelude::*;
+use protocol::engine::circuit::FIG2_MESSAGES;
 use protocol::engine::{
     derive_point_seed, Adversary, Axis, AxisValue, BackendKind, Campaign, CampaignError,
-    CampaignRun, CampaignSpace, CampaignWorkload, ClaimOutcome, NoSampler, Parallelism, Scenario,
-    SessionEngine, ShardQueue, ShardWorker, SubmitOutcome,
+    CampaignRun, CampaignSpace, CampaignWorkload, CircuitDevice, CircuitExperiment, ClaimOutcome,
+    Parallelism, PointWork, Scenario, SessionEngine, ShardQueue, ShardWorker, SubmitOutcome,
 };
 use protocol::identity::IdentityPair;
 use protocol::SessionConfig;
@@ -103,7 +104,9 @@ fn explicit_point_list_expands_as_written() {
         "Trials coordinate overrides the default"
     );
     assert_eq!(points[0].seed, derive_point_seed(5, 0));
-    let scenario = points[0].scenario.as_ref().expect("session point");
+    let PointWork::Session(scenario) = &points[0].work else {
+        panic!("session point");
+    };
     assert!(scenario.label.contains("intercept-and-resend"));
 }
 
@@ -165,7 +168,7 @@ fn a_running_campaign_shard_keeps_its_lease() {
     };
     let queue = run.point_queue(0).expect("session point queue");
     std::thread::scope(|scope| {
-        let runner = scope.spawn(|| run.run(&worker, &NoSampler));
+        let runner = scope.spawn(|| run.run(&worker));
         while queue.status().expect("queue status").leased == 0 && !runner.is_finished() {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -181,6 +184,63 @@ fn a_running_campaign_shard_keeps_its_lease() {
             .expect("runner thread")
             .expect("campaign completes");
     });
+}
+
+// ------------------------------------------------------ sampled records --
+
+/// The stored Fig. 2 campaign at a smaller shot budget.
+fn fig2_campaign(shots: usize) -> Campaign {
+    let device = CircuitDevice::IbmBrisbaneLike;
+    Campaign {
+        label: "fig2".into(),
+        master_seed: 20240916,
+        trials: shots,
+        workload: CampaignWorkload::Sampled(CircuitExperiment::Fig2Histogram { device, eta: 10 }),
+        space: CampaignSpace::Grid(vec![Axis::Message(
+            FIG2_MESSAGES.map(String::from).to_vec(),
+        )]),
+    }
+}
+
+/// An edited sample record fails `report` by name and counts as not done;
+/// `run` re-samples it, as it does a record written without a checksum.
+#[test]
+fn edited_sample_records_fail_by_name_and_are_resampled() {
+    // The fingerprint of `crates/bench/campaigns/fig2.json`, stamped on
+    // every sample record of a stored fig2 run.
+    assert_eq!(fig2_campaign(1024).fingerprint(), 0x3180_01e0_d4a6_f3da_u64);
+    let tmp = TempCampaignDir::new();
+    let campaign = fig2_campaign(32);
+    let run = CampaignRun::init(&tmp.0, &campaign, 8).expect("run initializes");
+    let worker = ShardWorker::default();
+    let reference = serde::json::to_string(&run.run(&worker).expect("run drains"));
+    assert_eq!(
+        reference,
+        serde::json::to_string(&campaign.run_direct(Parallelism::Serial).unwrap())
+    );
+    let record = tmp.0.join("samples").join("point-0000.json");
+    let original = std::fs::read_to_string(&record).expect("record exists");
+
+    let counts = original.find("\"counts\":[").expect("record holds counts") + 10;
+    let first = counts + original[counts..].find(',').expect("four counts");
+    let tampered = format!("{}999{}", &original[..counts], &original[first..]);
+    let unchecked = original.replace(
+        &original[original.find("\"checksum\"").unwrap()..original.find("\"payload\"").unwrap()],
+        "",
+    );
+    for edited in [tampered, unchecked] {
+        std::fs::write(&record, &edited).unwrap();
+        match run.report() {
+            Err(CampaignError::Corrupt { path, reason }) => {
+                assert_eq!(path, record, "{reason}");
+            }
+            other => panic!("{edited}: expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(run.status().unwrap().points_done, 3, "{edited}");
+        let report = run.run(&worker).expect("run re-samples the record");
+        assert_eq!(serde::json::to_string(&report), reference, "{edited}");
+        assert_eq!(std::fs::read_to_string(&record).unwrap(), original);
+    }
 }
 
 // ------------------------------------------------------- queue equivalence --
@@ -262,7 +322,7 @@ proptest! {
 
         // The in-process reference, and per-point direct engine runs.
         let direct = campaign
-            .run_direct(Parallelism::Serial, &NoSampler)
+            .run_direct(Parallelism::Serial)
             .expect("direct run succeeds");
         let engine = SessionEngine::new(master_seed);
         let points = campaign.expand().expect("campaign expands");
@@ -281,7 +341,9 @@ proptest! {
         prop_assert_eq!(report.points.len(), points.len());
         for (point_report, point) in report.points.iter().zip(&points) {
             let summary = point_report.summary.as_ref().expect("session summary");
-            let scenario = point.scenario.as_ref().expect("session scenario");
+            let PointWork::Session(scenario) = &point.work else {
+                panic!("session scenario");
+            };
             let whole = engine.run_trials(scenario, point.trials).expect("direct point run");
             prop_assert_eq!(summary, &whole);
             prop_assert_eq!(

@@ -3,9 +3,9 @@
 //! A Summary-mode run folds each trial on the worker that ran it and records
 //! only what the summary reads; it never builds a `SessionOutcome`. These
 //! tests pin that fold to the Outcomes-mode reference. For every built-in
-//! adversary and a custom tap, for trial counts that leave ragged last
-//! chunks, and under several worker counts (plus the policy named by
-//! `UA_DI_QSDC_PARALLELISM`, when it is set):
+//! adversary and an honest run over a noisy channel, for trial counts that
+//! leave ragged last chunks, and under several worker counts (plus the
+//! policy named by `UA_DI_QSDC_PARALLELISM`, when it is set):
 //!
 //! - the `run_trials` summary is byte-identical (serde JSON) to
 //!   `TrialSummaryBuilder::record` folded serially over `run_outcomes`;
@@ -18,10 +18,9 @@ use protocol::engine::{
 use protocol::identity::IdentityPair;
 use protocol::message::SecretMessage;
 use protocol::SessionConfig;
-use qchannel::epr::EprPair;
-use qchannel::quantum::ChannelTap;
+use qchannel::quantum::ChannelSpec;
 use qchannel::taps::{InterceptBasis, SubstituteState};
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
 const SEED: u64 = 0x5eed_f01d;
 
@@ -36,30 +35,20 @@ const MODES: [Parallelism; 4] = [
     Parallelism::Threads(5),
 ];
 
-/// Dephases Alice's qubit in flight: strong enough that some sessions
-/// abort at the later checks, mild enough that others deliver.
-struct DephaseInFlight;
-
-impl ChannelTap for DephaseInFlight {
-    fn on_transmit(&mut self, pair: &mut EprPair, _rng: &mut dyn RngCore) {
-        noise::KrausChannel::phase_flip(0.05).apply(pair.density_mut(), &[0]);
-    }
-
-    fn acts_on_emission(&self) -> bool {
-        false
-    }
-}
-
-fn scenarios() -> Vec<Scenario> {
-    let config = SessionConfig::builder()
+fn config(channel: ChannelSpec) -> SessionConfig {
+    SessionConfig::builder()
         .message_bits(8)
         .check_bits(2)
         .di_check_pairs(24)
         .auth_error_tolerance(0.34)
+        .channel(channel)
         .build()
-        .expect("valid configuration");
+        .expect("valid configuration")
+}
+
+fn scenarios() -> Vec<Scenario> {
     let identities = IdentityPair::generate(3, &mut rand::rngs::StdRng::seed_from_u64(SEED));
-    let base = Scenario::new(config, identities);
+    let base = Scenario::new(config(ChannelSpec::ideal()), identities.clone());
     let adversaries = [
         Adversary::Honest,
         Adversary::ImpersonateAlice,
@@ -67,7 +56,6 @@ fn scenarios() -> Vec<Scenario> {
         Adversary::InterceptResend(InterceptBasis::Computational),
         Adversary::ManInTheMiddle(SubstituteState::RandomComputational),
         Adversary::EntangleMeasure { strength: 0.5 },
-        Adversary::custom("dephase-in-flight", || Box::new(DephaseInFlight)),
     ];
     let mut scenarios: Vec<Scenario> = adversaries
         .into_iter()
@@ -77,6 +65,10 @@ fn scenarios() -> Vec<Scenario> {
                 .with_adversary(adversary)
         })
         .collect();
+    // 100 noisy identity gates: enough decoherence that some honest sessions
+    // abort at the later checks, little enough that others deliver.
+    let noisy = ChannelSpec::noisy_identity_chain(100, noise::DeviceModel::ibm_brisbane_like());
+    scenarios.push(Scenario::new(config(noisy), identities).with_label("honest-noisy-channel"));
     // A fixed message is borrowed by every trial instead of drawn.
     scenarios.push(
         base.with_label("honest-fixed-message")

@@ -65,7 +65,7 @@ pub enum SpoolError {
     /// A campaign operation failed.
     Campaign(String),
     /// The job is well-formed but not servable (e.g. a sampled-workload
-    /// campaign, which needs a process-local sampler).
+    /// campaign, whose circuit points have no shard queue).
     Unsupported {
         /// Why the job cannot be served.
         reason: String,
@@ -527,9 +527,9 @@ pub enum SpoolLookup {
 fn reject_unservable(campaign: &Campaign) -> Result<(), SpoolError> {
     match campaign.workload {
         CampaignWorkload::Session { .. } => Ok(()),
-        CampaignWorkload::Sampled { .. } => Err(SpoolError::Unsupported {
-            reason: "sampled-workload campaigns need a process-local sampler; \
-                     run them with `shardctl campaign run` instead"
+        CampaignWorkload::Sampled(_) => Err(SpoolError::Unsupported {
+            reason: "sampled-workload campaigns run circuit experiments, which have no \
+                     shard queue to serve; run them with `shardctl campaign run` instead"
                 .to_string(),
         }),
     }

@@ -6,7 +6,10 @@
 mod common;
 
 use common::{campaign, scenario, TempDir};
-use protocol::engine::{CampaignWorkload, NoSampler, Parallelism, SessionEngine, TrialSummary};
+use protocol::engine::{
+    Axis, CampaignSpace, CampaignWorkload, CircuitDevice, CircuitExperiment, Parallelism,
+    SessionEngine, TrialSummary,
+};
 use protocol::wire::{ErrorKind, JobSpec, JobState, Request, Response};
 use serve::{Client, Server, ServerConfig};
 use std::collections::BTreeMap;
@@ -159,7 +162,7 @@ fn campaign_job_folds_the_same_report_as_a_direct_run() {
     };
 
     let direct = campaign
-        .run_direct(Parallelism::Serial, &NoSampler)
+        .run_direct(Parallelism::Serial)
         .expect("direct run");
     assert_eq!(
         serde::json::to_string(report),
@@ -561,10 +564,11 @@ fn sampled_campaigns_are_refused_as_unsupported() {
     let mut client = Client::connect(server.local_addr()).expect("connects");
 
     let mut sampled = campaign(5, 2);
-    sampled.workload = CampaignWorkload::Sampled {
-        kind: "fig2-histogram".to_string(),
-        params: serde::Value::Null,
-    };
+    sampled.workload = CampaignWorkload::Sampled(CircuitExperiment::Fig2Histogram {
+        device: CircuitDevice::IbmBrisbaneLike,
+        eta: 10,
+    });
+    sampled.space = CampaignSpace::Grid(vec![Axis::Message(vec!["00".into()])]);
     let response = client
         .submit(JobSpec::Campaign { campaign: sampled })
         .expect("submit round-trips");
@@ -573,7 +577,7 @@ fn sampled_campaigns_are_refused_as_unsupported() {
     };
     assert_eq!(kind, ErrorKind::Unsupported);
     assert!(
-        message.contains("sampler"),
+        message.contains("no shard queue"),
         "reason must explain the refusal: {message}"
     );
 

@@ -9,8 +9,7 @@ mod common;
 
 use common::{campaign, scenario, TempDir};
 use protocol::engine::{
-    CampaignRun, NoSampler, Parallelism, SessionEngine, ShardOutput, ShardQueue, ShardWorker,
-    SubmitOutcome,
+    CampaignRun, Parallelism, SessionEngine, ShardOutput, ShardQueue, ShardWorker, SubmitOutcome,
 };
 use protocol::wire::{JobManifest, JobSpec, MANIFEST_VERSION};
 use serve::spool::{WorkClaim, CAMPAIGN_DIR, QUEUE_DIR};
@@ -76,7 +75,7 @@ fn a_campaign_job_drains_its_points_in_sweep_order() {
         panic!("a campaign job finalizes to a report");
     };
     let direct = campaign
-        .run_direct(Parallelism::Serial, &NoSampler)
+        .run_direct(Parallelism::Serial)
         .expect("direct run");
     assert_eq!(
         serde::json::to_string(&report),

@@ -175,7 +175,7 @@
 //! // Grid product, last axis fastest: 2 adversaries × every backend.
 //! assert_eq!(campaign.expand()?.len(), 2 * BackendKind::ALL.len());
 //!
-//! let report = campaign.run_direct(Parallelism::Serial, &NoSampler)?;
+//! let report = campaign.run_direct(Parallelism::Serial)?;
 //! let honest = report.points[0].false_alarm.as_ref().unwrap();
 //! let attacked = report.points[BackendKind::ALL.len()].detection.as_ref().unwrap();
 //! assert!(attacked.rate > honest.rate);

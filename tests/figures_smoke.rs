@@ -6,8 +6,7 @@ use analysis::prelude::*;
 use bench::campaigns::{
     attack_campaign, attack_rows, fig2_campaign, fig2_rows, fig3_campaign, fig3_points, run,
 };
-use noise::DeviceModel;
-use protocol::engine::BackendKind;
+use protocol::engine::{BackendKind, CircuitDevice};
 use protocol::session::Impersonation;
 
 #[test]
@@ -30,7 +29,7 @@ fn table1_shape_matches_the_paper() {
 
 #[test]
 fn fig2_shape_high_fidelity_at_eta_10() {
-    let campaign = fig2_campaign(&DeviceModel::ibm_brisbane_like(), 10, 512, 101);
+    let campaign = fig2_campaign(CircuitDevice::IbmBrisbaneLike, 10, 512, 101);
     let rows = fig2_rows(&run(&campaign).unwrap()).unwrap();
     assert_eq!(rows.len(), 4);
     for row in &rows {
@@ -58,7 +57,7 @@ fn fig3_shape_monotone_decay_and_sixty_percent_crossing() {
     // Coarse version of the sweep: the accuracy decreases (roughly) with η, stays high at
     // η = 10 and lands in the vicinity of the paper's 60 % threshold by η = 700.
     let etas = [10usize, 200, 400, 700];
-    let campaign = fig3_campaign(&DeviceModel::ibm_brisbane_like(), &etas, 384, 202);
+    let campaign = fig3_campaign(CircuitDevice::IbmBrisbaneLike, &etas, 384, 202);
     let points = fig3_points(&run(&campaign).unwrap()).unwrap();
     assert_eq!(points.len(), 4);
     assert!(
@@ -76,6 +75,10 @@ fn fig3_shape_monotone_decay_and_sixty_percent_crossing() {
         points[3].accuracy
     );
     assert!(points[3].accuracy > 0.3);
+    assert!(
+        (points[3].duration_us - 42.0).abs() < 1e-9,
+        "η=700 lasts 42 µs"
+    );
     // The trend over the sweep is negative.
     let trend: Vec<(f64, f64)> = points.iter().map(|p| (p.eta as f64, p.accuracy)).collect();
     let (slope, _) = linear_trend(&trend).unwrap();

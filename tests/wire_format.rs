@@ -138,7 +138,7 @@ fn campaign_wire_format_is_stable() {
 #[test]
 fn campaign_report_wire_format_is_stable() {
     let report = fixture_campaign()
-        .run_direct(Parallelism::Serial, &NoSampler)
+        .run_direct(Parallelism::Serial)
         .expect("fixture campaign runs");
     let text = check_bytes("campaign_report.json", &serde::json::to_string(&report));
     let parsed: CampaignReport = serde::json::from_str(&text).expect("fixture still parses");
