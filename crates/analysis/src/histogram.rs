@@ -4,7 +4,7 @@ use crate::rows::HistogramRow;
 use qsim::counts::Counts;
 
 /// The four two-bit outcome labels in display order.
-pub const MESSAGE_LABELS: [&str; 4] = ["00", "01", "10", "11"];
+pub(crate) const MESSAGE_LABELS: [&str; 4] = ["00", "01", "10", "11"];
 
 /// The ideal (noise-free) outcome distribution when `encoded` was sent: a point mass on the
 /// encoded label.
@@ -12,7 +12,7 @@ pub const MESSAGE_LABELS: [&str; 4] = ["00", "01", "10", "11"];
 /// # Panics
 ///
 /// Panics if `encoded` is not one of `00`, `01`, `10`, `11`.
-pub fn ideal_distribution_for(encoded: &str) -> [f64; 4] {
+pub(crate) fn ideal_distribution_for(encoded: &str) -> [f64; 4] {
     let mut dist = [0.0; 4];
     let index = MESSAGE_LABELS
         .iter()

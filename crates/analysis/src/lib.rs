@@ -19,14 +19,12 @@ pub mod rows;
 pub mod stats;
 
 pub use report::{render_csv, render_markdown_table};
-pub use rows::{AccuracyPoint, AttackRow, DetectionPoint, HistogramRow, Table1Row};
+pub use rows::{AccuracyPoint, AttackRow, DetectionPoint, Table1Row};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::histogram::{counts_to_row, ideal_distribution_for};
+    pub use crate::histogram::counts_to_row;
     pub use crate::report::{render_csv, render_markdown_table};
-    pub use crate::rows::{AccuracyPoint, AttackRow, DetectionPoint, HistogramRow, Table1Row};
-    pub use crate::stats::{
-        binomial_confidence_interval, linear_trend, mean, population_std_dev, Summary,
-    };
+    pub use crate::rows::{AccuracyPoint, AttackRow, DetectionPoint, Table1Row};
+    pub use crate::stats::{linear_trend, mean, population_std_dev};
 }

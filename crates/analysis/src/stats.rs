@@ -1,7 +1,5 @@
 //! Small statistics toolkit.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean; `None` for an empty slice.
 ///
 /// ```rust
@@ -24,24 +22,9 @@ pub fn population_std_dev(values: &[f64]) -> Option<f64> {
     Some(variance.sqrt())
 }
 
-/// Normal-approximation (Wald) confidence interval for a binomial proportion.
-///
-/// Returns `(lower, upper)`, both clamped to `[0, 1]`.
-///
-/// # Panics
-///
-/// Panics if `successes > trials` or `trials == 0`.
-pub fn binomial_confidence_interval(successes: usize, trials: usize, z: f64) -> (f64, f64) {
-    assert!(trials > 0, "confidence interval needs at least one trial");
-    assert!(successes <= trials, "successes cannot exceed trials");
-    let p = successes as f64 / trials as f64;
-    let half_width = z * (p * (1.0 - p) / trials as f64).sqrt();
-    ((p - half_width).max(0.0), (p + half_width).min(1.0))
-}
-
 /// Wilson-score confidence interval for a binomial proportion.
 ///
-/// Unlike the Wald interval from [`binomial_confidence_interval`], the Wilson
+/// Unlike the normal-approximation (Wald) interval, the Wilson
 /// score stays well-behaved at the extremes (`successes == 0` or
 /// `successes == trials`) and for small `trials`, which is exactly where
 /// detection/false-alarm rates live — campaign reports use it for their
@@ -104,38 +87,6 @@ pub fn linear_trend(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     Some((slope, intercept))
 }
 
-/// A mean ± standard-deviation summary of repeated measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of samples.
-    pub samples: usize,
-    /// Sample mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-    /// Minimum observed value.
-    pub min: f64,
-    /// Maximum observed value.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarises a slice of samples; `None` when empty.
-    pub fn of(values: &[f64]) -> Option<Self> {
-        let mean_value = mean(values)?;
-        let std_dev = population_std_dev(values)?;
-        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        Some(Self {
-            samples: values.len(),
-            mean: mean_value,
-            std_dev,
-            min,
-            max,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,25 +97,6 @@ mod tests {
         assert_eq!(mean(&xs), Some(5.0));
         assert!((population_std_dev(&xs).unwrap() - 2.0).abs() < 1e-12);
         assert_eq!(population_std_dev(&[]), None);
-    }
-
-    #[test]
-    fn confidence_interval_brackets_the_proportion() {
-        let (lo, hi) = binomial_confidence_interval(75, 100, 1.96);
-        assert!(lo < 0.75 && 0.75 < hi);
-        assert!(lo > 0.6 && hi < 0.9);
-        let (lo, hi) = binomial_confidence_interval(0, 10, 1.96);
-        assert_eq!(lo, 0.0);
-        assert!(hi < 0.35);
-        let (lo, hi) = binomial_confidence_interval(10, 10, 1.96);
-        assert_eq!(hi, 1.0);
-        assert!(lo > 0.65);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one trial")]
-    fn confidence_interval_rejects_zero_trials() {
-        let _ = binomial_confidence_interval(0, 0, 1.96);
     }
 
     #[test]
@@ -204,15 +136,5 @@ mod tests {
         assert!((intercept - 3.0).abs() < 1e-9);
         assert_eq!(linear_trend(&[(1.0, 1.0)]), None);
         assert_eq!(linear_trend(&[(1.0, 1.0), (1.0, 2.0)]), None);
-    }
-
-    #[test]
-    fn summary_of_samples() {
-        let s = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(s.samples, 3);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 3.0);
-        assert!(Summary::of(&[]).is_none());
     }
 }

@@ -38,7 +38,8 @@ pub struct ImpersonationSummary {
 
 impl ImpersonationSummary {
     /// Absolute gap between the measured and analytic detection rate.
-    pub fn deviation(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn deviation(&self) -> f64 {
         (self.detection_rate - self.analytic_probability).abs()
     }
 }

@@ -35,7 +35,7 @@ pub struct LeakageAudit {
 
 impl LeakageAudit {
     /// Message kinds the protocol is allowed to put on the public channel.
-    pub const ALLOWED_KINDS: [&'static str; 7] = [
+    pub(crate) const ALLOWED_KINDS: [&'static str; 7] = [
         "positions",
         "basis-choices",
         "check-outcomes",

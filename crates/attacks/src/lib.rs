@@ -1,13 +1,12 @@
 //! # attacks — eavesdropper analyses for the UA-DI-QSDC reproduction
 //!
 //! Section III of the paper analyses five attack strategies; Section IV simulates them. The
-//! channel-level tap implementations live in [`qchannel::taps`] (re-exported here under their
-//! historical module paths); this crate layers the protocol-level analyses on top:
+//! three channel attacks (intercept-and-resend, man-in-the-middle, entangle-and-measure) are
+//! taps in [`qchannel::taps`]; the second DI check sees `S ≤ 2` under each of them and the
+//! protocol aborts. This crate layers the protocol-level analyses on top:
 //!
 //! - [`impersonation`] — Eve plays Alice or Bob without knowing the pre-shared identity;
 //!   detection probability `1 − (1/4)^l`.
-//! - [`intercept_resend`] / [`mitm`] / [`entangle_measure`] — the channel attacks; the second
-//!   DI check sees `S ≤ 2` and the protocol aborts.
 //! - [`leakage`] — an audit of the public classical transcript confirming that nothing
 //!   correlated with the message or the identities is ever published.
 //!
@@ -37,23 +36,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod entangle_measure;
 pub mod impersonation;
-pub mod intercept_resend;
 pub mod leakage;
-pub mod mitm;
 
-pub use entangle_measure::EntangleMeasureAttack;
-pub use impersonation::{run_impersonation_trials, ImpersonationSummary};
-pub use intercept_resend::InterceptResendAttack;
+pub use impersonation::run_impersonation_trials;
 pub use leakage::LeakageAudit;
-pub use mitm::ManInTheMiddleAttack;
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::entangle_measure::EntangleMeasureAttack;
-    pub use crate::impersonation::{run_impersonation_trials, ImpersonationSummary};
-    pub use crate::intercept_resend::InterceptResendAttack;
+    pub use crate::impersonation::run_impersonation_trials;
     pub use crate::leakage::LeakageAudit;
-    pub use crate::mitm::ManInTheMiddleAttack;
 }

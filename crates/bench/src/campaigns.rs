@@ -109,8 +109,11 @@ pub fn ablation_campaign(etas: &[usize], trials: usize, seed: u64) -> Campaign {
 }
 
 /// A small two-axis session campaign (η × adversary on the `shardctl` demo
-/// configuration) for CI chaos drills and quick-start examples.
-pub fn demo_campaign(trials: usize, seed: u64) -> Campaign {
+/// configuration) for CI chaos drills and quick-start examples. The
+/// binaries load its checked-in form, `campaigns/demo.json`; the tests hold
+/// that file to this builder.
+#[cfg(test)]
+pub(crate) fn demo_campaign(trials: usize, seed: u64) -> Campaign {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);
     let config = SessionConfig::builder()
@@ -155,7 +158,7 @@ fn attack_adversary(kind: ChannelAttackKind) -> Adversary {
 
 /// The stored-campaign stem of one channel-attack kind (`attack_intercept`,
 /// `attack_mitm`, `attack_entangle`).
-pub fn attack_campaign_name(kind: ChannelAttackKind) -> &'static str {
+pub(crate) fn attack_campaign_name(kind: ChannelAttackKind) -> &'static str {
     match kind {
         ChannelAttackKind::InterceptResend => "attack_intercept",
         ChannelAttackKind::ManInTheMiddle => "attack_mitm",
@@ -201,8 +204,10 @@ pub fn attack_campaign(
 
 /// The single-point verification campaign behind the `table1` binary's
 /// engine cross-check: honest ideal-channel sessions of a 16-bit message
-/// with 4-qubit identities.
-pub fn table1_campaign(trials: usize, seed: u64) -> Campaign {
+/// with 4-qubit identities. The binary loads its checked-in form,
+/// `campaigns/table1.json`; the tests hold that file to this builder.
+#[cfg(test)]
+pub(crate) fn table1_campaign(trials: usize, seed: u64) -> Campaign {
     let mut rng = StdRng::seed_from_u64(seed);
     let identities = IdentityPair::generate(4, &mut rng);
     let config = SessionConfig::builder()
@@ -327,7 +332,7 @@ pub(crate) fn attack_defaults(kind: ChannelAttackKind) -> (usize, u64) {
 /// # Errors
 ///
 /// Returns an error when the campaign fails to load, expand or execute.
-pub fn attack_experiment_rows(
+pub(crate) fn attack_experiment_rows(
     kind: ChannelAttackKind,
     backend: BackendKind,
 ) -> Result<(AttackRow, AttackRow), String> {
@@ -341,7 +346,7 @@ pub fn attack_experiment_rows(
 }
 
 /// Runs `campaign` in this process under
-/// [`engine_parallelism`](crate::engine_parallelism) — the one execution
+/// `engine_parallelism` — the one execution
 /// path behind every figure binary.
 ///
 /// # Errors

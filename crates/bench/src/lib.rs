@@ -6,7 +6,7 @@
 //!
 //! | Paper artefact | Source | Binary |
 //! |---|---|---|
-//! | Table I | [`table1_rows`], [`campaigns::table1_campaign`] | `table1` |
+//! | Table I | [`table1_rows`], stored campaign `table1` | `table1` |
 //! | Fig. 2 (a–d) | [`campaigns::fig2_campaign`] | `fig2` |
 //! | Fig. 3 | [`campaigns::fig3_campaign`] | `fig3` |
 //! | Impersonation sim (Sec. III-A/IV) | [`impersonation_experiment`] | `attack_impersonation` |
@@ -27,7 +27,7 @@
 //!
 //! The channel-attack binaries additionally accept `--backend KIND` (any
 //! [`BackendKind`] name or alias) to re-run their sweep on another
-//! simulation substrate ([`backend_from_args`]); `shardctl` takes the same
+//! simulation substrate; `shardctl` takes the same
 //! flag on its `scenario` and `plan` subcommands.
 //!
 //! Performance is not measured here: the repository benchmark lives in
@@ -71,11 +71,11 @@ use serde::Serialize;
 /// (CI runs `tests/figure_outputs.rs` under several policies to prove it).
 /// Wall time itself is measured by the repository benchmark in `perfbench/`,
 /// not by these binaries.
-pub fn engine_parallelism() -> Parallelism {
+fn engine_parallelism() -> Parallelism {
     Parallelism::from_env().unwrap_or(Parallelism::Auto)
 }
 
-/// [`engine_parallelism`] plus the standard stderr banner every binary in
+/// `engine_parallelism` plus the standard stderr banner every binary in
 /// this crate prints: the selected policy, the resolved worker count, and the
 /// environment variable that overrides it.
 pub fn announce_parallelism() -> Parallelism {
@@ -102,7 +102,7 @@ pub fn reject_args() {
 /// the density-matrix substrate; exits with a usage error on an unknown kind
 /// or any unrecognised argument, so a typo can never silently fall back to
 /// the default substrate.
-pub fn backend_from_args() -> BackendKind {
+fn backend_from_args() -> BackendKind {
     fn parse_kind(raw: &str) -> BackendKind {
         raw.parse().unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -129,8 +129,10 @@ pub fn backend_from_args() -> BackendKind {
     backend
 }
 
-/// The η values of the paper's Fig. 3 sweep: 10 to 700 in steps of 10 (0.6 µs to 42 µs).
-pub fn fig3_eta_values() -> Vec<usize> {
+/// The η values of the paper's Fig. 3 sweep: 10 to 700 in steps of 10 (0.6 µs to 42 µs),
+/// as stored in `campaigns/fig3.json`.
+#[cfg(test)]
+fn fig3_eta_values() -> Vec<usize> {
     (1..=70).map(|i| i * 10).collect()
 }
 
@@ -150,7 +152,7 @@ pub fn table1_rows() -> Vec<Table1Row> {
 
 /// Default session configuration used by the attack experiments (small message, generous
 /// DI-check budget so honest aborts are negligible, strict authentication).
-pub fn attack_session_config() -> SessionConfig {
+fn attack_session_config() -> SessionConfig {
     SessionConfig::builder()
         .message_bits(8)
         .check_bits(2)
@@ -255,7 +257,7 @@ pub fn attack_binary_main(kind: ChannelAttackKind) {
     println!("expected shape: {expected_shape}");
 }
 
-pub(crate) fn summary_to_row(summary: TrialSummary) -> AttackRow {
+fn summary_to_row(summary: TrialSummary) -> AttackRow {
     let detection_rate = summary.detection_rate();
     AttackRow {
         attack: if summary.adversary.is_empty() || summary.adversary == "honest" {
@@ -354,7 +356,7 @@ pub struct ChshPoint {
 /// Estimates how the CHSH statistic behaves as a function of the check-pair budget `d` and the
 /// pair noise level — the supporting experiment behind the choice of `d` ("several hundred to
 /// a few thousand pairs", paper Section II step 1). Grid points run in parallel (see
-/// [`engine_parallelism`]), each on its own derived seed.
+/// `engine_parallelism`), each on its own derived seed.
 pub fn chsh_baseline_experiment(
     d_values: &[usize],
     depolarizing_levels: &[f64],

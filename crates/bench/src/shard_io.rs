@@ -87,7 +87,7 @@ impl std::error::Error for MergeFileError {}
 /// The first file that appears twice in the list, if any. Merging the same
 /// result file twice would double-count its trials (surfacing, at best, as an
 /// opaque overlap error), so it is rejected up front by name.
-pub fn find_duplicate_file(files: &[String]) -> Option<&String> {
+pub(crate) fn find_duplicate_file(files: &[String]) -> Option<&String> {
     files
         .iter()
         .enumerate()
@@ -101,7 +101,7 @@ pub fn find_duplicate_file(files: &[String]) -> Option<&String> {
 /// # Errors
 ///
 /// [`MergeFileError::Read`] or [`MergeFileError::Parse`], naming the file.
-pub fn read_result_file(file: &str) -> Result<Vec<ShardResult>, MergeFileError> {
+pub(crate) fn read_result_file(file: &str) -> Result<Vec<ShardResult>, MergeFileError> {
     let text = std::fs::read_to_string(file).map_err(|e| MergeFileError::Read {
         file: file.to_string(),
         message: e.to_string(),
@@ -170,7 +170,8 @@ pub fn merged_run_to_json(merged: &MergedRun) -> String {
 }
 
 /// The adversary preset names `shardctl scenario --preset` accepts.
-pub const SCENARIO_PRESETS: [&str; 6] = [
+#[cfg(test)]
+pub(crate) const SCENARIO_PRESETS: [&str; 6] = [
     "honest",
     "impersonate-alice",
     "impersonate-bob",

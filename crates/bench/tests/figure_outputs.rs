@@ -19,10 +19,10 @@
 
 use bench::campaigns::{
     ablation_campaign, ablation_rows, attack_campaign, attack_rows, fig2_campaign, fig2_rows,
-    fig3_campaign, fig3_points, run, table1_campaign, table1_summary,
+    fig3_campaign, fig3_points, run, stored_campaign, table1_summary,
 };
 use bench::ChannelAttackKind;
-use protocol::engine::{BackendKind, CircuitDevice, TrialSummary};
+use protocol::engine::{BackendKind, Campaign, CircuitDevice, TrialSummary};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -165,7 +165,11 @@ fn attack_rows_match_the_fixtures() {
 
 #[test]
 fn table1_summary_matches_the_fixture() {
-    let summary = table1_summary(&run(&table1_campaign(2, 20240916)).unwrap()).unwrap();
+    let campaign = Campaign {
+        trials: 2,
+        ..stored_campaign("table1").unwrap()
+    };
+    let summary = table1_summary(&run(&campaign).unwrap()).unwrap();
     // Labels are display-only: the fixture keeps the name the verification
     // scenario was frozen under, the campaign names its point.
     let summary = TrialSummary {

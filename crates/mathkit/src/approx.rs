@@ -9,7 +9,7 @@ use crate::complex::Complex64;
 /// Returns `true` when `|a - b| <= tol`.
 ///
 /// ```rust
-/// # use mathkit::approx::approx_eq;
+/// # use mathkit::approx_eq;
 /// assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-10));
 /// assert!(!approx_eq(1.0, 1.1, 1e-10));
 /// ```
@@ -18,65 +18,10 @@ pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
     (a - b).abs() <= tol
 }
 
-/// Returns `true` when `|z| <= tol`.
-///
-/// ```rust
-/// # use mathkit::approx::approx_zero;
-/// assert!(approx_zero(1e-14, 1e-10));
-/// ```
-#[inline]
-pub fn approx_zero(z: f64, tol: f64) -> bool {
-    z.abs() <= tol
-}
-
 /// Returns `true` when two complex numbers agree to within `tol` in both components.
-///
-/// ```rust
-/// # use mathkit::approx::approx_eq_c;
-/// # use mathkit::complex::Complex64;
-/// assert!(approx_eq_c(Complex64::new(1.0, 0.0), Complex64::new(1.0, 1e-13), 1e-10));
-/// ```
 #[inline]
-pub fn approx_eq_c(a: Complex64, b: Complex64, tol: f64) -> bool {
+pub(crate) fn approx_eq_c(a: Complex64, b: Complex64, tol: f64) -> bool {
     approx_eq(a.re, b.re, tol) && approx_eq(a.im, b.im, tol)
-}
-
-/// Returns `true` when two slices of complex numbers agree element-wise to within `tol`.
-///
-/// Slices of different lengths are never approximately equal.
-///
-/// ```rust
-/// # use mathkit::approx::approx_eq_slice;
-/// # use mathkit::complex::Complex64;
-/// let a = [Complex64::ONE, Complex64::ZERO];
-/// let b = [Complex64::new(1.0, 1e-13), Complex64::ZERO];
-/// assert!(approx_eq_slice(&a, &b, 1e-10));
-/// ```
-pub fn approx_eq_slice(a: &[Complex64], b: &[Complex64], tol: f64) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| approx_eq_c(*x, *y, tol))
-}
-
-/// Returns `true` when two probability distributions (given as slices) agree to within `tol`
-/// in total-variation distance.
-///
-/// ```rust
-/// # use mathkit::approx::approx_eq_distribution;
-/// assert!(approx_eq_distribution(&[0.5, 0.5], &[0.5 + 1e-12, 0.5 - 1e-12], 1e-10));
-/// ```
-pub fn approx_eq_distribution(p: &[f64], q: &[f64], tol: f64) -> bool {
-    if p.len() != q.len() {
-        return false;
-    }
-    let tv: f64 = p
-        .iter()
-        .zip(q.iter())
-        .map(|(a, b)| (a - b).abs())
-        .sum::<f64>()
-        / 2.0;
-    tv <= tol
 }
 
 #[cfg(test)]
@@ -87,8 +32,6 @@ mod tests {
     fn scalar_comparisons() {
         assert!(approx_eq(0.1 + 0.2, 0.3, 1e-12));
         assert!(!approx_eq(0.1, 0.2, 1e-3));
-        assert!(approx_zero(-1e-15, 1e-12));
-        assert!(!approx_zero(1e-3, 1e-12));
     }
 
     #[test]
@@ -97,22 +40,5 @@ mod tests {
         let b = Complex64::new(1.0 + 5e-11, -1.0 - 5e-11);
         assert!(approx_eq_c(a, b, 1e-10));
         assert!(!approx_eq_c(a, b, 1e-12));
-    }
-
-    #[test]
-    fn slice_comparisons_require_equal_length() {
-        let a = [Complex64::ONE];
-        let b = [Complex64::ONE, Complex64::ZERO];
-        assert!(!approx_eq_slice(&a, &b, 1e-10));
-        assert!(approx_eq_slice(&a, &a, 0.0));
-    }
-
-    #[test]
-    fn distribution_comparison_uses_total_variation() {
-        let p = [0.25, 0.25, 0.25, 0.25];
-        let q = [0.26, 0.24, 0.25, 0.25];
-        assert!(approx_eq_distribution(&p, &q, 0.011));
-        assert!(!approx_eq_distribution(&p, &q, 0.005));
-        assert!(!approx_eq_distribution(&p, &q[..3], 1.0));
     }
 }

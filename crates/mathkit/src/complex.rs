@@ -74,15 +74,8 @@ impl Complex64 {
     }
 
     /// Creates a complex number from polar coordinates `r·e^{iθ}`.
-    ///
-    /// ```rust
-    /// # use mathkit::complex::Complex64;
-    /// let z = Complex64::from_polar(1.0, std::f64::consts::FRAC_PI_2);
-    /// assert!((z.re).abs() < 1e-12);
-    /// assert!((z.im - 1.0).abs() < 1e-12);
-    /// ```
     #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
+    pub(crate) fn from_polar(r: f64, theta: f64) -> Self {
         Self {
             re: r * theta.cos(),
             im: r * theta.sin(),
@@ -122,73 +115,19 @@ impl Complex64 {
         self.norm_sqr().sqrt()
     }
 
-    /// Argument (phase angle) in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplicative inverse `1/z`.
     ///
     /// # Panics
     ///
     /// Panics if `z` is exactly zero.
     #[inline]
-    pub fn recip(self) -> Self {
+    pub(crate) fn recip(self) -> Self {
         let d = self.norm_sqr();
         assert!(d != 0.0, "attempted to invert the zero complex number");
         Self {
             re: self.re / d,
             im: -self.im / d,
         }
-    }
-
-    /// Complex exponential `e^z`.
-    ///
-    /// ```rust
-    /// # use mathkit::complex::Complex64;
-    /// let z = Complex64::new(0.0, std::f64::consts::PI).exp();
-    /// assert!((z.re + 1.0).abs() < 1e-12);
-    /// ```
-    #[inline]
-    pub fn exp(self) -> Self {
-        Self::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Principal square root.
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        Self::from_polar(self.norm().sqrt(), self.arg() / 2.0)
-    }
-
-    /// Raises `self` to a real power, via polar form.
-    #[inline]
-    pub fn powf(self, exponent: f64) -> Self {
-        if self == Self::ZERO {
-            return Self::ZERO;
-        }
-        Self::from_polar(self.norm().powf(exponent), self.arg() * exponent)
-    }
-
-    /// Returns `true` when both real and imaginary parts are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Multiplies by the imaginary unit (a cheap 90° rotation).
-    #[inline]
-    pub fn mul_i(self) -> Self {
-        Self {
-            re: -self.im,
-            im: self.re,
-        }
-    }
-
-    /// Linear interpolation between two complex numbers (used by noise interpolation tests).
-    #[inline]
-    pub fn lerp(self, other: Self, t: f64) -> Self {
-        self * (1.0 - t) + other * t
     }
 }
 
@@ -335,7 +274,7 @@ impl Product for Complex64 {
 mod tests {
     use super::*;
     use crate::approx::approx_eq_c;
-    use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
+    use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
     #[test]
     fn constructors_and_constants() {
@@ -404,7 +343,7 @@ mod tests {
     fn polar_round_trip() {
         let z = Complex64::from_polar(2.0, FRAC_PI_4);
         assert!((z.norm() - 2.0).abs() < 1e-12);
-        assert!((z.arg() - FRAC_PI_4).abs() < 1e-12);
+        assert!((z.im.atan2(z.re) - FRAC_PI_4).abs() < 1e-12);
     }
 
     #[test]
@@ -414,33 +353,6 @@ mod tests {
             let z = Complex64::cis(theta);
             assert!((z.norm() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn exponential_satisfies_eulers_identity() {
-        let z = Complex64::imag(PI).exp();
-        assert!(approx_eq_c(z, -Complex64::ONE, 1e-12));
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        let z = Complex64::new(-3.0, 4.0);
-        let r = z.sqrt();
-        assert!(approx_eq_c(r * r, z, 1e-12));
-    }
-
-    #[test]
-    fn powf_matches_repeated_multiplication() {
-        let z = Complex64::new(1.2, -0.7);
-        assert!(approx_eq_c(z.powf(3.0), z * z * z, 1e-10));
-        assert_eq!(Complex64::ZERO.powf(2.0), Complex64::ZERO);
-    }
-
-    #[test]
-    fn mul_i_rotates_by_ninety_degrees() {
-        let z = Complex64::new(1.0, 0.0);
-        assert_eq!(z.mul_i(), Complex64::I);
-        assert_eq!(z.mul_i().mul_i(), -Complex64::ONE);
     }
 
     #[test]
@@ -461,21 +373,5 @@ mod tests {
     fn display_formats_sign_correctly() {
         assert_eq!(Complex64::new(1.0, 2.0).to_string(), "1+2i");
         assert_eq!(Complex64::new(1.0, -2.0).to_string(), "1-2i");
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Complex64::new(1.0, 1.0);
-        let b = Complex64::new(3.0, -1.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Complex64::new(2.0, 0.0));
-    }
-
-    #[test]
-    fn finiteness_check() {
-        assert!(Complex64::new(1.0, 2.0).is_finite());
-        assert!(!Complex64::new(f64::NAN, 0.0).is_finite());
-        assert!(!Complex64::new(0.0, f64::INFINITY).is_finite());
     }
 }

@@ -6,7 +6,7 @@
 //! - [`complex::Complex64`] — double-precision complex numbers.
 //! - [`vector::CVector`] — dense complex vectors (quantum state amplitudes).
 //! - [`matrix::CMatrix`] — dense complex matrices (gates, density matrices, Kraus operators).
-//! - [`approx`] — tolerant floating-point comparison helpers used throughout the tests.
+//! - `approx` — tolerant floating-point comparison helpers used throughout the tests.
 //!
 //! ## Example
 //!
@@ -25,12 +25,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod approx;
+mod approx;
 pub mod complex;
 pub mod matrix;
 pub mod vector;
 
-pub use approx::{approx_eq, approx_eq_c, approx_zero};
+#[cfg(test)]
+mod properties;
+
+pub use approx::approx_eq;
 pub use complex::Complex64;
 pub use matrix::CMatrix;
 pub use vector::CVector;

@@ -163,17 +163,6 @@ impl CMatrix {
         &mut self.data
     }
 
-    /// Matrix transpose.
-    pub fn transpose(&self) -> CMatrix {
-        let mut m = CMatrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                m[(j, i)] = self[(i, j)];
-            }
-        }
-        m
-    }
-
     /// Conjugate transpose (Hermitian adjoint) `A†`.
     pub fn adjoint(&self) -> CMatrix {
         let mut m = CMatrix::zeros(self.cols, self.rows);
@@ -364,50 +353,6 @@ impl CMatrix {
         let root = disc.max(0.0).sqrt();
         [mean - root, mean + root]
     }
-
-    /// Frobenius norm `sqrt(Σ |a_ij|²)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
-    /// Matrix power by repeated squaring (non-negative integer exponents only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not square.
-    pub fn powi(&self, mut exponent: u32) -> CMatrix {
-        assert!(self.is_square(), "powi of a non-square matrix");
-        let mut result = CMatrix::identity(self.rows);
-        let mut base = self.clone();
-        while exponent > 0 {
-            if exponent & 1 == 1 {
-                result = result.matmul(&base);
-            }
-            base = base.matmul(&base);
-            exponent >>= 1;
-        }
-        result
-    }
-
-    /// Extracts row `i` as a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn row(&self, i: usize) -> CVector {
-        assert!(i < self.rows, "row index out of range");
-        CVector::new(self.data[i * self.cols..(i + 1) * self.cols].to_vec())
-    }
-
-    /// Extracts column `j` as a vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn col(&self, j: usize) -> CVector {
-        assert!(j < self.cols, "column index out of range");
-        CVector::new((0..self.rows).map(|i| self[(i, j)]).collect())
-    }
 }
 
 impl fmt::Display for CMatrix {
@@ -590,8 +535,6 @@ mod tests {
             vec![Complex64::new(1.0, 2.0), Complex64::new(3.0, -1.0)],
             vec![Complex64::new(0.0, 1.0), Complex64::new(-2.0, 0.5)],
         ]);
-        let t = m.transpose();
-        assert_eq!(t[(0, 1)], Complex64::new(0.0, 1.0));
         let a = m.adjoint();
         assert_eq!(a[(0, 1)], Complex64::new(0.0, -1.0));
         assert_eq!(a[(1, 0)], Complex64::new(3.0, 1.0));
@@ -663,43 +606,13 @@ mod tests {
     }
 
     #[test]
-    fn powi_matches_repeated_multiplication() {
-        let h = hadamard();
-        assert!(h.powi(0).approx_eq(&CMatrix::identity(2), 1e-12));
-        assert!(h.powi(2).approx_eq(&CMatrix::identity(2), 1e-12));
-        assert!(h.powi(3).approx_eq(&h, 1e-12));
-    }
-
-    #[test]
-    fn rows_and_cols_extraction() {
-        let m = CMatrix::from_rows(&[
-            vec![Complex64::real(1.0), Complex64::real(2.0)],
-            vec![Complex64::real(3.0), Complex64::real(4.0)],
-        ]);
-        assert_eq!(
-            m.row(1).as_slice(),
-            &[Complex64::real(3.0), Complex64::real(4.0)]
-        );
-        assert_eq!(
-            m.col(0).as_slice(),
-            &[Complex64::real(1.0), Complex64::real(3.0)]
-        );
-    }
-
-    #[test]
-    fn frobenius_norm() {
-        let m = CMatrix::identity(4);
-        assert!((m.frobenius_norm() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn operator_overloads() {
         let x = pauli_x();
         let z = pauli_z();
         let sum = &x + &z;
         assert_eq!(sum[(0, 0)], Complex64::ONE);
         let diff = &x - &x;
-        assert_eq!(diff.frobenius_norm(), 0.0);
+        assert!(diff.approx_eq(&CMatrix::zeros(2, 2), 0.0));
         let prod = &x * &z;
         assert!(prod.is_unitary(1e-12));
         let neg = -&x;

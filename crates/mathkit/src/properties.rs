@@ -1,9 +1,9 @@
 //! Property-based tests for the hand-rolled linear algebra.
 
-use mathkit::approx::{approx_eq, approx_eq_c};
-use mathkit::complex::Complex64;
-use mathkit::matrix::CMatrix;
-use mathkit::vector::CVector;
+use crate::approx::{approx_eq, approx_eq_c};
+use crate::complex::Complex64;
+use crate::matrix::CMatrix;
+use crate::vector::CVector;
 use proptest::prelude::*;
 
 /// Strategy for a "reasonable" complex number (bounded so products stay finite).
@@ -88,7 +88,7 @@ proptest! {
     fn polar_round_trips(r in 0.001f64..10.0, theta in -3.0f64..3.0) {
         let z = Complex64::from_polar(r, theta);
         prop_assert!(approx_eq(z.norm(), r, 1e-9));
-        prop_assert!(approx_eq(z.arg(), theta, 1e-9));
+        prop_assert!(approx_eq(z.im.atan2(z.re), theta, 1e-9));
     }
 
     #[test]

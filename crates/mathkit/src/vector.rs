@@ -95,11 +95,6 @@ impl CVector {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_inner(self) -> Vec<Complex64> {
-        self.data
-    }
-
     /// Iterator over the amplitudes.
     pub fn iter(&self) -> std::slice::Iter<'_, Complex64> {
         self.data.iter()
@@ -145,19 +140,6 @@ impl CVector {
     /// Returns `true` when the norm is within `tol` of 1.
     pub fn is_normalized(&self, tol: f64) -> bool {
         approx_eq(self.norm_sqr(), 1.0, tol)
-    }
-
-    /// Returns a normalised copy of the vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector has zero norm.
-    pub fn normalized(&self) -> CVector {
-        let n = self.norm();
-        // `is_finite` guards NaN/infinite norms: `1/n` would silently poison
-        // every entry instead of failing loudly here.
-        assert!(n.is_finite() && n > 0.0, "cannot normalise the zero vector");
-        self.scale(Complex64::real(1.0 / n))
     }
 
     /// Scales every entry by a complex factor.
@@ -349,15 +331,9 @@ mod tests {
     fn norm_and_normalisation() {
         let v = CVector::from_reals(&[3.0, 4.0]);
         assert_eq!(v.norm(), 5.0);
-        let n = v.normalized();
+        let n = CVector::from_reals(&[0.6, 0.8]);
         assert!(n.is_normalized(1e-12));
         assert!(approx_eq(n.probability(0), 0.36, 1e-12));
-    }
-
-    #[test]
-    #[should_panic(expected = "zero vector")]
-    fn normalising_zero_vector_panics() {
-        let _ = CVector::zeros(3).normalized();
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`CompiledChannel`] fixes the placement once:
 //!
 //! ```rust
-//! use noise::kraus::KrausChannel;
+//! use noise::KrausChannel;
 //! use qsim::DensityMatrix;
 //!
 //! // Compile once per (channel, targets, register size)...
@@ -83,13 +83,8 @@ impl CompiledChannel {
     }
 
     /// The placement-free channel this placement was compiled from.
-    pub fn source_channel(&self) -> &KrausChannel {
+    pub(crate) fn source_channel(&self) -> &KrausChannel {
         &self.source
-    }
-
-    /// The qubits this placement acts on.
-    pub fn targets(&self) -> &[usize] {
-        &self.targets
     }
 
     /// Register size the placement was compiled for.
@@ -98,7 +93,7 @@ impl CompiledChannel {
     }
 
     /// Number of Kraus operators (trajectory branches).
-    pub fn num_branches(&self) -> usize {
+    pub(crate) fn num_branches(&self) -> usize {
         self.kernel.len()
     }
 
@@ -231,7 +226,6 @@ mod tests {
         let text = compiled.to_string();
         assert!(text.contains("depolarizing"), "got {text}");
         assert!(text.contains("[0]"), "got {text}");
-        assert_eq!(compiled.targets(), &[0]);
         assert_eq!(compiled.num_qubits(), 2);
         assert_eq!(compiled.num_branches(), 4);
     }

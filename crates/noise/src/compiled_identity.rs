@@ -8,8 +8,8 @@
 //! and sampled statevector / density trajectories). Comparisons use
 //! `f64::to_bits`, so a single ULP of drift fails.
 
+use crate::KrausChannel;
 use mathkit::complex::Complex64;
-use noise::kraus::KrausChannel;
 use proptest::prelude::*;
 use qsim::density::DensityMatrix;
 use qsim::gates;

@@ -207,7 +207,7 @@ impl DeviceModel {
     }
 
     /// The noise channel applied after a generic single-qubit gate.
-    pub fn single_qubit_gate_channel(&self) -> KrausChannel {
+    pub(crate) fn single_qubit_gate_channel(&self) -> KrausChannel {
         self.single_qubit_noise(self.single_qubit_gate_error, self.single_qubit_gate_time_ns)
     }
 
@@ -222,7 +222,7 @@ impl DeviceModel {
     }
 
     /// The duration of a gate given how many qubits it touches and whether it is an identity.
-    pub fn gate_duration_ns(&self, num_qubits: usize, is_identity: bool) -> f64 {
+    pub(crate) fn gate_duration_ns(&self, num_qubits: usize, is_identity: bool) -> f64 {
         if num_qubits >= 2 {
             self.two_qubit_gate_time_ns
         } else if is_identity {

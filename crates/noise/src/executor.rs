@@ -78,7 +78,7 @@ impl NoiseCache {
 ///
 /// ```rust
 /// use noise::device::DeviceModel;
-/// use noise::executor::NoisyExecutor;
+/// use noise::NoisyExecutor;
 /// use qsim::circuit::CircuitBuilder;
 /// use rand::SeedableRng;
 ///

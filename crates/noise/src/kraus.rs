@@ -18,7 +18,7 @@ use std::fmt;
 /// # Examples
 ///
 /// ```rust
-/// use noise::kraus::KrausChannel;
+/// use noise::KrausChannel;
 ///
 /// let channel = KrausChannel::depolarizing(0.1);
 /// assert!(channel.is_trace_preserving(1e-10));
@@ -91,7 +91,7 @@ impl KrausChannel {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
-    pub fn depolarizing_two_qubit(p: f64) -> Self {
+    pub(crate) fn depolarizing_two_qubit(p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         let paulis = [
             gates::identity(),
@@ -121,7 +121,7 @@ impl KrausChannel {
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 1]`.
-    pub fn bit_flip(p: f64) -> Self {
+    pub(crate) fn bit_flip(p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         Self {
             name: format!("bit_flip(p={p})"),
@@ -174,7 +174,7 @@ impl KrausChannel {
     /// # Panics
     ///
     /// Panics if `lambda` is outside `[0, 1]`.
-    pub fn phase_damping(lambda: f64) -> Self {
+    pub(crate) fn phase_damping(lambda: f64) -> Self {
         assert!((0.0..=1.0).contains(&lambda), "lambda must be in [0, 1]");
         let k0 = CMatrix::from_rows(&[
             vec![Complex64::ONE, Complex64::ZERO],
@@ -197,7 +197,7 @@ impl KrausChannel {
     /// # Panics
     ///
     /// Panics if the times are non-positive or `t2 > 2·t1` (unphysical).
-    pub fn thermal_relaxation(t1_us: f64, t2_us: f64, duration_ns: f64) -> Self {
+    pub(crate) fn thermal_relaxation(t1_us: f64, t2_us: f64, duration_ns: f64) -> Self {
         assert!(t1_us > 0.0 && t2_us > 0.0, "T1 and T2 must be positive");
         assert!(
             t2_us <= 2.0 * t1_us + 1e-12,
@@ -223,12 +223,12 @@ impl KrausChannel {
     }
 
     /// The Kraus operators of the channel.
-    pub fn operators(&self) -> &[CMatrix] {
+    pub(crate) fn operators(&self) -> &[CMatrix] {
         &self.operators
     }
 
     /// Dimension the channel acts on (2 for single-qubit, 4 for two-qubit).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.operators[0].rows()
     }
 
@@ -321,7 +321,8 @@ impl KrausChannel {
     /// # Panics
     ///
     /// Panics if called on a multi-qubit channel.
-    pub fn average_fidelity(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn average_fidelity(&self) -> f64 {
         assert_eq!(
             self.num_qubits(),
             1,

@@ -66,11 +66,15 @@
 #![warn(missing_docs)]
 
 pub mod compiled;
+#[cfg(test)]
+mod compiled_identity;
 pub mod device;
-pub mod executor;
-pub mod kraus;
+mod executor;
+mod kraus;
 pub mod readout;
 pub mod twirl;
+#[cfg(test)]
+mod twirl_projection;
 
 pub use compiled::CompiledChannel;
 pub use device::DeviceModel;
@@ -85,6 +89,5 @@ pub mod prelude {
     pub use crate::device::DeviceModel;
     pub use crate::executor::NoisyExecutor;
     pub use crate::kraus::KrausChannel;
-    pub use crate::readout::ReadoutError;
     pub use crate::twirl::{PauliDistribution, TwirledChannel};
 }

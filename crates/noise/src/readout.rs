@@ -76,17 +76,6 @@ impl ReadoutError {
             bit
         }
     }
-
-    /// Applies the error independently to every bit of a register readout.
-    pub fn apply_all<R: Rng + ?Sized>(&self, bits: &[u8], rng: &mut R) -> Vec<u8> {
-        bits.iter().map(|&b| self.apply(b, rng)).collect()
-    }
-
-    /// The probability that a readout of `n` bits is reported entirely correctly, assuming
-    /// the true outcome has `zeros` zero-bits and `ones` one-bits.
-    pub fn correct_probability(&self, zeros: usize, ones: usize) -> f64 {
-        (1.0 - self.p01).powi(zeros as i32) * (1.0 - self.p10).powi(ones as i32)
-    }
 }
 
 impl Default for ReadoutError {
@@ -149,23 +138,6 @@ mod tests {
     #[should_panic(expected = "p01 must be in")]
     fn invalid_probability_panics() {
         let _ = ReadoutError::new(1.5, 0.0);
-    }
-
-    #[test]
-    fn apply_all_preserves_length() {
-        let e = ReadoutError::symmetric(0.3);
-        let mut r = rng();
-        let out = e.apply_all(&[0, 1, 0, 1, 1], &mut r);
-        assert_eq!(out.len(), 5);
-        assert!(out.iter().all(|&b| b == 0 || b == 1));
-    }
-
-    #[test]
-    fn correct_probability_formula() {
-        let e = ReadoutError::new(0.1, 0.2);
-        let p = e.correct_probability(2, 1);
-        assert!((p - 0.9 * 0.9 * 0.8).abs() < 1e-12);
-        assert_eq!(ReadoutError::ideal().correct_probability(10, 10), 1.0);
     }
 
     #[test]

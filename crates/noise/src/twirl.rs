@@ -87,7 +87,7 @@ fn frame_mask(index: usize, num_qubits: usize) -> Pauli {
 /// # Examples
 ///
 /// ```rust
-/// use noise::kraus::KrausChannel;
+/// use noise::KrausChannel;
 ///
 /// let twirled = KrausChannel::depolarizing(0.1).twirl();
 /// // Depolarizing is already a Pauli channel: twirling is lossless.
@@ -213,11 +213,6 @@ impl TwirledChannel {
             .min(self.probs.len() - 1)
     }
 
-    /// Samples the Klein-group kick this channel applies to a Bell label.
-    pub fn sample_frame_kick<R: Rng + ?Sized>(&self, rng: &mut R) -> Pauli {
-        self.frame_masks[self.sample(rng)]
-    }
-
     /// The pushforward of this channel onto the Klein four-group action on
     /// a Bell label: multiple Pauli products can act as the same label
     /// relabelling (e.g. `X ⊗ X` acts as identity on `|Φ+⟩`), so the
@@ -274,7 +269,7 @@ pub struct PauliDistribution {
 impl PauliDistribution {
     /// The distribution concentrated on one Pauli (the identity of the
     /// convolution algebra when `pauli` is `I`).
-    pub fn point_mass(pauli: Pauli) -> Self {
+    pub(crate) fn point_mass(pauli: Pauli) -> Self {
         let mut probs = [0.0; 4];
         probs[pauli.to_index() as usize] = 1.0;
         Self::from_probs(probs)
@@ -286,7 +281,7 @@ impl PauliDistribution {
     ///
     /// Panics if the probabilities are negative or do not sum to 1 within
     /// `1e-6`.
-    pub fn from_probs(probs: [f64; 4]) -> Self {
+    pub(crate) fn from_probs(probs: [f64; 4]) -> Self {
         assert!(
             probs.iter().all(|&p| p >= -1e-12),
             "negative probability in {probs:?}"

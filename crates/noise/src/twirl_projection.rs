@@ -12,8 +12,8 @@
 //! order-invariant, so folding an η-gate chain is independent of compile
 //! order.
 
-use noise::kraus::KrausChannel;
-use noise::twirl::PauliDistribution;
+use crate::twirl::PauliDistribution;
+use crate::KrausChannel;
 use proptest::prelude::*;
 use qsim::bell::{bell_diagonal_probabilities, BellState};
 use qsim::density::DensityMatrix;

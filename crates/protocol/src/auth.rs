@@ -102,7 +102,8 @@ impl AuthTally {
 
 impl AuthReport {
     /// Returns `true` when the peer was accepted.
-    pub fn passed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn passed(&self) -> bool {
         self.verdict == AuthVerdict::Accept
     }
 }

@@ -12,7 +12,7 @@ use crate::di_check::{run_di_check, DiCheckReport, DiCheckRound};
 use crate::error::ProtocolError;
 use crate::message::{PaddedMessage, SecretMessage};
 use qchannel::epr::EprPair;
-use qchannel::quantum::{ChannelTap, NoTap, QuantumChannel};
+use qchannel::quantum::{ChannelTap, QuantumChannel};
 use qsim::pauli::Pauli;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -195,25 +195,11 @@ pub fn run_baseline_di_qsdc<R: Rng>(
     })
 }
 
-/// Convenience wrapper running the baseline with no eavesdropper.
-///
-/// # Errors
-///
-/// Returns a [`ProtocolError`] on configuration misuse.
-pub fn run_baseline_honest<R: Rng>(
-    config: &SessionConfig,
-    message: &SecretMessage,
-    rng: &mut R,
-) -> Result<BaselineOutcome, ProtocolError> {
-    let mut tap = NoTap;
-    run_baseline_di_qsdc(config, message, &mut tap, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use noise::DeviceModel;
-    use qchannel::quantum::ChannelSpec;
+    use qchannel::quantum::{ChannelSpec, NoTap};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -233,7 +219,7 @@ mod tests {
     fn honest_baseline_delivers_exactly() {
         let mut r = rng(1);
         let message = SecretMessage::random(16, &mut r);
-        let outcome = run_baseline_honest(&config(), &message, &mut r).unwrap();
+        let outcome = run_baseline_di_qsdc(&config(), &message, &mut NoTap, &mut r).unwrap();
         assert!(outcome.delivered, "{outcome}");
         assert_eq!(outcome.received_message.as_ref().unwrap(), &message);
         assert_eq!(outcome.message_accuracy(), Some(1.0));
@@ -246,7 +232,7 @@ mod tests {
         let cfg = config();
         let mut r = rng(2);
         let message = SecretMessage::random(16, &mut r);
-        let outcome = run_baseline_honest(&cfg, &message, &mut r).unwrap();
+        let outcome = run_baseline_di_qsdc(&cfg, &message, &mut NoTap, &mut r).unwrap();
         assert_eq!(outcome.total_pairs + 2 * 5, cfg.total_pairs(5));
     }
 
@@ -264,7 +250,7 @@ mod tests {
             .unwrap();
         let mut r = rng(3);
         let message = SecretMessage::random(16, &mut r);
-        let outcome = run_baseline_honest(&cfg, &message, &mut r).unwrap();
+        let outcome = run_baseline_di_qsdc(&cfg, &message, &mut NoTap, &mut r).unwrap();
         assert!(outcome.delivered, "{outcome}");
         assert!(outcome.message_accuracy().unwrap() > 0.8);
     }
@@ -295,7 +281,7 @@ mod tests {
         // baseline always delivers to the impersonator on an honest channel.
         let mut r = rng(5);
         let message = SecretMessage::random(16, &mut r);
-        let outcome = run_baseline_honest(&config(), &message, &mut r).unwrap();
+        let outcome = run_baseline_di_qsdc(&config(), &message, &mut NoTap, &mut r).unwrap();
         assert!(outcome.delivered);
         assert!(outcome.abort_reason.is_none());
     }
@@ -305,7 +291,7 @@ mod tests {
         let mut r = rng(6);
         let message = SecretMessage::random(3, &mut r);
         assert!(matches!(
-            run_baseline_honest(&config(), &message, &mut r),
+            run_baseline_di_qsdc(&config(), &message, &mut NoTap, &mut r),
             Err(ProtocolError::MessageLengthMismatch { .. })
         ));
     }
@@ -314,7 +300,7 @@ mod tests {
     fn display_for_both_outcomes() {
         let mut r = rng(7);
         let message = SecretMessage::random(16, &mut r);
-        let ok = run_baseline_honest(&config(), &message, &mut r).unwrap();
+        let ok = run_baseline_di_qsdc(&config(), &message, &mut NoTap, &mut r).unwrap();
         assert!(ok.to_string().contains("delivered"));
     }
 }

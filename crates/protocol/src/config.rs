@@ -96,7 +96,8 @@ impl SessionConfig {
 
     /// Total EPR pairs a session consumes for an identity of `l` qubits:
     /// `N + 2l + 2d` (paper, Section II step 1).
-    pub fn total_pairs(&self, identity_qubits: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn total_pairs(&self, identity_qubits: usize) -> usize {
         self.message_qubits() + 2 * identity_qubits + 2 * self.di_check_pairs
     }
 }

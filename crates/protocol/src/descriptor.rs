@@ -66,7 +66,7 @@ pub struct ProtocolDescriptor {
 
 impl ProtocolDescriptor {
     /// Zhou et al. 2020 — the original DI-QSDC protocol (entanglement, BSM, 1 qubit/bit).
-    pub fn zhou_2020() -> Self {
+    pub(crate) fn zhou_2020() -> Self {
         Self {
             name: "Zhou et al. [10] (2020)".into(),
             resource: ResourceType::Entanglement,
@@ -78,7 +78,7 @@ impl ProtocolDescriptor {
     }
 
     /// Zhou & Sheng 2022 — one-step DI-QSDC based on hyper-entanglement.
-    pub fn zhou_2022_hyper() -> Self {
+    pub(crate) fn zhou_2022_hyper() -> Self {
         Self {
             name: "Zhou et al. [11] (2022)".into(),
             resource: ResourceType::HyperEntanglement,
@@ -90,7 +90,7 @@ impl ProtocolDescriptor {
     }
 
     /// Zhou et al. 2023 — DI-QSDC with single-photon sources.
-    pub fn zhou_2023_single_photon() -> Self {
+    pub(crate) fn zhou_2023_single_photon() -> Self {
         Self {
             name: "Zhou et al. [13] (2023)".into(),
             resource: ResourceType::SingleQubits,
@@ -102,7 +102,7 @@ impl ProtocolDescriptor {
     }
 
     /// Zeng et al. 2023 — high-capacity DI-QSDC based on hyper-encoding.
-    pub fn zeng_2023_hyper_encoding() -> Self {
+    pub(crate) fn zeng_2023_hyper_encoding() -> Self {
         Self {
             name: "Zeng et al. [12] (2023)".into(),
             resource: ResourceType::HyperEntanglement,
@@ -114,7 +114,7 @@ impl ProtocolDescriptor {
     }
 
     /// The proposed UA-DI-QSDC protocol (this repository's core contribution).
-    pub fn proposed() -> Self {
+    pub(crate) fn proposed() -> Self {
         Self {
             name: "Proposed UA-DI-QSDC".into(),
             resource: ResourceType::Entanglement,

@@ -49,14 +49,6 @@ pub struct DiCheckReport {
     pub passed: bool,
 }
 
-impl DiCheckReport {
-    /// The deviation `ε = 2√2 − S` from the ideal quantum value (`None` when the estimate is
-    /// unavailable). A negative value just means the finite-sample estimate exceeded `2√2`.
-    pub fn epsilon(&self) -> Option<f64> {
-        self.chsh.map(|s| qsim::chsh::TSIRELSON_BOUND - s)
-    }
-}
-
 impl fmt::Display for DiCheckReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.chsh {
@@ -227,7 +219,6 @@ mod tests {
         assert!(s <= 4.0);
         assert!(!records.is_empty());
         assert!(report.pairs_in_estimate <= report.pairs_used);
-        assert!(report.epsilon().unwrap() < 0.6);
     }
 
     #[test]
@@ -285,7 +276,6 @@ mod tests {
         let (report, records) = run_di_check(DiCheckRound::First, &mut pairs, 2.0, &mut rng());
         assert!(!report.passed);
         assert_eq!(report.chsh, None);
-        assert_eq!(report.epsilon(), None);
         assert!(records.is_empty());
         assert!(report.to_string().contains("insufficient"));
     }

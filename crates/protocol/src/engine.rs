@@ -25,7 +25,7 @@
 //! reports an [`ExecutorStats`] with per-worker trial counts and wall time.
 //!
 //! The same contract extends beyond one process: every run decomposes into
-//! the explicit plan → execute → merge stages of the [`shard`] module — a
+//! the explicit plan → execute → merge stages of the `shard` module — a
 //! serde [`ShardPlan`] splits a trial range across workers or machines,
 //! [`SessionEngine::execute_shard`] turns one shard into a [`ShardResult`],
 //! and a [`ShardMerger`] folds results back in trial order, byte-identical to
@@ -65,18 +65,17 @@ pub mod campaign;
 pub mod circuit;
 pub mod parallel;
 pub mod queue;
-pub mod shard;
+mod shard;
 
 pub use campaign::{
-    derive_point_seed, Axis, AxisValue, Campaign, CampaignError, CampaignPoint,
-    CampaignPointReport, CampaignReport, CampaignRun, CampaignSpace, CampaignStatus,
-    CampaignWorkload, PointWork, RateInterval,
+    derive_point_seed, Axis, AxisValue, Campaign, CampaignError, CampaignPointReport,
+    CampaignReport, CampaignRun, CampaignSpace, CampaignStatus, CampaignWorkload, RateInterval,
 };
-pub use circuit::{CircuitDevice, CircuitExperiment, CircuitPoint};
+pub use circuit::{CircuitDevice, CircuitExperiment};
 pub use parallel::{ExecutorStats, Parallelism};
 pub use queue::{
-    ClaimOutcome, LeaseHeartbeat, MergeCheckpoint, QueueError, QueueStatus, ShardQueue, ShardSlot,
-    ShardWorker, SlotState, SubmitOutcome, WorkerError, MIN_LEASE_MS,
+    ClaimOutcome, MergeCheckpoint, QueueError, QueueStatus, ShardQueue, ShardSlot, ShardWorker,
+    SlotState, SubmitOutcome,
 };
 pub use shard::{
     merge_shard_results, MergeError, MergedRun, ShardMerger, ShardOutput, ShardPayload, ShardPlan,
@@ -112,7 +111,7 @@ use std::sync::Arc;
 
 /// The simulation substrate a [`SessionEngine`] runs sessions on.
 ///
-/// The default [`DensityMatrixBackend`] reproduces the paper's emulation
+/// The default `DensityMatrixBackend` reproduces the paper's emulation
 /// (density-matrix pairs, noisy identity-gate channel). Alternative backends —
 /// sparse simulators, GPU batches, hardware adapters — implement the same two
 /// hooks and plug into the engine unchanged.
@@ -163,7 +162,7 @@ pub trait Backend: fmt::Debug + Send + Sync {
 /// The default backend: density-matrix pairs from a noisy source, transmitted
 /// through the η-identity-gate channel (the paper's Section IV emulation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DensityMatrixBackend;
+pub(crate) struct DensityMatrixBackend;
 
 impl Backend for DensityMatrixBackend {
     fn name(&self) -> &str {
@@ -220,7 +219,7 @@ impl Backend for DensityMatrixBackend {
 /// branch-sampling on the density matrix — the same one-branch-per-step
 /// unravelling, without requiring purity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatevectorBackend;
+pub(crate) struct StatevectorBackend;
 
 /// Purity tolerance under which a pair still counts as pure for trajectory
 /// extraction.
@@ -326,7 +325,7 @@ impl Backend for StatevectorBackend {
 /// returning `false`, e.g. `NoTap` on emission for the stock attacks) skip
 /// the round-trip entirely, keeping the hot path integer-only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PauliTwirledBackend;
+pub(crate) struct PauliTwirledBackend;
 
 impl Backend for PauliTwirledBackend {
     fn name(&self) -> &str {
@@ -457,21 +456,21 @@ macro_rules! backend_kinds {
 
 backend_kinds! {
     /// Exact density-matrix evolution — the paper's Section IV emulation
-    /// ([`DensityMatrixBackend`]; the default).
+    /// (`DensityMatrixBackend`; the default).
     #[default]
     DensityMatrix {
         name: "density-matrix",
         aliases: ["density", "dm"],
         backend: &DensityMatrixBackend,
     },
-    /// Sampled pure-state trajectories ([`StatevectorBackend`]).
+    /// Sampled pure-state trajectories (`StatevectorBackend`).
     Statevector {
         name: "statevector",
         aliases: ["sv", "trajectory"],
         backend: &StatevectorBackend,
     },
     /// Integer-only Pauli-frame tracking over twirled channels
-    /// ([`PauliTwirledBackend`]).
+    /// (`PauliTwirledBackend`).
     PauliTwirled {
         name: "pauli-twirled",
         aliases: ["twirled", "pt", "stabilizer"],
@@ -835,15 +834,6 @@ impl TrialSummary {
         }
     }
 
-    /// Fraction of sessions in which the message was delivered.
-    pub fn delivery_rate(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.delivered as f64 / self.trials as f64
-        }
-    }
-
     /// Aborts recorded at the given stage.
     pub fn aborted_at(&self, stage: AbortStage) -> usize {
         match stage {
@@ -876,7 +866,7 @@ impl fmt::Display for TrialSummary {
 /// time, then [`finish`](TrialSummaryBuilder::finish).
 ///
 /// The builder doubles as the *mergeable partial* of the shard pipeline
-/// ([`shard`]): it is serde round-trippable, and
+/// (`shard`): it is serde round-trippable, and
 /// [`merge`](TrialSummaryBuilder::merge) folds another partial onto this one.
 /// To make merged partials bit-identical to serial accumulation for *any*
 /// partition of a trial range, the mean accumulators keep their samples in
@@ -999,13 +989,8 @@ impl TrialSummaryBuilder {
     }
 
     /// Number of outcomes recorded so far (including merged partials).
-    pub fn trials_recorded(&self) -> usize {
+    pub(crate) fn trials_recorded(&self) -> usize {
         self.summary.trials
-    }
-
-    /// The scenario label this partial aggregates for.
-    pub fn label(&self) -> &str {
-        &self.summary.label
     }
 
     /// Finalises the means and returns the summary.
@@ -1094,11 +1079,6 @@ impl SessionEngine {
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
-    }
-
-    /// The engine's execution policy.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// The master seed every trial stream is derived from.
@@ -2192,7 +2172,6 @@ mod tests {
             Parallelism::Auto,
         ] {
             let engine = SessionEngine::new(2025).with_parallelism(parallelism);
-            assert_eq!(engine.parallelism(), parallelism);
             assert_eq!(
                 engine.run_outcomes(&scenarios[0], 4).unwrap(),
                 serial_outcomes,
@@ -2243,7 +2222,6 @@ mod tests {
             let summary = engine.run_trials(&scenario, 0).unwrap();
             assert_eq!(summary.trials, 0);
             assert_eq!(summary.detection_rate(), 0.0);
-            assert_eq!(summary.delivery_rate(), 0.0);
             assert!(engine.run_batch(&[], 5).unwrap().is_empty());
             let batch = engine
                 .run_batch(std::slice::from_ref(&scenario), 0)
@@ -2470,6 +2448,42 @@ mod tests {
         assert_eq!(back, scenario);
         assert_eq!(back.backend, BackendKind::DensityMatrix);
         assert_eq!(back.fingerprint(), scenario.fingerprint());
+    }
+
+    #[test]
+    fn identities_the_constructors_refuse_fail_at_decode_by_name() {
+        let scenario = small_scenario(49);
+        let json = serde::json::to_string(&scenario);
+        let back: Scenario = serde::json::from_str(&json).unwrap();
+        assert_eq!(
+            serde::json::to_string(&back),
+            json,
+            "a valid scenario round-trips"
+        );
+        let identities = serde::json::to_string(&scenario.identities);
+        let bits = |n: usize| serde::json::to_string(&vec![true; n]);
+        for (alice, bob, fault) in [
+            (
+                9,
+                10,
+                "identity strings must have an even number of bits, got 9",
+            ),
+            (8, 10, "id_A has 8 bits but id_B has 10 bits"),
+            (0, 0, "identity strings must not be empty"),
+        ] {
+            let edited = json.replacen(
+                &identities,
+                &format!(
+                    r#"{{"alice":{{"bits":{}}},"bob":{{"bits":{}}}}}"#,
+                    bits(alice),
+                    bits(bob)
+                ),
+                1,
+            );
+            assert_ne!(edited, json);
+            let err = serde::json::from_str::<Scenario>(&edited).unwrap_err();
+            assert!(err.to_string().contains(fault), "{alice}/{bob} bits: {err}");
+        }
     }
 
     #[test]

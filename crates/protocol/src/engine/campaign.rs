@@ -65,18 +65,18 @@ use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::thread;
 use std::time::Duration;
 
 /// File name of the stored campaign definition inside a campaign directory.
-pub const CAMPAIGN_FILE: &str = "campaign.json";
+pub(crate) const CAMPAIGN_FILE: &str = "campaign.json";
 
 /// Directory holding sampled-point results inside a campaign directory.
-pub const SAMPLES_DIR: &str = "samples";
+pub(crate) const SAMPLES_DIR: &str = "samples";
 
 /// z-score used for the report's Wilson confidence intervals (95 % coverage).
-pub const WILSON_Z: f64 = 1.96;
+pub(crate) const WILSON_Z: f64 = 1.96;
 
 /// Derives the per-point seed stream of a campaign: point `index` of a
 /// campaign seeded with `master_seed` samples under
@@ -148,7 +148,7 @@ impl Axis {
     }
 
     /// The axis's values as point coordinates.
-    pub fn values(&self) -> Vec<AxisValue> {
+    pub(crate) fn values(&self) -> Vec<AxisValue> {
         match self {
             Axis::Eta(v) => v.iter().map(|&x| AxisValue::Eta(x)).collect(),
             Axis::Trials(v) => v.iter().map(|&x| AxisValue::Trials(x)).collect(),
@@ -536,7 +536,7 @@ impl RateInterval {
     /// # Panics
     ///
     /// Panics when `trials == 0` or `successes > trials`.
-    pub fn wilson(successes: usize, trials: usize) -> Self {
+    pub(crate) fn wilson(successes: usize, trials: usize) -> Self {
         let (lower, upper) = analysis::stats::wilson_interval(successes, trials, WILSON_Z);
         Self {
             rate: successes as f64 / trials as f64,
@@ -956,11 +956,6 @@ impl CampaignRun {
             campaign,
             points,
         })
-    }
-
-    /// The campaign directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The stored campaign definition.

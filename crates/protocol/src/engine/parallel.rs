@@ -10,7 +10,7 @@
 //! - [`Parallelism`] selects how many worker threads a
 //!   [`SessionEngine`](super::SessionEngine) uses ([`Parallelism::Serial`],
 //!   [`Parallelism::Threads`], [`Parallelism::Auto`]).
-//! - [`fold`] runs an indexed task set across workers. Tasks are claimed in
+//! - `fold` runs an indexed task set across workers. Tasks are claimed in
 //!   chunks of consecutive indices from an atomic cursor (no work stealing,
 //!   no dependencies beyond `std`). Each worker folds a chunk into one
 //!   payload on its own thread and sends that payload, not the per-task
@@ -165,7 +165,7 @@ impl FromStr for Parallelism {
 pub struct ExecutorStats {
     /// Worker threads used (1 for a serial run).
     pub workers: usize,
-    /// Total tasks (trials) requested. After a failed task (see [`fold`])
+    /// Total tasks (trials) requested. After a failed task (see `fold`)
     /// fewer may actually have been delivered;
     /// [`tasks_per_worker`](Self::tasks_per_worker) counts those.
     pub tasks: usize,
@@ -236,7 +236,7 @@ impl Drop for CancelOnPanic<'_> {
 }
 
 /// Runs `task(0..tasks)` under the given policy and collects the results in
-/// task-index order: [`fold`] with a `Vec` accumulator.
+/// task-index order: `fold` with a `Vec` accumulator.
 ///
 /// The task function must be a pure function of its index (up to interior
 /// caches) — that is what makes the fan-out invisible in the results.
@@ -284,7 +284,7 @@ where
 /// with a `Vec` accumulator a pathologically slow early chunk can in the
 /// worst case park every later result; an accumulator that holds a few
 /// numbers per task (a summary partial) makes that harmless.
-pub fn fold<A, E, N, S, J>(
+pub(crate) fn fold<A, E, N, S, J>(
     parallelism: Parallelism,
     tasks: usize,
     new: N,

@@ -1,6 +1,6 @@
 //! A resumable, work-stealing shard queue persisted to a shared directory.
 //!
-//! The [`shard`](super::shard) module makes a sweep *location-independent*:
+//! The `shard` module makes a sweep *location-independent*:
 //! a [`ShardPlan`] fully determines its trials, so shards execute anywhere
 //! and merge back byte-identically. This module adds the missing *scheduler*
 //! for a heterogeneous fleet: instead of hand-assigning one static shard per
@@ -93,9 +93,9 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 /// Name of the checkpoint manifest inside a queue directory.
 pub const CHECKPOINT_FILE: &str = "checkpoint.json";
 /// Name of the advisory lock file inside a queue directory.
-pub const LOCK_FILE: &str = "queue.lock";
+pub(crate) const LOCK_FILE: &str = "queue.lock";
 /// Name of the results subdirectory inside a queue directory.
-pub const RESULTS_DIR: &str = "results";
+pub(crate) const RESULTS_DIR: &str = "results";
 /// The shortest lease [`ShardQueue::claim`] will grant, in milliseconds.
 ///
 /// A zero-length lease expires the instant it is granted (`expires_at_ms ==
@@ -103,7 +103,7 @@ pub const RESULTS_DIR: &str = "results";
 /// same shard is immediately re-claimable and gets executed twice. Leases
 /// below this floor are rejected with [`QueueError::LeaseTooShort`] rather
 /// than silently granted as instant-steal tokens.
-pub const MIN_LEASE_MS: u64 = 10;
+pub(crate) const MIN_LEASE_MS: u64 = 10;
 
 /// Stable 64-bit FNV-1a content fingerprint of a result file's bytes, as
 /// recorded in [`SlotState::Done`]. Any later corruption of the file —
@@ -133,7 +133,7 @@ static LAST_WALL_MS: AtomicU64 = AtomicU64::new(0);
 /// [`QueueError::Clock`] when the system clock reads before the UNIX epoch —
 /// previously this was swallowed as `t = 0`, which mass-expired every live
 /// lease; now the caller fails loudly instead.
-pub fn now_ms() -> Result<u64, QueueError> {
+pub(crate) fn now_ms() -> Result<u64, QueueError> {
     // detlint: allow(wall-clock): lease expiry is wall time by design; results use *_at variants
     let raw = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -191,7 +191,7 @@ pub struct ShardSlot {
 }
 
 impl ShardSlot {
-    /// Name of this slot's result file inside [`RESULTS_DIR`]. Zero-padded so
+    /// Name of this slot's result file inside `RESULTS_DIR`. Zero-padded so
     /// lexical order equals trial order.
     pub fn result_file_name(&self) -> String {
         format!(
@@ -366,13 +366,13 @@ pub enum QueueError {
         trial_count: usize,
     },
     /// A claim (or lease extension) asked for a lease shorter than
-    /// [`MIN_LEASE_MS`]. A zero-length lease is an instant-steal token — the
+    /// `MIN_LEASE_MS`. A zero-length lease is an instant-steal token — the
     /// shard would be re-claimable the moment it was granted and executed
     /// twice — so too-short leases are refused instead of granted.
     LeaseTooShort {
         /// The lease the caller asked for, in milliseconds.
         lease_ms: u64,
-        /// The smallest lease this queue grants ([`MIN_LEASE_MS`]).
+        /// The smallest lease this queue grants (`MIN_LEASE_MS`).
         min_ms: u64,
     },
     /// A heartbeat tried to extend a lease the worker does not currently
@@ -617,7 +617,7 @@ impl ShardQueue {
     }
 
     /// Path of the results directory.
-    pub fn results_dir(&self) -> PathBuf {
+    pub(crate) fn results_dir(&self) -> PathBuf {
         self.dir.join(RESULTS_DIR)
     }
 
@@ -644,7 +644,7 @@ impl ShardQueue {
     /// # Errors
     ///
     /// Checkpoint load/store failures, [`QueueError::LeaseTooShort`] for
-    /// leases under [`MIN_LEASE_MS`], or [`QueueError::Clock`] when the
+    /// leases under `MIN_LEASE_MS`, or [`QueueError::Clock`] when the
     /// system clock is unusable.
     pub fn claim(&self, worker: &str, lease_ms: u64) -> Result<ClaimOutcome, QueueError> {
         self.claim_at(worker, lease_ms, now_ms()?)
@@ -656,7 +656,7 @@ impl ShardQueue {
     /// # Errors
     ///
     /// Checkpoint load/store failures, or [`QueueError::LeaseTooShort`] for
-    /// leases under [`MIN_LEASE_MS`].
+    /// leases under `MIN_LEASE_MS`.
     pub fn claim_at(
         &self,
         worker: &str,
@@ -711,7 +711,7 @@ impl ShardQueue {
     /// matches no slot; [`QueueError::LeaseTooShort`] for extensions under
     /// [`MIN_LEASE_MS`]; [`QueueError::Clock`] when the system clock is
     /// unusable; or checkpoint load/store failures.
-    pub fn extend_lease(
+    pub(crate) fn extend_lease(
         &self,
         worker: &str,
         plan: &ShardPlan,
@@ -720,12 +720,12 @@ impl ShardQueue {
         self.extend_lease_at(worker, plan, lease_ms, now_ms()?)
     }
 
-    /// [`extend_lease`](Self::extend_lease) with an explicit clock for
+    /// `extend_lease` with an explicit clock for
     /// deterministic tests.
     ///
     /// # Errors
     ///
-    /// As for [`extend_lease`](Self::extend_lease).
+    /// As for `extend_lease`.
     pub fn extend_lease_at(
         &self,
         worker: &str,
@@ -910,7 +910,10 @@ impl ShardQueue {
     /// # Errors
     ///
     /// As for [`resume`](Self::resume).
-    pub fn resume_at(&self, now_ms: u64) -> Result<(QueueStatus, Option<MergedRun>), QueueError> {
+    pub(crate) fn resume_at(
+        &self,
+        now_ms: u64,
+    ) -> Result<(QueueStatus, Option<MergedRun>), QueueError> {
         let _lock = self.lock()?;
         let mut checkpoint = self.load()?;
         let results = self.verified_done_results(&checkpoint)?;

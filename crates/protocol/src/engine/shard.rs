@@ -106,7 +106,7 @@ pub struct ShardPlan {
     /// uses it to detect incomplete coverage.
     pub total_trials: usize,
     /// Provenance stamp over the plan's *execution header* — fingerprint,
-    /// master seed and trial range (see [`provenance_stamp`](Self::provenance_stamp)).
+    /// master seed and trial range (see `provenance_stamp`).
     /// [`validate`](Self::validate) rejects a plan whose range fields were
     /// edited after planning; the splitters re-stamp the sub-plans they
     /// legitimately derive.
@@ -125,7 +125,7 @@ impl ShardPlan {
     /// constructor ([`SessionEngine::plan`], [`subrange`](Self::subrange) and
     /// the splitters built on it) stamps the plan; any later edit of a header
     /// field is detected as a stamp mismatch.
-    pub fn provenance_stamp(&self) -> u64 {
+    pub(crate) fn provenance_stamp(&self) -> u64 {
         let mut bytes = Vec::with_capacity(53);
         bytes.extend_from_slice(b"shard-plan-v1");
         for field in [
@@ -142,11 +142,6 @@ impl ShardPlan {
     /// One-past-the-last trial index of this shard's range.
     pub fn trial_end(&self) -> u64 {
         self.trial_start + self.trial_count as u64
-    }
-
-    /// `true` when the shard covers no trials.
-    pub fn is_empty(&self) -> bool {
-        self.trial_count == 0
     }
 
     /// The simulation substrate this shard's trials run on (declared by the
@@ -825,11 +820,6 @@ impl ShardMerger {
         Self::default()
     }
 
-    /// Trials merged so far.
-    pub fn merged_trials(&self) -> u64 {
-        self.next_trial
-    }
-
     /// Folds the next shard (by trial order) onto the merge.
     ///
     /// # Errors
@@ -947,7 +937,7 @@ mod tests {
         assert_eq!(plan.total_trials, 10);
         assert_eq!(plan.trial_end(), 10);
         assert_eq!(plan.master_seed, 9);
-        assert!(!plan.is_empty());
+        assert_ne!(plan.trial_count, 0);
         assert!(plan.validate().is_ok());
         assert!(plan.to_string().contains("trials 0..10 of 10"));
     }
@@ -973,7 +963,7 @@ mod tests {
         let sparse = plan.split_into(20);
         assert_eq!(sparse.len(), 20);
         assert_eq!(sparse.iter().map(|s| s.trial_count).sum::<usize>(), 11);
-        assert!(sparse[19].is_empty());
+        assert_eq!(sparse[19].trial_count, 0);
         assert!(sparse[19].validate().is_ok());
     }
 
@@ -988,7 +978,7 @@ mod tests {
         let empty = SessionEngine::new(3).plan(&scenario(3), 0);
         let shards = empty.split_max(4);
         assert_eq!(shards.len(), 1);
-        assert!(shards[0].is_empty());
+        assert_eq!(shards[0].trial_count, 0);
     }
 
     #[test]
@@ -1216,7 +1206,6 @@ mod tests {
         assert_eq!(ShardMerger::new().finish().unwrap_err(), MergeError::Empty);
         let mut merger = ShardMerger::new();
         merger.push(results[0].clone()).unwrap();
-        assert_eq!(merger.merged_trials(), 2);
         assert_eq!(
             merger.finish().unwrap_err(),
             MergeError::Incomplete {

@@ -15,7 +15,7 @@
 
 /// Selects the execution policy (`serial`, `threads:N`, or `auto`); read by
 /// [`Parallelism::from_env`](crate::engine::Parallelism::from_env).
-pub const PARALLELISM: &str = "UA_DI_QSDC_PARALLELISM";
+pub(crate) const PARALLELISM: &str = "UA_DI_QSDC_PARALLELISM";
 
 /// Chaos-testing hook: stalls a fleet worker for N milliseconds between
 /// claiming and executing each shard, so a test can SIGKILL it while it

@@ -26,7 +26,10 @@ use std::fmt;
 /// assert_eq!(id.qubit_len(), 4);
 /// assert_eq!(id.as_paulis().len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// Decoding goes through [`IdentityString::from_bits`], so an empty or
+/// odd-length identity fails at decode instead of in a session.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct IdentityString {
     bits: Vec<bool>,
 }
@@ -72,11 +75,6 @@ impl IdentityString {
         self.bits.len() / 2
     }
 
-    /// The raw bits.
-    pub fn bits(&self) -> &[bool] {
-        &self.bits
-    }
-
     /// The identity as the Pauli operators that encode it (two bits per operator, MSB first).
     pub fn as_paulis(&self) -> Vec<Pauli> {
         self.paulis().collect()
@@ -87,24 +85,6 @@ impl IdentityString {
         self.bits
             .chunks(2)
             .map(|pair| Pauli::from_bits(pair[0], pair[1]))
-    }
-
-    /// Hamming distance to another identity (in bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the identities have different lengths.
-    pub fn hamming_distance(&self, other: &IdentityString) -> usize {
-        assert_eq!(
-            self.bit_len(),
-            other.bit_len(),
-            "cannot compare identities of different lengths"
-        );
-        self.bits
-            .iter()
-            .zip(other.bits.iter())
-            .filter(|(a, b)| a != b)
-            .count()
     }
 }
 
@@ -119,7 +99,10 @@ impl fmt::Display for IdentityString {
 
 /// The pair of pre-shared identities `(id_A, id_B)` known to both legitimate parties (and to
 /// nobody else).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Decoding goes through [`IdentityPair::new`], so identities of different
+/// lengths fail at decode instead of in a session.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct IdentityPair {
     /// Alice's identity `id_A`.
     pub alice: IdentityString,
@@ -163,6 +146,21 @@ impl IdentityPair {
     }
 }
 
+impl Deserialize for IdentityString {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let bits = Vec::<bool>::from_value(value.get_field("bits")?)?;
+        Self::from_bits(bits).map_err(|e| serde::Error::new(format!("invalid identity: {e}")))
+    }
+}
+
+impl Deserialize for IdentityPair {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let alice = IdentityString::from_value(value.get_field("alice")?)?;
+        let bob = IdentityString::from_value(value.get_field("bob")?)?;
+        Self::new(alice, bob).map_err(|e| serde::Error::new(format!("invalid identity pair: {e}")))
+    }
+}
+
 impl fmt::Display for IdentityPair {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "id_A={}, id_B={}", self.alice, self.bob)
@@ -184,7 +182,6 @@ mod tests {
         assert_eq!(id.bit_len(), 16);
         assert_eq!(id.qubit_len(), 8);
         assert_eq!(id.as_paulis().len(), 8);
-        assert_eq!(id.bits().len(), 16);
     }
 
     #[test]
@@ -215,22 +212,6 @@ mod tests {
             id.as_paulis(),
             vec![Pauli::I, Pauli::Z, Pauli::X, Pauli::IY]
         );
-    }
-
-    #[test]
-    fn hamming_distance() {
-        let a = IdentityString::from_bits(vec![true, false, true, false]).unwrap();
-        let b = IdentityString::from_bits(vec![true, true, false, false]).unwrap();
-        assert_eq!(a.hamming_distance(&b), 2);
-        assert_eq!(a.hamming_distance(&a), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "different lengths")]
-    fn hamming_distance_length_mismatch_panics() {
-        let a = IdentityString::random(2, &mut rng());
-        let b = IdentityString::random(3, &mut rng());
-        let _ = a.hamming_distance(&b);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! 2. **First DI security check** — `d` pairs are sacrificed to estimate the CHSH polynomial
 //!    ([`di_check`]); the protocol continues only if `S¹ > 2`.
 //! 3. **Alice's encoding** — the padded message `m'` and identity `id_A` are encoded with
-//!    Pauli operators; cover operations hide the `D_A` block ([`message`], [`identity`]).
+//!    Pauli operators; cover operations hide the `D_A` block (`message`, [`identity`]).
 //! 4. **Authentication** — Bob encodes `id_B`, both parties verify each other ([`auth`]).
 //! 5. **Second DI security check** — Bob alone estimates `S²` on the reserved pairs.
 //! 6. **Message decoding** — Bob Bell-measures the remaining pairs and checks the integrity
@@ -27,7 +27,7 @@
 //! returns bit-for-bit identical results, only faster.
 //!
 //! Runs also decompose into the explicit **plan → execute → merge** stages of
-//! [`engine::shard`]: a serde [`engine::ShardPlan`] carves a trial range into shippable
+//! `engine::shard`: a serde [`engine::ShardPlan`] carves a trial range into shippable
 //! shards, [`engine::SessionEngine::execute_shard`] turns one shard into an
 //! [`engine::ShardResult`], and an [`engine::ShardMerger`] folds results back in trial order —
 //! byte-identical to the unsharded run, whether the shards ran on one machine or twenty (see
@@ -41,7 +41,7 @@
 //!
 //! [`baselines`] adds a runnable DI-QSDC without authentication (the Zhou et al. 2020 shape)
 //! and [`descriptor`] carries the feature/cost rows of the paper's Table I. [`session`] keeps
-//! the observable vocabulary of a run ([`SessionOutcome`], [`SessionStatus`], …).
+//! the observable vocabulary of a run (`SessionOutcome`, `SessionStatus`, …).
 //!
 //! ## Example
 //!
@@ -122,10 +122,10 @@
 //!
 //! Three production substrates implement the [`engine::Backend`] seam, selected per scenario by
 //! [`engine::BackendKind`] ([`engine::Scenario::with_backend`], or `--backend` on `shardctl`
-//! and the attack sweep binaries): the default [`engine::DensityMatrixBackend`] applies every
-//! noise channel exactly (the paper's emulation), [`engine::StatevectorBackend`] runs
+//! and the attack sweep binaries): the default `engine::DensityMatrixBackend` applies every
+//! noise channel exactly (the paper's emulation), `engine::StatevectorBackend` runs
 //! sessions as sampled pure-state trajectories (one Born-sampled Kraus branch per noise
-//! application), and [`engine::PauliTwirledBackend`] lowers every channel to its Pauli twirl
+//! application), and `engine::PauliTwirledBackend` lowers every channel to its Pauli twirl
 //! at compile time and tracks each pair as a two-bit Pauli frame — the integer-only substrate
 //! for billion-trial sweeps. The kind is folded into [`engine::Scenario::fingerprint`], so the
 //! substrates draw disjoint RNG streams, shipped plans reproduce on the right backend
@@ -146,40 +146,37 @@ pub mod engine;
 pub mod env_keys;
 pub mod error;
 pub mod identity;
-pub mod message;
+mod message;
 pub mod session;
 pub mod wire;
 
-pub use config::{SessionConfig, SessionConfigBuilder};
+pub use config::SessionConfig;
 pub use engine::{
     Adversary, Axis, AxisValue, Backend, BackendKind, Campaign, CampaignReport, CampaignRun,
-    CampaignSpace, CampaignWorkload, DensityMatrixBackend, ExecutorStats, MergeCheckpoint,
-    MergedRun, Parallelism, PauliTwirledBackend, RateInterval, Scenario, SessionEngine,
-    ShardMerger, ShardOutput, ShardPlan, ShardQueue, ShardResult, StatevectorBackend, TrialSummary,
+    CampaignSpace, CampaignWorkload, MergeCheckpoint, MergedRun, Parallelism, RateInterval,
+    Scenario, SessionEngine, ShardMerger, ShardOutput, ShardPlan, ShardQueue, ShardResult,
+    TrialSummary,
 };
 pub use error::ProtocolError;
 pub use identity::{IdentityPair, IdentityString};
-pub use message::{PaddedMessage, SecretMessage};
-pub use session::{Impersonation, SessionOutcome, SessionStatus};
+pub use message::SecretMessage;
+pub use session::Impersonation;
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::auth::{AuthReport, AuthVerdict};
-    pub use crate::baselines::{run_baseline_di_qsdc, BaselineOutcome};
-    pub use crate::config::{SessionConfig, SessionConfigBuilder};
-    pub use crate::descriptor::{DecodingMeasurement, ProtocolDescriptor, ResourceType};
-    pub use crate::di_check::{DiCheckReport, DiCheckRound};
+    pub use crate::baselines::run_baseline_di_qsdc;
+    pub use crate::config::SessionConfig;
+    pub use crate::descriptor::ProtocolDescriptor;
     pub use crate::engine::{
         derive_point_seed, merge_shard_results, Adversary, Axis, AxisValue, Backend, BackendKind,
-        Campaign, CampaignError, CampaignPoint, CampaignPointReport, CampaignReport, CampaignRun,
-        CampaignSpace, CampaignStatus, CampaignWorkload, CircuitDevice, CircuitExperiment,
-        ClaimOutcome, DensityMatrixBackend, ExecutorStats, MergeCheckpoint, MergeError, MergedRun,
-        Parallelism, PauliTwirledBackend, QueueError, QueueStatus, RateInterval, Scenario,
-        SessionEngine, ShardMerger, ShardOutput, ShardPayload, ShardPlan, ShardQueue, ShardResult,
-        ShardSlot, ShardWorker, SlotState, StatevectorBackend, SubmitOutcome, TrialSummary,
+        Campaign, CampaignError, CampaignPointReport, CampaignReport, CampaignRun, CampaignSpace,
+        CampaignStatus, CampaignWorkload, CircuitDevice, CircuitExperiment, ClaimOutcome,
+        MergeCheckpoint, MergeError, MergedRun, Parallelism, QueueError, QueueStatus, RateInterval,
+        Scenario, SessionEngine, ShardMerger, ShardOutput, ShardPayload, ShardPlan, ShardQueue,
+        ShardResult, ShardSlot, ShardWorker, SlotState, SubmitOutcome, TrialSummary,
     };
     pub use crate::error::ProtocolError;
     pub use crate::identity::{IdentityPair, IdentityString};
-    pub use crate::message::{PaddedMessage, SecretMessage};
-    pub use crate::session::{AbortStage, Impersonation, SessionOutcome, SessionStatus};
+    pub use crate::message::SecretMessage;
+    pub use crate::session::Impersonation;
 }

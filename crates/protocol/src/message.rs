@@ -16,7 +16,7 @@ use std::fmt;
 /// # Examples
 ///
 /// ```rust
-/// use protocol::message::SecretMessage;
+/// use protocol::SecretMessage;
 ///
 /// let m = SecretMessage::from_bits(vec![true, false, true, true]);
 /// assert_eq!(m.len(), 4);
@@ -93,7 +93,7 @@ impl SecretMessage {
     }
 
     /// The raw bits.
-    pub fn bits(&self) -> &[bool] {
+    pub(crate) fn bits(&self) -> &[bool] {
         &self.bits
     }
 
@@ -110,7 +110,7 @@ impl SecretMessage {
     /// # Panics
     ///
     /// Panics if the lengths differ.
-    pub fn bit_error_rate(&self, other: &SecretMessage) -> f64 {
+    pub(crate) fn bit_error_rate(&self, other: &SecretMessage) -> f64 {
         assert_eq!(self.len(), other.len(), "messages must have equal length");
         self.error_rate_against(other.bits.iter().copied())
     }
@@ -140,7 +140,7 @@ impl fmt::Display for SecretMessage {
 /// The padded message `m'`: the secret bits plus `c` check bits at random positions, ready to
 /// be encoded two bits per qubit.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PaddedMessage {
+pub(crate) struct PaddedMessage {
     bits: Vec<bool>,
     check_positions: Vec<usize>,
     check_values: Vec<bool>,
@@ -154,7 +154,7 @@ impl PaddedMessage {
     ///
     /// Returns [`ProtocolError::InvalidConfig`] if the total length `n + c` is odd (it must be
     /// `2N` to map onto `N` qubits) or the message is empty.
-    pub fn embed<R: Rng + ?Sized>(
+    pub(crate) fn embed<R: Rng + ?Sized>(
         message: &SecretMessage,
         check_bits: usize,
         rng: &mut R,
@@ -224,43 +224,9 @@ impl PaddedMessage {
         Ok(())
     }
 
-    /// Reconstructs a padded message from received bits plus the publicly revealed check-bit
-    /// positions and values (Bob's view after Alice's reveal).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::InvalidConfig`] if positions/values are inconsistent with the
-    /// received length.
-    pub fn from_received(
-        bits: Vec<bool>,
-        check_positions: Vec<usize>,
-        check_values: Vec<bool>,
-    ) -> Result<Self, ProtocolError> {
-        if check_positions.len() != check_values.len() {
-            return Err(ProtocolError::InvalidConfig(
-                "check positions and values must have equal length".into(),
-            ));
-        }
-        if check_positions.iter().any(|&p| p >= bits.len()) {
-            return Err(ProtocolError::InvalidConfig(
-                "check position outside the received bit string".into(),
-            ));
-        }
-        Ok(Self {
-            bits,
-            check_positions,
-            check_values,
-        })
-    }
-
     /// Total length `2N = n + c`.
     pub fn len(&self) -> usize {
         self.bits.len()
-    }
-
-    /// Returns `true` when there are no bits (never the case for a validly constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
     }
 
     /// Number of qubits needed (`N`).
@@ -269,17 +235,18 @@ impl PaddedMessage {
     }
 
     /// The padded bits `m'`.
-    pub fn bits(&self) -> &[bool] {
+    #[cfg(test)]
+    pub(crate) fn bits(&self) -> &[bool] {
         &self.bits
     }
 
     /// The check-bit positions (sorted).
-    pub fn check_positions(&self) -> &[usize] {
+    pub(crate) fn check_positions(&self) -> &[usize] {
         &self.check_positions
     }
 
     /// The check-bit values, in position order.
-    pub fn check_values(&self) -> &[bool] {
+    pub(crate) fn check_values(&self) -> &[bool] {
         &self.check_values
     }
 
@@ -296,7 +263,7 @@ impl PaddedMessage {
     }
 
     /// Rebuilds padded bits from decoded Pauli operators (Bob's decoding step).
-    pub fn bits_from_paulis(paulis: &[Pauli]) -> Vec<bool> {
+    pub(crate) fn bits_from_paulis(paulis: &[Pauli]) -> Vec<bool> {
         paulis
             .iter()
             .flat_map(|p| {
@@ -312,7 +279,7 @@ impl PaddedMessage {
     /// # Panics
     ///
     /// Panics if `received` has a different length.
-    pub fn check_bit_error_rate(&self, received: &[bool]) -> f64 {
+    pub(crate) fn check_bit_error_rate(&self, received: &[bool]) -> f64 {
         assert_eq!(received.len(), self.len(), "received length mismatch");
         if self.check_positions.is_empty() {
             return 0.0;
@@ -331,7 +298,7 @@ impl PaddedMessage {
     /// # Panics
     ///
     /// Panics if `received` has a different length.
-    pub fn extract_message(&self, received: &[bool]) -> SecretMessage {
+    pub(crate) fn extract_message(&self, received: &[bool]) -> SecretMessage {
         SecretMessage::from_bits(self.message_bits(received).collect())
     }
 
@@ -359,12 +326,6 @@ impl PaddedMessage {
             .enumerate()
             .filter(|(i, _)| self.check_positions.binary_search(i).is_err())
             .map(|(_, &b)| b)
-    }
-
-    /// The original secret message (what `extract_message` recovers from an error-free
-    /// transmission).
-    pub fn message(&self) -> SecretMessage {
-        self.extract_message(&self.bits)
     }
 }
 
@@ -424,8 +385,7 @@ mod tests {
         assert_eq!(padded.qubit_len(), 13);
         assert_eq!(padded.check_positions().len(), 6);
         assert_eq!(padded.check_values().len(), 6);
-        assert_eq!(padded.message(), message);
-        assert!(!padded.is_empty());
+        assert_eq!(padded.extract_message(padded.bits()), message);
         assert!(padded.to_string().contains("check"));
     }
 
@@ -516,13 +476,6 @@ mod tests {
     }
 
     #[test]
-    fn from_received_validates() {
-        assert!(PaddedMessage::from_received(vec![true, false], vec![0], vec![true]).is_ok());
-        assert!(PaddedMessage::from_received(vec![true], vec![3], vec![true]).is_err());
-        assert!(PaddedMessage::from_received(vec![true], vec![0], vec![]).is_err());
-    }
-
-    #[test]
     fn check_positions_are_sorted_and_within_range() {
         let mut r = rng();
         for _ in 0..20 {
@@ -540,6 +493,6 @@ mod tests {
         let message = SecretMessage::random(8, &mut r);
         let padded = PaddedMessage::embed(&message, 0, &mut r).unwrap();
         assert_eq!(padded.check_bit_error_rate(padded.bits()), 0.0);
-        assert_eq!(padded.message(), message);
+        assert_eq!(padded.extract_message(padded.bits()), message);
     }
 }

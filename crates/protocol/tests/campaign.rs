@@ -7,11 +7,12 @@
 //! stability) and the integrity checks of sampled-point records.
 
 use proptest::prelude::*;
+use protocol::engine::campaign::PointWork;
 use protocol::engine::circuit::FIG2_MESSAGES;
 use protocol::engine::{
     derive_point_seed, Adversary, Axis, AxisValue, BackendKind, Campaign, CampaignError,
     CampaignRun, CampaignSpace, CampaignWorkload, CircuitDevice, CircuitExperiment, ClaimOutcome,
-    Parallelism, PointWork, Scenario, SessionEngine, ShardQueue, ShardWorker, SubmitOutcome,
+    Parallelism, Scenario, SessionEngine, ShardQueue, ShardWorker, SubmitOutcome,
 };
 use protocol::identity::IdentityPair;
 use protocol::SessionConfig;

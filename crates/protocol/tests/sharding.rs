@@ -170,7 +170,6 @@ proptest! {
             merged.merge(partial);
         }
 
-        prop_assert_eq!(merged.trials_recorded(), serial.trials_recorded());
         let merged = merged.finish();
         let serial = serial.finish();
         prop_assert_eq!(&merged, &serial);

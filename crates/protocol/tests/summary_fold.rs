@@ -16,7 +16,7 @@ use protocol::engine::{
     TrialSummaryBuilder,
 };
 use protocol::identity::IdentityPair;
-use protocol::message::SecretMessage;
+use protocol::SecretMessage;
 use protocol::SessionConfig;
 use qchannel::quantum::ChannelSpec;
 use qchannel::taps::{InterceptBasis, SubstituteState};

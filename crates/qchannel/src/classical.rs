@@ -96,16 +96,6 @@ impl ClassicalMessage {
             ClassicalMessage::Ack { .. } => "ack",
         }
     }
-
-    /// Serialises the message into a length-prefixed frame (the wire format a real deployment
-    /// would push through its authenticated classical link).
-    pub fn to_frame(&self) -> Vec<u8> {
-        let body = format!("{self:?}");
-        let mut buf = Vec::with_capacity(4 + body.len());
-        buf.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        buf.extend_from_slice(body.as_bytes());
-        buf
-    }
 }
 
 impl fmt::Display for ClassicalMessage {
@@ -175,14 +165,6 @@ impl Transcript {
     /// Returns `true` when an abort was announced.
     pub fn contains_abort(&self) -> bool {
         !self.messages_of_kind("abort").is_empty()
-    }
-
-    /// Total number of framed bytes that crossed the channel (classical communication cost).
-    pub fn total_frame_bytes(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|e| e.message.to_frame().len())
-            .sum()
     }
 }
 
@@ -267,7 +249,6 @@ mod tests {
         assert_eq!(t.messages_of_kind("bell-results").len(), 1);
         assert_eq!(t.messages_of_kind("check-bits").len(), 1);
         assert!(t.contains_abort());
-        assert!(t.total_frame_bytes() > 0);
     }
 
     #[test]
@@ -278,11 +259,8 @@ mod tests {
     }
 
     #[test]
-    fn frames_are_length_prefixed() {
+    fn message_kind_and_display() {
         let m = positions_msg();
-        let frame = m.to_frame();
-        let len = u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]) as usize;
-        assert_eq!(len + 4, frame.len());
         assert_eq!(m.kind(), "positions");
         assert_eq!(m.to_string(), "positions");
     }

@@ -79,17 +79,20 @@ impl TwirledProgram {
     }
 
     /// The Klein-group distribution of one full emission (source + preps).
-    pub fn emission(&self) -> &PauliDistribution {
+    #[cfg(test)]
+    pub(crate) fn emission(&self) -> &PauliDistribution {
         &self.emission
     }
 
     /// The Klein-group distribution of one full transmission (whole chain).
-    pub fn transmit(&self) -> &PauliDistribution {
+    #[cfg(test)]
+    pub(crate) fn transmit(&self) -> &PauliDistribution {
         &self.transmit
     }
 
     /// The individual placement twirls, in compile order.
-    pub fn placements(&self) -> &[TwirledChannel] {
+    #[cfg(test)]
+    pub(crate) fn placements(&self) -> &[TwirledChannel] {
         &self.placements
     }
 

@@ -20,7 +20,7 @@ use std::fmt;
 /// Index of Alice's qubit inside an [`EprPair`].
 pub const ALICE_QUBIT: usize = 0;
 /// Index of Bob's qubit inside an [`EprPair`].
-pub const BOB_QUBIT: usize = 1;
+pub(crate) const BOB_QUBIT: usize = 1;
 
 /// One shared `|Φ+⟩` pair (possibly degraded by noise or an eavesdropper).
 ///
@@ -78,7 +78,7 @@ impl Clone for EprPair {
     }
 
     /// Copies `source` into `self`, reusing `self`'s density buffer — the
-    /// allocation-free reset behind [`EprPair::reset_ideal`] and the
+    /// allocation-free reset behind `EprPair::reset_ideal` and the
     /// engine's per-trial pair pool.
     fn clone_from(&mut self, source: &Self) {
         self.rho.clone_from(&source.rho);
@@ -127,7 +127,7 @@ impl EprPair {
     /// Resets this pair to the perfect `|Φ+⟩` state in place, reusing the
     /// existing density buffer. Equivalent to `*self = EprPair::ideal()`
     /// without the allocation — the emission hot path for pooled pairs.
-    pub fn reset_ideal(&mut self) {
+    pub(crate) fn reset_ideal(&mut self) {
         self.rho.clone_from(ideal_rho());
         self.frame = None;
     }
@@ -136,7 +136,7 @@ impl EprPair {
     /// representation**: the emission hot path of the twirled backend. No
     /// density work at all — the stale buffer is left untouched until (if
     /// ever) an active tap forces materialisation.
-    pub fn reset_frame_ideal(&mut self) {
+    pub(crate) fn reset_frame_ideal(&mut self) {
         match &mut self.frame {
             Some(f) => f.reset(),
             None => self.frame = Some(PauliFrame::ideal()),
@@ -144,7 +144,8 @@ impl EprPair {
     }
 
     /// The pair's Pauli frame, when it is frame-tracked.
-    pub fn frame(&self) -> Option<PauliFrame> {
+    #[cfg(test)]
+    pub(crate) fn frame(&self) -> Option<PauliFrame> {
         self.frame
     }
 
@@ -250,7 +251,8 @@ impl EprPair {
     }
 
     /// Consumes the pair and returns the density matrix.
-    pub fn into_density(mut self) -> DensityMatrix {
+    #[cfg(test)]
+    pub(crate) fn into_density(mut self) -> DensityMatrix {
         self.density_mut();
         self.rho
     }
@@ -274,18 +276,9 @@ impl EprPair {
         }
     }
 
-    /// Applies an arbitrary single-qubit unitary to Alice's qubit.
-    pub fn apply_alice_unitary(&mut self, gate: &mathkit::CMatrix) {
-        self.density_mut().apply_single(gate, ALICE_QUBIT);
-    }
-
-    /// Applies an arbitrary single-qubit unitary to Bob's qubit.
-    pub fn apply_bob_unitary(&mut self, gate: &mathkit::CMatrix) {
-        self.density_mut().apply_single(gate, BOB_QUBIT);
-    }
-
     /// Measures Alice's qubit in the basis `B(θ)` (DI-check measurement), collapsing the pair.
-    pub fn measure_alice_in_basis<R: Rng + ?Sized>(
+    #[cfg(test)]
+    pub(crate) fn measure_alice_in_basis<R: Rng + ?Sized>(
         &mut self,
         theta: f64,
         rng: &mut R,
@@ -294,7 +287,8 @@ impl EprPair {
     }
 
     /// Measures Bob's qubit in the basis `B(θ)` (DI-check measurement), collapsing the pair.
-    pub fn measure_bob_in_basis<R: Rng + ?Sized>(
+    #[cfg(test)]
+    pub(crate) fn measure_bob_in_basis<R: Rng + ?Sized>(
         &mut self,
         theta: f64,
         rng: &mut R,
@@ -303,9 +297,8 @@ impl EprPair {
     }
 
     /// Measures Alice's half in `B(θ_a)` and then Bob's half in `B(θ_b)` —
-    /// one CHSH record. Equivalent to
-    /// [`EprPair::measure_alice_in_basis`] followed by
-    /// [`EprPair::measure_bob_in_basis`] (same two RNG draws, same
+    /// one CHSH record. Equivalent to measuring Alice's half and then
+    /// Bob's half on their own (same two RNG draws, same
     /// distribution), via the fused two-qubit kernel
     /// [`DensityMatrix::measure_two_in_bases`]. Each basis comes with its
     /// phase, built once by the caller.
@@ -372,7 +365,8 @@ impl EprPair {
 
     /// Returns `true` when the reduced state of either half is (close to) maximally mixed —
     /// a quick entanglement sanity check for tests.
-    pub fn halves_look_maximally_mixed(&self, tol: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn halves_look_maximally_mixed(&self, tol: f64) -> bool {
         if self.frame.is_some() {
             // Every Bell state has maximally mixed halves.
             return true;

@@ -38,7 +38,7 @@ pub mod quantum;
 pub mod taps;
 
 pub use classical::{ClassicalMessage, Transcript};
-pub use compiled::{CompiledQuantumChannel, TwirledProgram};
+pub use compiled::CompiledQuantumChannel;
 pub use epr::EprPair;
 pub use quantum::{ChannelSpec, ChannelTap, QuantumChannel};
 pub use taps::{
@@ -49,7 +49,7 @@ pub use taps::{
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::classical::{ClassicalMessage, Transcript};
-    pub use crate::compiled::{CompiledQuantumChannel, TwirledProgram};
+    pub use crate::compiled::CompiledQuantumChannel;
     pub use crate::epr::EprPair;
     pub use crate::quantum::{ChannelSpec, ChannelTap, QuantumChannel};
     pub use crate::taps::{

@@ -66,11 +66,6 @@ impl EntangleMeasureAttack {
         }
     }
 
-    /// The interaction strength in `[0, 1]`.
-    pub fn strength(&self) -> f64 {
-        self.strength
-    }
-
     /// Number of ancillas Eve has measured.
     pub fn ancillas_measured(&self) -> usize {
         self.ancillas_measured
@@ -177,7 +172,6 @@ mod tests {
     #[test]
     fn accessors_and_display() {
         let eve = EntangleMeasureAttack::with_strength(0.5);
-        assert_eq!(eve.strength(), 0.5);
         assert_eq!(eve.ancillas_measured(), 0);
         assert_eq!(eve.name(), "entangle-and-measure");
         assert!(eve.to_string().contains("0.50"));

@@ -86,11 +86,6 @@ impl InterceptResendAttack {
         Self::new(InterceptBasis::Hadamard)
     }
 
-    /// Eve picks a fresh random equatorial basis for every qubit.
-    pub fn random_basis() -> Self {
-        Self::new(InterceptBasis::RandomPerQubit)
-    }
-
     /// The basis Eve uses.
     pub fn basis(&self) -> InterceptBasis {
         self.basis
@@ -104,7 +99,8 @@ impl InterceptResendAttack {
     /// How many of the bits Eve recorded (one per intercepted qubit) were `1`. Her bits carry
     /// essentially no information about the message because the encoding lives in the *joint*
     /// Bell state, so this stays near half of [`InterceptResendAttack::intercepted`].
-    pub fn captured_ones(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn captured_ones(&self) -> usize {
         self.captured_ones
     }
 }
@@ -167,7 +163,7 @@ mod tests {
             InterceptResendAttack::computational(),
             InterceptResendAttack::hadamard(),
             InterceptResendAttack::new(InterceptBasis::Equatorial(0.7)),
-            InterceptResendAttack::random_basis(),
+            InterceptResendAttack::new(InterceptBasis::RandomPerQubit),
         ] {
             let mut eve = attack;
             let mut pair = EprPair::ideal();

@@ -75,11 +75,6 @@ impl ManInTheMiddleAttack {
         Self::new(SubstituteState::Zero)
     }
 
-    /// Eve substitutes random BB84 states.
-    pub fn random_bb84() -> Self {
-        Self::new(SubstituteState::RandomBb84)
-    }
-
     /// Creates the attack with an explicit substitute-state policy.
     pub fn new(substitute: SubstituteState) -> Self {
         Self {
@@ -89,18 +84,14 @@ impl ManInTheMiddleAttack {
         }
     }
 
-    /// The substitute-state policy.
-    pub fn substitute(&self) -> SubstituteState {
-        self.substitute
-    }
-
     /// Number of qubits Eve has stolen so far.
     pub fn stolen_qubits(&self) -> usize {
         self.stolen_qubits
     }
 
     /// The Z-basis values Eve read from the stolen qubits.
-    pub fn stolen_bits(&self) -> &[u8] {
+    #[cfg(test)]
+    pub(crate) fn stolen_bits(&self) -> &[u8] {
         &self.stolen_bits
     }
 
@@ -219,8 +210,7 @@ mod tests {
 
     #[test]
     fn accessors_and_display() {
-        let eve = ManInTheMiddleAttack::random_bb84();
-        assert_eq!(eve.substitute(), SubstituteState::RandomBb84);
+        let eve = ManInTheMiddleAttack::new(SubstituteState::RandomBb84);
         assert_eq!(eve.stolen_qubits(), 0);
         assert!(eve.stolen_bits().is_empty());
         assert_eq!(eve.name(), "man-in-the-middle");

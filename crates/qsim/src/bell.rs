@@ -103,21 +103,6 @@ impl BellState {
         Pauli::from_bits(flip, phase_bit)
     }
 
-    /// The 2-bit message this Bell state decodes to under the paper's encoding rule.
-    pub fn message_bits(self) -> (bool, bool) {
-        self.encoding_pauli().to_bits()
-    }
-
-    /// The bitstring label (`"00"`, `"01"`, `"10"`, `"11"`) this Bell state decodes to.
-    pub fn message_label(self) -> &'static str {
-        match self.encoding_pauli() {
-            Pauli::I => "00",
-            Pauli::Z => "01",
-            Pauli::X => "10",
-            Pauli::IY => "11",
-        }
-    }
-
     fn flip_phase_bits(self) -> (bool, bool) {
         match self {
             BellState::PhiPlus => (false, false),
@@ -196,24 +181,10 @@ pub struct BellOutcome {
     pub bit_b: u8,
 }
 
-impl BellOutcome {
-    /// The 2-bit message label this outcome decodes to.
-    pub fn message_label(&self) -> &'static str {
-        self.state.message_label()
-    }
-}
-
 impl fmt::Display for BellOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} (bits {}{})", self.state, self.bit_a, self.bit_b)
     }
-}
-
-/// Prepares a fresh `|Φ+⟩` pair on qubits `(a, b)` of `state` (which must currently hold
-/// `|0⟩` on both qubits).
-pub fn prepare_phi_plus(state: &mut StateVector, a: usize, b: usize) {
-    state.apply_single(&gates::hadamard(), a);
-    state.apply_two(&gates::cnot(), a, b);
 }
 
 // The disentangling circuit's gates, built once per process: Bell-state
@@ -376,6 +347,12 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(11)
     }
 
+    /// Prepares `|Φ+⟩` on qubits `(a, b)` of a register holding `|0⟩` on both.
+    fn prepare_phi_plus(state: &mut StateVector, a: usize, b: usize) {
+        state.apply_single(&gates::hadamard(), a);
+        state.apply_two(&gates::cnot(), a, b);
+    }
+
     #[test]
     fn statevectors_are_normalised_and_orthogonal() {
         for (i, a) in BellState::ALL.iter().enumerate() {
@@ -390,13 +367,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn prepare_phi_plus_matches_reference() {
-        let mut s = StateVector::new(2);
-        prepare_phi_plus(&mut s, 0, 1);
-        assert!((s.fidelity(&BellState::PhiPlus.statevector()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -420,12 +390,7 @@ mod tests {
         for pauli in Pauli::ALL {
             let encoded = BellState::PhiPlus.after_pauli(pauli);
             assert_eq!(encoded.encoding_pauli(), pauli);
-            assert_eq!(encoded.message_bits(), pauli.to_bits());
         }
-        assert_eq!(BellState::PhiPlus.message_label(), "00");
-        assert_eq!(BellState::PhiMinus.message_label(), "01");
-        assert_eq!(BellState::PsiPlus.message_label(), "10");
-        assert_eq!(BellState::PsiMinus.message_label(), "11");
     }
 
     #[test]
@@ -541,7 +506,6 @@ mod tests {
             bit_a: 1,
             bit_b: 1,
         };
-        assert_eq!(o.message_label(), "11");
         assert!(o.to_string().contains("Ψ−"));
         assert_eq!(BellState::PhiPlus.to_string(), "|Φ+⟩");
     }

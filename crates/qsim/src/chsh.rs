@@ -15,9 +15,6 @@ use serde::{Deserialize, Serialize};
 /// The ideal CHSH value achievable by quantum mechanics (Tsirelson's bound), `2√2`.
 pub const TSIRELSON_BOUND: f64 = 2.0 * std::f64::consts::SQRT_2;
 
-/// The classical (local-hidden-variable) CHSH bound.
-pub const CLASSICAL_BOUND: f64 = 2.0;
-
 /// One DI-check measurement event: which bases Alice and Bob chose and what they observed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MeasurementRecord {
@@ -48,15 +45,16 @@ impl MeasurementRecord {
     }
 
     /// The product of the two ±1 outcomes.
-    pub fn product(&self) -> f64 {
+    pub(crate) fn product(&self) -> f64 {
         self.alice_outcome.value() * self.bob_outcome.value()
     }
 }
 
 /// Estimates the correlator `⟨a_j b_k⟩` from the records with Alice setting `j` and Bob
 /// setting `k`. Returns `None` when no record matches (the caller decides whether that is an
-/// abort condition).
-pub fn correlator(
+/// abort condition). The reference the one-pass [`chsh_value`] is held to.
+#[cfg(test)]
+pub(crate) fn correlator(
     records: &[MeasurementRecord],
     alice_setting: usize,
     bob_setting: usize,
@@ -73,8 +71,7 @@ pub fn correlator(
 /// Estimates the CHSH polynomial `S = ⟨a1 b1⟩ + ⟨a1 b2⟩ + ⟨a2 b1⟩ − ⟨a2 b2⟩` from measurement
 /// records. Returns `None` if any of the four setting combinations has no data.
 ///
-/// One pass over the records; each correlator adds its products in record order, exactly as
-/// [`correlator`] does.
+/// One pass over the records; each correlator adds its products in record order.
 pub fn chsh_value(records: &[MeasurementRecord]) -> Option<f64> {
     let mut tallies = [[Tally::default(); 2]; 2];
     for record in records {
@@ -105,7 +102,7 @@ impl Tally {
 }
 
 /// The observable measured by a basis `B(θ) = {|0⟩ ± e^{iθ}|1⟩}`: `cos θ·X + sin θ·Y`.
-pub fn basis_observable(theta: f64) -> CMatrix {
+pub(crate) fn basis_observable(theta: f64) -> CMatrix {
     let x = crate::gates::pauli_x();
     let y = crate::gates::pauli_y();
     &x.scale(Complex64::real(theta.cos())) + &y.scale(Complex64::real(theta.sin()))
@@ -134,17 +131,6 @@ pub fn analytic_chsh(state: &StateVector) -> f64 {
         - analytic_correlator(state, a2, b2)
 }
 
-/// Standard error of the CHSH estimate with `n` samples per setting pair, assuming the worst
-/// case variance of a ±1 product (used to size the check-pair budget `d`).
-pub fn chsh_standard_error(samples_per_setting: usize) -> f64 {
-    if samples_per_setting == 0 {
-        f64::INFINITY
-    } else {
-        // Var(ab) ≤ 1 for ±1 variables; four independent correlators add in quadrature.
-        2.0 / (samples_per_setting as f64).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +140,6 @@ mod tests {
     #[test]
     fn tsirelson_bound_value() {
         assert!((TSIRELSON_BOUND - 2.828_427).abs() < 1e-5);
-        assert_eq!(CLASSICAL_BOUND, 2.0);
     }
 
     #[test]
@@ -202,7 +187,7 @@ mod tests {
         let state = StateVector::new(2); // |00⟩
         let s = analytic_chsh(&state);
         assert!(
-            s.abs() <= CLASSICAL_BOUND + 1e-9,
+            s.abs() <= 2.0 + 1e-9,
             "separable state must not violate CHSH, got {s}"
         );
     }
@@ -226,12 +211,5 @@ mod tests {
             assert!((eigs[0] + 1.0).abs() < 1e-12);
             assert!((eigs[1] - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn standard_error_shrinks_with_samples() {
-        assert!(chsh_standard_error(0).is_infinite());
-        assert!(chsh_standard_error(100) < chsh_standard_error(25));
-        assert!((chsh_standard_error(400) - 0.1).abs() < 1e-12);
     }
 }

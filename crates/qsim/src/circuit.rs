@@ -46,7 +46,7 @@ pub enum Operation {
 
 impl Operation {
     /// The qubits this operation touches.
-    pub fn qubits(&self) -> Vec<usize> {
+    pub(crate) fn qubits(&self) -> Vec<usize> {
         match self {
             Operation::Gate { qubits, .. } => qubits.clone(),
             Operation::Measure { qubit, .. } | Operation::Reset { qubit } => vec![*qubit],
@@ -55,7 +55,7 @@ impl Operation {
     }
 
     /// Returns `true` for unitary gate operations.
-    pub fn is_gate(&self) -> bool {
+    pub(crate) fn is_gate(&self) -> bool {
         matches!(self, Operation::Gate { .. })
     }
 }
@@ -91,7 +91,7 @@ impl Circuit {
 
     /// Circuit depth: the length of the longest chain of operations acting on any single
     /// qubit (barriers excluded).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         let mut per_qubit = vec![0usize; self.num_qubits];
         for op in &self.operations {
             let qs = op.qubits();
@@ -115,7 +115,7 @@ impl Circuit {
     ///
     /// Returns an error if any operation references a qubit outside the register or a gate
     /// matrix has the wrong dimension.
-    pub fn run_statevector<R: Rng + ?Sized>(
+    pub(crate) fn run_statevector<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
     ) -> Result<(StateVector, Vec<u8>), QsimError> {
@@ -247,7 +247,7 @@ impl CircuitBuilder {
     }
 
     /// Appends an identity gate (the channel element of the paper's emulation).
-    pub fn id(self, qubit: usize) -> Self {
+    pub(crate) fn id(self, qubit: usize) -> Self {
         self.unitary("id", gates::identity(), &[qubit])
     }
 
@@ -270,49 +270,9 @@ impl CircuitBuilder {
         self.unitary("x", gates::pauli_x(), &[qubit])
     }
 
-    /// Appends a Pauli-Y gate.
-    pub fn y(self, qubit: usize) -> Self {
-        self.unitary("y", gates::pauli_y(), &[qubit])
-    }
-
-    /// Appends a Pauli-Z gate.
-    pub fn z(self, qubit: usize) -> Self {
-        self.unitary("z", gates::pauli_z(), &[qubit])
-    }
-
-    /// Appends the `iσy` encoding gate.
-    pub fn iy(self, qubit: usize) -> Self {
-        self.unitary("iy", gates::i_pauli_y(), &[qubit])
-    }
-
-    /// Appends an S gate.
-    pub fn s(self, qubit: usize) -> Self {
-        self.unitary("s", gates::s_gate(), &[qubit])
-    }
-
-    /// Appends a T gate.
-    pub fn t(self, qubit: usize) -> Self {
-        self.unitary("t", gates::t_gate(), &[qubit])
-    }
-
     /// Appends a CNOT gate.
     pub fn cnot(self, control: usize, target: usize) -> Self {
         self.unitary("cx", gates::cnot(), &[control, target])
-    }
-
-    /// Appends a CZ gate.
-    pub fn cz(self, a: usize, b: usize) -> Self {
-        self.unitary("cz", gates::cz(), &[a, b])
-    }
-
-    /// Appends a SWAP gate.
-    pub fn swap(self, a: usize, b: usize) -> Self {
-        self.unitary("swap", gates::swap(), &[a, b])
-    }
-
-    /// Appends the basis-change unitary `V(θ)` used before measuring in basis `B(θ)`.
-    pub fn basis_change(self, qubit: usize, theta: f64) -> Self {
-        self.unitary("basis_change", gates::basis_change(theta), &[qubit])
     }
 
     /// Appends a measurement of `qubit` into `clbit`.
@@ -443,7 +403,11 @@ mod tests {
     fn basis_change_then_measure_matches_direct_basis_measurement() {
         // Measuring |0⟩ in B(π/2) through the circuit should be 50/50.
         let c = CircuitBuilder::new(1, 1)
-            .basis_change(0, std::f64::consts::FRAC_PI_2)
+            .unitary(
+                "basis_change",
+                gates::basis_change(std::f64::consts::FRAC_PI_2),
+                &[0],
+            )
             .measure(0, 0)
             .build();
         let counts = c.sample(2000, &mut rng()).unwrap();

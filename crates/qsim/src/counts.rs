@@ -35,7 +35,7 @@ impl Counts {
     }
 
     /// Builds counts from an iterator of bitstrings.
-    pub fn from_outcomes<I, S>(outcomes: I) -> Self
+    pub(crate) fn from_outcomes<I, S>(outcomes: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -67,16 +67,6 @@ impl Counts {
     /// Total number of shots.
     pub fn total(&self) -> u64 {
         self.histogram.values().sum()
-    }
-
-    /// Number of distinct outcomes observed.
-    pub fn distinct(&self) -> usize {
-        self.histogram.len()
-    }
-
-    /// Returns `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.histogram.is_empty()
     }
 
     /// Relative frequency of `outcome` (0 when no shots at all).
@@ -111,7 +101,7 @@ impl Counts {
 
     /// Empirical probability distribution over the given outcome labels (missing labels get
     /// probability 0; outcomes not in `labels` are ignored).
-    pub fn distribution(&self, labels: &[&str]) -> Vec<f64> {
+    pub(crate) fn distribution(&self, labels: &[&str]) -> Vec<f64> {
         labels.iter().map(|l| self.frequency(l)).collect()
     }
 
@@ -190,18 +180,16 @@ mod tests {
     fn recording_and_totals() {
         let c = sample();
         assert_eq!(c.total(), 1024);
-        assert_eq!(c.distinct(), 4);
+        assert_eq!(c.iter().count(), 4);
         assert_eq!(c.get("00"), 957);
         assert_eq!(c.get("absent"), 0);
-        assert!(!c.is_empty());
-        assert!(Counts::new().is_empty());
     }
 
     #[test]
     fn record_many_zero_is_ignored() {
         let mut c = Counts::new();
         c.record_many("00", 0);
-        assert!(c.is_empty());
+        assert_eq!(c, Counts::new());
     }
 
     #[test]

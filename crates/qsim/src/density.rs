@@ -308,7 +308,7 @@ impl DensityMatrix {
     }
 
     /// Hilbert-space dimension `2^n`.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         1 << self.num_qubits
     }
 
@@ -537,7 +537,7 @@ impl DensityMatrix {
     /// dimension. The completeness relation `Σ K_i† K_i = I` is *not* enforced here (noise
     /// builders in the `noise` crate validate it); this keeps the method usable for
     /// post-selected maps in tests.
-    pub fn try_apply_kraus(
+    pub(crate) fn try_apply_kraus(
         &mut self,
         kraus_ops: &[CMatrix],
         qubits: &[usize],
@@ -563,7 +563,7 @@ impl DensityMatrix {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`DensityMatrix::try_apply_kraus`].
+    /// Panics under the same conditions as `DensityMatrix::try_apply_kraus`.
     pub fn apply_kraus(&mut self, kraus_ops: &[CMatrix], qubits: &[usize]) {
         self.try_apply_kraus(kraus_ops, qubits)
             .expect("apply_kraus: invalid channel application");
@@ -578,13 +578,13 @@ impl DensityMatrix {
     /// distribution on pure states.
     ///
     /// Exactly one `f64` is drawn from `rng` per call; branches with
-    /// probability at or below [`StateVector::MIN_NORM`] are never selected.
+    /// probability at or below `StateVector::MIN_NORM` are never selected.
     ///
     /// Returns the index of the selected Kraus operator.
     ///
     /// # Errors
     ///
-    /// The target-validation errors of [`DensityMatrix::try_apply_kraus`],
+    /// The target-validation errors of `DensityMatrix::try_apply_kraus`,
     /// plus [`QsimError::ZeroNorm`] when every branch has vanishing
     /// probability. The state is left untouched on error.
     pub fn apply_kraus_sampled<R: Rng + ?Sized>(
@@ -702,7 +702,7 @@ impl DensityMatrix {
     /// # Panics
     ///
     /// Panics if the outcome has (numerically) zero probability.
-    pub fn collapse(&mut self, qubit: usize, outcome: u8) {
+    pub(crate) fn collapse(&mut self, qubit: usize, outcome: u8) {
         assert!(qubit < self.num_qubits, "qubit out of range");
         match (pair_mut(self), qubit) {
             (Some(rho), 0) => collapse_pair::<2>(rho, qubit, outcome),
@@ -882,33 +882,6 @@ impl DensityMatrix {
         (bit_a, bit_b)
     }
 
-    /// Measures every qubit in the computational basis, collapsing the state. Returns bits in
-    /// qubit order.
-    pub fn measure_all<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<u8> {
-        (0..self.num_qubits).map(|q| self.measure(q, rng)).collect()
-    }
-
-    /// Samples `shots` full-register outcomes from the diagonal distribution without
-    /// collapsing the state. Returns basis indices.
-    pub fn sample_indices<R: Rng + ?Sized>(&self, shots: usize, rng: &mut R) -> Vec<usize> {
-        let probs = self.probabilities();
-        let total: f64 = probs.iter().sum();
-        let mut cumulative = Vec::with_capacity(probs.len());
-        let mut acc = 0.0;
-        for p in &probs {
-            acc += p;
-            cumulative.push(acc);
-        }
-        (0..shots)
-            .map(|_| {
-                let r: f64 = rng.gen::<f64>() * total;
-                match cumulative.binary_search_by(|c| c.partial_cmp(&r).unwrap()) {
-                    Ok(i) | Err(i) => i.min(probs.len() - 1),
-                }
-            })
-            .collect()
-    }
-
     /// Tensor product `self ⊗ other`: appends `other`'s qubits after this register's qubits.
     ///
     /// Used by eavesdropper models that attach an ancilla to a flying qubit.
@@ -992,39 +965,6 @@ impl DensityMatrix {
         );
         let applied = self.rho.apply(reference.amplitudes());
         reference.amplitudes().inner(&applied).re.clamp(0.0, 1.0)
-    }
-
-    /// Expectation value `Tr(ρ O)` of a Hermitian observable on the full register.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observable dimension does not match.
-    pub fn expectation(&self, observable: &CMatrix) -> f64 {
-        assert_eq!(
-            observable.rows(),
-            self.dim(),
-            "observable dimension does not match register"
-        );
-        self.rho.matmul(observable).trace().re
-    }
-
-    /// Von Neumann entropy in bits, computed for single-qubit states only (uses the closed
-    /// form for 2×2 Hermitian eigenvalues).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a register with more than one qubit.
-    pub fn entropy_single_qubit(&self) -> f64 {
-        assert_eq!(
-            self.num_qubits, 1,
-            "entropy_single_qubit only supports single-qubit states"
-        );
-        let eigs = self.rho.eigenvalues_hermitian_2x2();
-        -eigs
-            .iter()
-            .filter(|&&p| p > 1e-12)
-            .map(|&p| p * p.log2())
-            .sum::<f64>()
     }
 }
 
@@ -1270,8 +1210,6 @@ mod tests {
         assert_eq!(reduced.num_qubits(), 1);
         assert!((reduced.purity() - 0.5).abs() < 1e-10);
         assert!((reduced.probability_one(0) - 0.5).abs() < 1e-10);
-        // Entropy of the reduced state of a maximally entangled pair is 1 bit.
-        assert!((reduced.entropy_single_qubit() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1292,43 +1230,14 @@ mod tests {
         let n = 2000;
         for _ in 0..n {
             let mut rho = DensityMatrix::new(1);
-            if rho
-                .measure_in_basis(0, std::f64::consts::FRAC_PI_4, &mut r)
-                .is_plus()
+            if rho.measure_in_basis(0, std::f64::consts::FRAC_PI_4, &mut r)
+                == crate::measurement::MeasurementOutcome::Plus
             {
                 plus += 1;
             }
         }
         let frac = plus as f64 / n as f64;
         assert!((frac - 0.5).abs() < 0.05);
-    }
-
-    #[test]
-    fn expectation_matches_statevector_backend() {
-        let rho = bell_density();
-        let mut psi = StateVector::new(2);
-        psi.apply_single(&gates::hadamard(), 0);
-        psi.apply_two(&gates::cnot(), 0, 1);
-        let obs = gates::pauli_z().kron(&gates::pauli_z());
-        assert!((rho.expectation(&obs) - psi.expectation(&obs)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn sample_indices_only_returns_supported_outcomes() {
-        let rho = bell_density();
-        let mut r = rng();
-        let samples = rho.sample_indices(1000, &mut r);
-        assert!(samples.iter().all(|&i| i == 0 || i == 3));
-    }
-
-    #[test]
-    fn measure_all_collapses_everything() {
-        let mut rho = bell_density();
-        let mut r = rng();
-        let bits = rho.measure_all(&mut r);
-        assert_eq!(bits.len(), 2);
-        assert_eq!(bits[0], bits[1]);
-        assert!((rho.purity() - 1.0).abs() < 1e-9);
     }
 
     #[test]

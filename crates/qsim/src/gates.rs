@@ -42,7 +42,7 @@ pub fn pauli_z() -> CMatrix {
 /// `iσy` — the fourth encoding operator of the protocol (encodes the bit pair `11`).
 ///
 /// Using `iσy` instead of `σy` keeps the matrix real, exactly as in the paper.
-pub fn i_pauli_y() -> CMatrix {
+pub(crate) fn i_pauli_y() -> CMatrix {
     pauli_y().scale(Complex64::I)
 }
 
@@ -53,26 +53,6 @@ pub fn hadamard() -> CMatrix {
         vec![Complex64::ONE, -Complex64::ONE],
     ])
     .scale(Complex64::real(FRAC_1_SQRT_2))
-}
-
-/// Phase gate S = diag(1, i).
-pub fn s_gate() -> CMatrix {
-    CMatrix::diagonal(&[Complex64::ONE, Complex64::I])
-}
-
-/// Adjoint phase gate S† = diag(1, −i).
-pub fn s_dagger() -> CMatrix {
-    CMatrix::diagonal(&[Complex64::ONE, -Complex64::I])
-}
-
-/// T gate = diag(1, e^{iπ/4}).
-pub fn t_gate() -> CMatrix {
-    CMatrix::diagonal(&[Complex64::ONE, Complex64::cis(std::f64::consts::FRAC_PI_4)])
-}
-
-/// Adjoint T gate.
-pub fn t_dagger() -> CMatrix {
-    CMatrix::diagonal(&[Complex64::ONE, Complex64::cis(-std::f64::consts::FRAC_PI_4)])
 }
 
 /// Rotation about the X axis by `theta`.
@@ -95,11 +75,6 @@ pub fn ry(theta: f64) -> CMatrix {
 /// Rotation about the Z axis by `theta`.
 pub fn rz(theta: f64) -> CMatrix {
     CMatrix::diagonal(&[Complex64::cis(-theta / 2.0), Complex64::cis(theta / 2.0)])
-}
-
-/// Phase gate `P(λ) = diag(1, e^{iλ})`.
-pub fn phase(lambda: f64) -> CMatrix {
-    CMatrix::diagonal(&[Complex64::ONE, Complex64::cis(lambda)])
 }
 
 /// General single-qubit unitary `U(θ, φ, λ)` in the standard OpenQASM parameterisation.
@@ -128,7 +103,7 @@ pub fn u3(theta: f64, phi: f64, lambda: f64) -> CMatrix {
 /// The returned matrix `V(θ)` maps the basis vectors onto the computational basis,
 /// i.e. measuring in `B(θ)` is equivalent to applying `V(θ)` and measuring in Z.
 /// Column `k` of `V(θ)†` is the `k`-th basis vector.
-pub fn basis_change(theta: f64) -> CMatrix {
+pub(crate) fn basis_change(theta: f64) -> CMatrix {
     // Basis vectors: b0 = (|0⟩ + e^{iθ}|1⟩)/√2, b1 = (|0⟩ − e^{iθ}|1⟩)/√2.
     // V = Σ_k |k⟩⟨b_k| so V has ⟨b_k| as rows.
     let e = Complex64::cis(theta).conj();
@@ -145,26 +120,6 @@ pub fn cnot() -> CMatrix {
     m[(1, 1)] = Complex64::ONE; // |01⟩ → |01⟩
     m[(2, 3)] = Complex64::ONE; // |11⟩ → |10⟩
     m[(3, 2)] = Complex64::ONE; // |10⟩ → |11⟩
-    m
-}
-
-/// Controlled-Z gate (symmetric in its qubits).
-pub fn cz() -> CMatrix {
-    CMatrix::diagonal(&[
-        Complex64::ONE,
-        Complex64::ONE,
-        Complex64::ONE,
-        -Complex64::ONE,
-    ])
-}
-
-/// SWAP gate.
-pub fn swap() -> CMatrix {
-    let mut m = CMatrix::zeros(4, 4);
-    m[(0, 0)] = Complex64::ONE;
-    m[(1, 2)] = Complex64::ONE;
-    m[(2, 1)] = Complex64::ONE;
-    m[(3, 3)] = Complex64::ONE;
     m
 }
 
@@ -202,14 +157,9 @@ mod tests {
             ("Z", pauli_z()),
             ("iY", i_pauli_y()),
             ("H", hadamard()),
-            ("S", s_gate()),
-            ("S†", s_dagger()),
-            ("T", t_gate()),
-            ("T†", t_dagger()),
             ("RX", rx(0.7)),
             ("RY", ry(-1.3)),
             ("RZ", rz(2.1)),
-            ("P", phase(0.9)),
             ("U3", u3(0.4, 1.1, -0.6)),
             ("B(π/4)", basis_change(std::f64::consts::FRAC_PI_4)),
         ];
@@ -220,7 +170,7 @@ mod tests {
 
     #[test]
     fn two_qubit_gates_are_unitary() {
-        for g in [cnot(), cz(), swap(), controlled(&hadamard())] {
+        for g in [cnot(), controlled(&hadamard())] {
             assert!(g.is_unitary(DEFAULT_TOLERANCE));
         }
     }
@@ -239,22 +189,6 @@ mod tests {
             let v = g.apply(&CVector::basis(4, idx));
             assert!((v.probability(idx) - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn swap_exchanges_qubits() {
-        let g = swap();
-        let v = g.apply(&CVector::basis(4, 1)); // |01⟩ → |10⟩
-        assert!((v.probability(2) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn s_and_t_gates_compose() {
-        // T² = S, S² = Z
-        assert!(t_gate().matmul(&t_gate()).approx_eq(&s_gate(), 1e-12));
-        assert!(s_gate().matmul(&s_gate()).approx_eq(&pauli_z(), 1e-12));
-        assert!(s_gate().matmul(&s_dagger()).approx_eq(&identity(), 1e-12));
-        assert!(t_gate().matmul(&t_dagger()).approx_eq(&identity(), 1e-12));
     }
 
     #[test]
@@ -287,7 +221,7 @@ mod tests {
         // RZ(π) = -iZ
         assert!(rz(PI).approx_eq(&pauli_z().scale(-Complex64::I), 1e-12));
         // Zero-angle rotations are the identity.
-        for g in [rx(0.0), ry(0.0), rz(0.0), phase(0.0)] {
+        for g in [rx(0.0), ry(0.0), rz(0.0)] {
             assert!(g.approx_eq(&identity(), 1e-12));
         }
     }
@@ -299,8 +233,9 @@ mod tests {
         assert!(u3(FRAC_PI_2, 0.0, PI).approx_eq(&hadamard(), 1e-12));
         // U(π, 0, π) = X
         assert!(u3(PI, 0.0, PI).approx_eq(&pauli_x(), 1e-12));
-        // U(0, 0, λ) = P(λ)
-        assert!(u3(0.0, 0.0, 1.234).approx_eq(&phase(1.234), 1e-12));
+        // U(0, 0, λ) = diag(1, e^{iλ})
+        let p = CMatrix::diagonal(&[Complex64::ONE, Complex64::cis(1.234)]);
+        assert!(u3(0.0, 0.0, 1.234).approx_eq(&p, 1e-12));
     }
 
     #[test]

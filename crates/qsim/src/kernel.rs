@@ -1,6 +1,6 @@
 //! Precompiled, allocation-free channel kernels.
 //!
-//! The legacy channel path ([`DensityMatrix::try_apply_kraus`]) re-derives
+//! The legacy channel path (`DensityMatrix::try_apply_kraus`) re-derives
 //! everything on every application: each k-qubit Kraus operator is embedded
 //! into the full `2^n × 2^n` space (`embed_operator`), three fresh matrices
 //! are allocated per operator (`K·ρ`, `(K·ρ)·K†`, the accumulator), and the
@@ -71,7 +71,7 @@ struct CompiledOp {
 ///
 /// | compiled | replays |
 /// |---|---|
-/// | [`CompiledKraus::apply`] | [`DensityMatrix::try_apply_kraus`] |
+/// | [`CompiledKraus::apply`] | `DensityMatrix::try_apply_kraus` |
 /// | [`CompiledKraus::sample`] | [`StateVector::apply_kraus_sampled`] |
 /// | [`CompiledKraus::sample_density`] | [`DensityMatrix::apply_kraus_sampled`] |
 ///
@@ -202,7 +202,7 @@ impl CompiledKraus {
     ///
     /// # Errors
     ///
-    /// The validation errors of [`DensityMatrix::try_apply_kraus`]:
+    /// The validation errors of `DensityMatrix::try_apply_kraus`:
     /// [`QsimError::DimensionMismatch`], [`QsimError::QubitOutOfRange`],
     /// [`QsimError::DuplicateQubit`].
     ///
@@ -295,11 +295,6 @@ impl CompiledKraus {
         self.num_qubits
     }
 
-    /// Full Hilbert-space dimension `2^n`.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Number of Kraus operators (trajectory branches).
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -321,7 +316,7 @@ impl CompiledKraus {
 
     /// Applies the channel exactly — `ρ → Σ_i K_i ρ K_i†` — in place.
     ///
-    /// Bit-identical to [`DensityMatrix::try_apply_kraus`] with the same
+    /// Bit-identical to `DensityMatrix::try_apply_kraus` with the same
     /// operators and targets; allocation-free at steady state.
     ///
     /// # Panics
@@ -611,7 +606,6 @@ mod tests {
         ));
         let kernel = CompiledKraus::compile(&ops, &[1], 3).unwrap();
         assert_eq!(kernel.num_qubits(), 3);
-        assert_eq!(kernel.dim(), 8);
         assert_eq!(kernel.len(), 2);
         assert!(!kernel.is_empty());
     }

@@ -56,10 +56,12 @@ mod kernel_identity;
 pub mod measurement;
 pub mod pauli;
 pub mod pauli_frame;
+#[cfg(test)]
+mod properties;
 pub mod statevector;
 
 pub use bell::{BellOutcome, BellState};
-pub use circuit::{Circuit, CircuitBuilder, Operation};
+pub use circuit::{Circuit, Operation};
 pub use counts::Counts;
 pub use density::DensityMatrix;
 pub use error::QsimError;
@@ -71,8 +73,8 @@ pub use statevector::StateVector;
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::bell::{BellOutcome, BellState};
-    pub use crate::chsh::{chsh_value, correlator, MeasurementRecord};
-    pub use crate::circuit::{Circuit, CircuitBuilder, Operation};
+    pub use crate::chsh::{chsh_value, MeasurementRecord};
+    pub use crate::circuit::{Circuit, Operation};
     pub use crate::counts::Counts;
     pub use crate::density::DensityMatrix;
     pub use crate::error::QsimError;

@@ -43,11 +43,6 @@ impl Deserialize for MeasurementBasis {
 }
 
 impl MeasurementBasis {
-    /// Creates a basis from an arbitrary angle with a custom label.
-    pub fn from_angle(angle: f64, label: &'static str) -> Self {
-        Self { angle, label }
-    }
-
     /// Alice's measurement basis `A_j` of the DI check: `A_0 = π/4`, `A_1 = 0`, `A_2 = π/2`.
     ///
     /// # Panics
@@ -83,7 +78,7 @@ impl MeasurementBasis {
     /// # Panics
     ///
     /// Panics if `k` is not 1 or 2.
-    pub fn bob(k: usize) -> Self {
+    pub(crate) fn bob(k: usize) -> Self {
         match k {
             1 => Self {
                 angle: -FRAC_PI_4,
@@ -110,11 +105,6 @@ impl MeasurementBasis {
     /// Phase angle θ of the basis.
     pub fn angle(&self) -> f64 {
         self.angle
-    }
-
-    /// Label of the basis ("A0", "B2", …).
-    pub fn label(&self) -> &'static str {
-        self.label
     }
 }
 
@@ -151,7 +141,7 @@ impl BasisPhase {
     }
 
     /// The phase `e^{iθ}`.
-    pub fn phase(self) -> Complex64 {
+    pub(crate) fn phase(self) -> Complex64 {
         self.phase
     }
 }
@@ -173,7 +163,7 @@ pub enum MeasurementOutcome {
 
 impl MeasurementOutcome {
     /// Maps a measured bit to an outcome: `0 → +1`, `1 → −1`.
-    pub fn from_bit(bit: u8) -> Self {
+    pub(crate) fn from_bit(bit: u8) -> Self {
         if bit == 0 {
             MeasurementOutcome::Plus
         } else {
@@ -196,11 +186,6 @@ impl MeasurementOutcome {
             MeasurementOutcome::Minus => -1.0,
         }
     }
-
-    /// Returns `true` for the `+1` outcome.
-    pub fn is_plus(self) -> bool {
-        matches!(self, MeasurementOutcome::Plus)
-    }
 }
 
 impl fmt::Display for MeasurementOutcome {
@@ -221,7 +206,7 @@ mod tests {
         assert!((MeasurementBasis::alice(0).angle() - FRAC_PI_4).abs() < 1e-15);
         assert!((MeasurementBasis::alice(1).angle() - 0.0).abs() < 1e-15);
         assert!((MeasurementBasis::alice(2).angle() - FRAC_PI_2).abs() < 1e-15);
-        assert_eq!(MeasurementBasis::alice(0).label(), "A0");
+        assert_eq!(MeasurementBasis::alice(0).label, "A0");
         assert_eq!(MeasurementBasis::alice_all().len(), 3);
     }
 
@@ -229,7 +214,7 @@ mod tests {
     fn bob_bases_are_the_phase_conjugated_paper_angles() {
         assert!((MeasurementBasis::bob(1).angle() + FRAC_PI_4).abs() < 1e-15);
         assert!((MeasurementBasis::bob(2).angle() - FRAC_PI_4).abs() < 1e-15);
-        assert_eq!(MeasurementBasis::bob(1).label(), "B1");
+        assert_eq!(MeasurementBasis::bob(1).label, "B1");
         assert_eq!(MeasurementBasis::bob_all().len(), 2);
     }
 
@@ -253,8 +238,6 @@ mod tests {
         assert_eq!(MeasurementOutcome::Minus.to_bit(), 1);
         assert_eq!(MeasurementOutcome::Plus.value(), 1.0);
         assert_eq!(MeasurementOutcome::Minus.value(), -1.0);
-        assert!(MeasurementOutcome::Plus.is_plus());
-        assert!(!MeasurementOutcome::Minus.is_plus());
     }
 
     #[test]
@@ -262,8 +245,5 @@ mod tests {
         assert_eq!(MeasurementOutcome::Plus.to_string(), "+1");
         assert_eq!(MeasurementOutcome::Minus.to_string(), "-1");
         assert!(MeasurementBasis::alice(0).to_string().contains("A0"));
-        assert!(MeasurementBasis::from_angle(0.5, "custom")
-            .to_string()
-            .contains("custom"));
     }
 }

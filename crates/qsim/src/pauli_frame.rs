@@ -77,7 +77,7 @@ impl PauliFrame {
     }
 
     /// The `(flip, phase)` bits of the current label.
-    pub fn bits(self) -> (bool, bool) {
+    pub(crate) fn bits(self) -> (bool, bool) {
         self.state.encoding_pauli().to_bits()
     }
 
@@ -100,7 +100,7 @@ impl PauliFrame {
     /// The equatorial CHSH correlator `E(θ_a, θ_b) = ⟨B(θ_a) ⊗ B(θ_b)⟩` of
     /// the current Bell state under the conjugated-phase convention of
     /// [`crate::measurement`].
-    pub fn correlator(self, theta_a: f64, theta_b: f64) -> f64 {
+    pub(crate) fn correlator(self, theta_a: f64, theta_b: f64) -> f64 {
         let (flip, phase) = self.bits();
         let sign = if phase { -1.0 } else { 1.0 };
         let b = if flip { -theta_b } else { theta_b };
@@ -237,7 +237,7 @@ mod tests {
             for _ in 0..trials {
                 let (a, b) = frame.measure_in_bases(ta, tb, &mut r);
                 sum += a.value() * b.value();
-                alice_plus += usize::from(a.is_plus());
+                alice_plus += usize::from(a == crate::measurement::MeasurementOutcome::Plus);
             }
             let e = sum / trials as f64;
             assert!(

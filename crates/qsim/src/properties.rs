@@ -1,11 +1,12 @@
 //! Property-based tests for the quantum simulator.
 
+use crate::bell::{bell_measure, BellState};
+use crate::gates;
+use crate::measurement::MeasurementOutcome;
+use crate::pauli::Pauli;
+use crate::statevector::StateVector;
 use mathkit::complex::Complex64;
 use proptest::prelude::*;
-use qsim::bell::{bell_measure, BellState};
-use qsim::gates;
-use qsim::pauli::Pauli;
-use qsim::statevector::StateVector;
 use rand::SeedableRng;
 
 fn angle() -> impl Strategy<Value = f64> {
@@ -43,9 +44,9 @@ proptest! {
             match op {
                 0 => state.apply_single(&gates::hadamard(), 0),
                 1 => state.apply_single(&gates::pauli_x(), 1),
-                2 => state.apply_single(&gates::s_gate(), 2),
+                2 => state.apply_single(&gates::rz(std::f64::consts::FRAC_PI_2), 2),
                 3 => state.apply_two(&gates::cnot(), 0, 1),
-                4 => state.apply_two(&gates::cz(), 1, 2),
+                4 => state.apply_two(&gates::controlled(&gates::pauli_z()), 1, 2),
                 _ => { let _ = state.measure(0, &mut rng); }
             }
             prop_assert!(state.is_normalized(1e-8));
@@ -97,7 +98,7 @@ proptest! {
             Complex64::cis(theta) * std::f64::consts::FRAC_1_SQRT_2,
         ]);
         let mut state = StateVector::from_amplitudes(amps).unwrap();
-        prop_assert!(state.measure_in_basis(0, theta, &mut rng).is_plus());
+        prop_assert_eq!(state.measure_in_basis(0, theta, &mut rng), MeasurementOutcome::Plus);
     }
 
     /// The analytic CHSH value never exceeds Tsirelson's bound for any two-qubit pure state
@@ -106,8 +107,8 @@ proptest! {
     fn chsh_respects_tsirelson(theta in angle(), phi in angle(), lambda in angle()) {
         let mut state = BellState::PhiPlus.statevector();
         state.apply_single(&gates::u3(theta, phi, lambda), 0);
-        let s = qsim::chsh::analytic_chsh(&state);
-        prop_assert!(s.abs() <= qsim::chsh::TSIRELSON_BOUND + 1e-9);
+        let s = crate::chsh::analytic_chsh(&state);
+        prop_assert!(s.abs() <= crate::chsh::TSIRELSON_BOUND + 1e-9);
     }
 
     /// Sampling indices from any circuit-produced state only returns indices with non-zero

@@ -66,7 +66,7 @@ impl StateVector {
     ///
     /// Returns [`QsimError::DimensionMismatch`] if the length is not a power of two and
     /// [`QsimError::NotNormalized`] if the amplitudes are not normalised.
-    pub fn from_amplitudes(amplitudes: CVector) -> Result<Self, QsimError> {
+    pub(crate) fn from_amplitudes(amplitudes: CVector) -> Result<Self, QsimError> {
         let len = amplitudes.len();
         if len == 0 || !len.is_power_of_two() {
             return Err(QsimError::DimensionMismatch {
@@ -89,7 +89,7 @@ impl StateVector {
     }
 
     /// Dimension of the underlying Hilbert space (`2^n`).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         1 << self.num_qubits
     }
 
@@ -126,7 +126,7 @@ impl StateVector {
     /// # Panics
     ///
     /// Panics when the state has (near-)zero norm; use
-    /// [`StateVector::try_renormalize`] for the fallible variant.
+    /// `StateVector::try_renormalize` for the fallible variant.
     pub fn renormalize(&mut self) {
         self.try_renormalize()
             .expect("renormalize: state has (near-)zero norm");
@@ -137,10 +137,10 @@ impl StateVector {
     /// # Errors
     ///
     /// Returns [`QsimError::ZeroNorm`] when the norm is below
-    /// [`MIN_NORM`](Self::MIN_NORM) (or not finite): dividing by it would
+    /// `MIN_NORM` (or not finite): dividing by it would
     /// poison every amplitude with NaN or infinity. The state is left
     /// untouched in that case.
-    pub fn try_renormalize(&mut self) -> Result<(), QsimError> {
+    pub(crate) fn try_renormalize(&mut self) -> Result<(), QsimError> {
         let norm = self.amplitudes.norm();
         if !norm.is_finite() || norm <= Self::MIN_NORM {
             return Err(QsimError::ZeroNorm);
@@ -152,7 +152,7 @@ impl StateVector {
     /// Smallest norm [`try_renormalize`](Self::try_renormalize) accepts, and
     /// the probability floor below which a Kraus branch counts as impossible
     /// in [`apply_kraus_sampled`](Self::apply_kraus_sampled).
-    pub const MIN_NORM: f64 = 1e-12;
+    pub(crate) const MIN_NORM: f64 = 1e-12;
 
     /// Applies one **sampled trajectory step** of the CPTP map `{K_i}` to the
     /// given qubits: selects branch `i` with the Born probability
@@ -163,7 +163,7 @@ impl StateVector {
     ///
     /// Exactly one `f64` is drawn from `rng` per call, so a caller's RNG
     /// stream advances identically no matter which branch wins. Branches with
-    /// probability at or below [`MIN_NORM`](Self::MIN_NORM) are never
+    /// probability at or below `MIN_NORM` are never
     /// selected, so a ≈ 0-probability Kraus operator (e.g. the flip branch of
     /// `bit_flip(0.0)`) cannot zero out the state.
     ///
@@ -347,7 +347,7 @@ impl StateVector {
     /// # Panics
     ///
     /// Panics if the qubit is out of range or the projected state has zero probability.
-    pub fn collapse(&mut self, qubit: usize, outcome: u8) {
+    pub(crate) fn collapse(&mut self, qubit: usize, outcome: u8) {
         self.check_qubit(qubit)
             .expect("collapse: qubit out of range");
         let mask = 1usize << self.bit(qubit);
@@ -414,7 +414,7 @@ impl StateVector {
     }
 
     /// Formats a basis index as a bitstring in qubit order.
-    pub fn bitstring(&self, index: usize) -> String {
+    pub(crate) fn bitstring(&self, index: usize) -> String {
         (0..self.num_qubits)
             .map(|q| {
                 if index & (1 << self.bit(q)) != 0 {
@@ -427,7 +427,7 @@ impl StateVector {
     }
 
     /// The density matrix `|ψ⟩⟨ψ|` of this pure state.
-    pub fn to_density_matrix(&self) -> CMatrix {
+    pub(crate) fn to_density_matrix(&self) -> CMatrix {
         CMatrix::outer(&self.amplitudes, &self.amplitudes)
     }
 
@@ -657,7 +657,7 @@ mod tests {
         let n = 2000;
         for _ in 0..n {
             let mut s = StateVector::new(1);
-            if s.measure_in_basis(0, 0.0, &mut r).is_plus() {
+            if s.measure_in_basis(0, 0.0, &mut r) == crate::measurement::MeasurementOutcome::Plus {
                 plus += 1;
             }
         }
@@ -676,7 +676,10 @@ mod tests {
                 Complex64::cis(theta) * FRAC_1_SQRT_2,
             ]);
             let mut s = StateVector::from_amplitudes(amps).unwrap();
-            assert!(s.measure_in_basis(0, theta, &mut r).is_plus());
+            assert_eq!(
+                s.measure_in_basis(0, theta, &mut r),
+                crate::measurement::MeasurementOutcome::Plus
+            );
         }
     }
 

@@ -33,15 +33,14 @@
 //! The binary is `qsdc-serve` (see `src/main.rs`); the library exposes the
 //! same server embeddable in-process (the `serve-open-loop` workload of the
 //! repository benchmark in `perfbench/` and the chaos tests use it), plus a
-//! minimal blocking [`client`] for tests and tooling. Protocol grammar and semantics: `docs/service.md`.
+//! minimal blocking [`Client`] for tests and tooling. Protocol grammar and semantics: `docs/service.md`.
 #![forbid(unsafe_code)]
 
-pub mod client;
-pub mod registry;
-pub mod server;
+mod client;
+mod registry;
+mod server;
 pub mod spool;
 
 pub use client::Client;
-pub use registry::{Registry, ScheduleEntry};
-pub use server::{Server, ServerConfig};
-pub use spool::{JobOutcome, JobWork, Spool, SpoolError};
+pub use server::{Server, ServerConfig, MAX_JOB_SHARDS};
+pub use spool::{JobOutcome, Spool};

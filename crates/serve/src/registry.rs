@@ -39,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// Where a job's asynchronous responses (snapshots, completion) are
 /// written. The server implements this over a shared TCP write half; tests
 /// implement it over a vector.
-pub trait ResponseSink: Send + Sync {
+pub(crate) trait ResponseSink: Send + Sync {
     /// Delivers one response if `admit()`, called exactly once under the
     /// sink's write lock, returns true: a response made stale by a
     /// concurrent writer (a snapshot racing its job's `Cancelled` or a
@@ -56,7 +56,7 @@ pub trait ResponseSink: Send + Sync {
 
 /// One schedulable job, in the fair order chosen by [`Registry::schedule`].
 #[derive(Clone)]
-pub struct ScheduleEntry {
+pub(crate) struct ScheduleEntry {
     /// The job id.
     pub job: u64,
     /// The job's executable queues.
@@ -66,7 +66,7 @@ pub struct ScheduleEntry {
 /// What a job needs after one of its shards was recorded; see
 /// [`Registry::record_shard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardRecord {
+pub(crate) enum ShardRecord {
     /// Nothing more to do.
     Counted,
     /// Fold the done prefix for [`Registry::stream_snapshot`].
@@ -77,7 +77,7 @@ pub enum ShardRecord {
 
 /// Why a cancellation request was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelOutcome {
+pub(crate) enum CancelOutcome {
     /// The job was removed from scheduling; mark it in the spool.
     Cancelled,
     /// No live job with this id belongs to the requesting client.
@@ -140,7 +140,7 @@ impl State {
 
 /// The server's shared scheduling state. See the module docs.
 #[derive(Default)]
-pub struct Registry {
+pub(crate) struct Registry {
     state: Mutex<State>,
     wake: Condvar,
 }
@@ -158,7 +158,7 @@ impl Registry {
     }
 
     /// Registers a connected client and returns its id.
-    pub fn register_client(&self, sink: Arc<dyn ResponseSink>) -> u64 {
+    pub(crate) fn register_client(&self, sink: Arc<dyn ResponseSink>) -> u64 {
         let mut state = self.lock();
         let id = state.next_client;
         state.next_client += 1;
@@ -175,7 +175,7 @@ impl Registry {
     /// Marks a client's connection gone. Its unfinished jobs keep running
     /// (results stay in the spool); the client record disappears once the
     /// last of them finishes.
-    pub fn client_gone(&self, client: u64) {
+    pub(crate) fn client_gone(&self, client: u64) {
         let mut state = self.lock();
         if let Some(entry) = state.clients.get_mut(&client) {
             entry.sink = None;
@@ -194,7 +194,7 @@ impl Registry {
     /// # Errors
     ///
     /// `Err((in_flight, quota))` when the client is at its quota.
-    pub fn reserve_slot(&self, client: u64, quota: usize) -> Result<(), (usize, usize)> {
+    pub(crate) fn reserve_slot(&self, client: u64, quota: usize) -> Result<(), (usize, usize)> {
         let mut state = self.lock();
         let entry = state.clients.get_mut(&client).ok_or((quota, quota))?;
         if entry.in_flight >= quota {
@@ -205,14 +205,14 @@ impl Registry {
     }
 
     /// Returns a reserved slot after a failed lowering.
-    pub fn release_slot(&self, client: u64) {
+    pub(crate) fn release_slot(&self, client: u64) {
         self.lock().release(client);
     }
 
     /// Adds a lowered job to the schedule and wakes the worker pool.
     /// `client: None` marks a job recovered from the spool; `progress` is
     /// its `(trials_done, trials_total)` so far.
-    pub fn add_job(
+    pub(crate) fn add_job(
         &self,
         job: u64,
         client: Option<u64>,
@@ -240,7 +240,7 @@ impl Registry {
     /// (recovered jobs form their own bucket), then everyone's second job,
     /// and so on. The rotation origin advances each call, so no client is
     /// permanently "first".
-    pub fn schedule(&self) -> Vec<ScheduleEntry> {
+    pub(crate) fn schedule(&self) -> Vec<ScheduleEntry> {
         let mut state = self.lock();
         // Bucket job ids by owner; the map is ordered, so bucket order (and
         // therefore the whole schedule) is deterministic for a given state.
@@ -280,7 +280,7 @@ impl Registry {
     }
 
     /// `(trials_done, trials_total)` of a live job, if any.
-    pub fn progress(&self, job: u64) -> Option<(u64, u64)> {
+    pub(crate) fn progress(&self, job: u64) -> Option<(u64, u64)> {
         self.lock()
             .jobs
             .get(&job)
@@ -290,7 +290,7 @@ impl Registry {
     /// True exactly once per job: the calling worker owns finalization
     /// (merging and writing `result.json`). Returns `false` for unknown
     /// jobs and for jobs someone else is already finalizing.
-    pub fn begin_finalize(&self, job: u64) -> bool {
+    pub(crate) fn begin_finalize(&self, job: u64) -> bool {
         let mut state = self.lock();
         match state.jobs.get_mut(&job) {
             Some(entry) if !entry.finalizing => {
@@ -305,7 +305,7 @@ impl Registry {
     /// `response` (its `Done` or `Error`) to the owner if it is still
     /// connected. A job no longer live (cancelled, or already failed)
     /// sends nothing.
-    pub fn finish_job(&self, job: u64, response: &Response) {
+    pub(crate) fn finish_job(&self, job: u64, response: &Response) {
         let owner = {
             let mut state = self.lock();
             let client = state.jobs.remove(&job).and_then(|entry| entry.client);
@@ -320,7 +320,7 @@ impl Registry {
     /// releases its slot. Jobs owned by other clients (or by no client) are
     /// reported [`Unknown`](CancelOutcome::Unknown) — ids are not leaked
     /// across tenants.
-    pub fn cancel(&self, job: u64, client: u64) -> CancelOutcome {
+    pub(crate) fn cancel(&self, job: u64, client: u64) -> CancelOutcome {
         let mut state = self.lock();
         let owned = matches!(state.jobs.get(&job), Some(entry) if entry.client == Some(client));
         if !owned {
@@ -342,7 +342,7 @@ impl Registry {
     /// session job whose owner is still connected: every shard is one
     /// snapshot cadence long, so each crosses a cadence boundary, and
     /// completion is announced by `Done` instead.
-    pub fn record_shard(&self, job: u64, trials: u64) -> ShardRecord {
+    pub(crate) fn record_shard(&self, job: u64, trials: u64) -> ShardRecord {
         let mut state = self.lock();
         let Some(entry) = state.jobs.get_mut(&job).filter(|_| trials > 0) else {
             return ShardRecord::Counted;
@@ -364,7 +364,7 @@ impl Registry {
     /// under the owner's write lock only while the job is live and
     /// `streamed < trials_done < trials_total`; admitting it advances
     /// `streamed`. A stale fold is dropped.
-    pub fn stream_snapshot(&self, job: u64, trials_done: u64, summary: TrialSummary) {
+    pub(crate) fn stream_snapshot(&self, job: u64, trials_done: u64, summary: TrialSummary) {
         let owner = {
             let state = self.lock();
             let entry = state.jobs.get(&job);

@@ -42,7 +42,7 @@ use std::thread;
 /// Hard cap on one request line's length. A line past this is answered
 /// with [`ErrorKind::Oversized`] and discarded up to its newline; the
 /// connection survives.
-pub const MAX_FRAME: usize = 1 << 20;
+pub(crate) const MAX_FRAME: usize = 1 << 20;
 
 /// Admission limit: the most shards one job may be split into. Lowering
 /// allocates a plan per shard and every queue operation rewrites a
@@ -543,7 +543,7 @@ fn spec_trials(manifest: &JobManifest) -> u64 {
 // ---------------------------------------------------------------- framing --
 
 /// One parsed read from a connection.
-pub enum Frame {
+pub(crate) enum Frame {
     /// A complete line (without its trailing newline).
     Line(Vec<u8>),
     /// The line exceeded the cap; it was discarded up to its newline.
@@ -559,7 +559,7 @@ pub enum Frame {
 /// # Errors
 ///
 /// Underlying socket read errors.
-pub fn read_frame(reader: &mut impl BufRead, max: usize) -> io::Result<Frame> {
+pub(crate) fn read_frame(reader: &mut impl BufRead, max: usize) -> io::Result<Frame> {
     let mut line: Vec<u8> = Vec::new();
     loop {
         let buf = reader.fill_buf()?;

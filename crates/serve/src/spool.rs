@@ -32,11 +32,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Name of the manifest file inside a job directory.
-pub const MANIFEST_FILE: &str = "job.json";
+pub(crate) const MANIFEST_FILE: &str = "job.json";
 /// Name of the final-result file inside a job directory.
-pub const RESULT_FILE: &str = "result.json";
+pub(crate) const RESULT_FILE: &str = "result.json";
 /// Name of the cancellation marker inside a job directory.
-pub const CANCELLED_FILE: &str = "cancelled.json";
+pub(crate) const CANCELLED_FILE: &str = "cancelled.json";
 /// Name of a session job's queue directory.
 pub const QUEUE_DIR: &str = "queue";
 /// Name of a campaign job's campaign directory.
@@ -269,7 +269,7 @@ impl Spool {
     /// # Errors
     ///
     /// I/O errors listing the spool.
-    pub fn next_job_id(&self) -> Result<u64, SpoolError> {
+    pub(crate) fn next_job_id(&self) -> Result<u64, SpoolError> {
         let mut next = 1u64;
         for id in self.job_ids()? {
             next = next.max(id + 1);
@@ -375,7 +375,7 @@ impl Spool {
     /// # Errors
     ///
     /// Queue/campaign open errors.
-    pub fn reopen(&self, manifest: &JobManifest) -> Result<JobWork, SpoolError> {
+    pub(crate) fn reopen(&self, manifest: &JobManifest) -> Result<JobWork, SpoolError> {
         let job_dir = self.job_dir(manifest.job);
         match &manifest.spec {
             JobSpec::Session { .. } => {
@@ -414,7 +414,7 @@ impl Spool {
     /// # Errors
     ///
     /// I/O errors writing the marker.
-    pub fn mark_cancelled(&self, id: u64) -> Result<(), SpoolError> {
+    pub(crate) fn mark_cancelled(&self, id: u64) -> Result<(), SpoolError> {
         write_atomically(
             &self.job_dir(id).join(CANCELLED_FILE),
             b"{\"cancelled\":true}",
@@ -461,7 +461,7 @@ impl Spool {
     /// # Errors
     ///
     /// Manifest read failures.
-    pub fn lookup(&self, id: u64) -> Result<SpoolLookup, SpoolError> {
+    pub(crate) fn lookup(&self, id: u64) -> Result<SpoolLookup, SpoolError> {
         let job_dir = self.job_dir(id);
         let manifest_path = job_dir.join(MANIFEST_FILE);
         if !manifest_path.exists() {
@@ -499,11 +499,11 @@ impl Spool {
 }
 
 /// A job [`Spool::scan`] recovered, with its `(trials_done, trials_total)`.
-pub type RecoveredJob = (JobManifest, JobWork, (u64, u64));
+pub(crate) type RecoveredJob = (JobManifest, JobWork, (u64, u64));
 
 /// What [`Spool::lookup`] found on disk for a job id.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SpoolLookup {
+pub(crate) enum SpoolLookup {
     /// No such job was ever spooled here.
     Absent,
     /// The job is lowered but has no final result yet.

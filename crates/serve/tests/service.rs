@@ -452,7 +452,7 @@ fn oversized_jobs_are_refused_as_too_large() {
     };
     assert_eq!(kind, ErrorKind::TooLarge);
     assert!(
-        message.contains(&serve::server::MAX_JOB_SHARDS.to_string()),
+        message.contains(&serve::MAX_JOB_SHARDS.to_string()),
         "the refusal must name the limit: {message}"
     );
     assert_eq!(std::fs::read_dir(&spool.0).expect("spool").count(), 0);
@@ -526,6 +526,57 @@ fn malformed_truncated_and_oversized_requests_fail_by_name() {
     assert!(
         reply.contains("Malformed"),
         "expected Malformed error, got {reply}"
+    );
+}
+
+/// An identity the constructors refuse fails its `Submit` at decode, so it
+/// never reaches a worker: the lone worker then serves the next job.
+#[test]
+fn an_odd_length_identity_is_malformed_and_the_worker_stays_free() {
+    let spool = TempDir::new("odd-identity");
+    let server = start_server(&spool, 1, 4, 8);
+    let mut client = Client::connect(server.local_addr()).expect("connects");
+    let scenario = scenario(7);
+    let (trials, seed) = (8usize, 99u64);
+    let job = JobSpec::Session {
+        scenario: scenario.clone(),
+        trials,
+        seed,
+    };
+
+    let valid = serde::json::to_string(&Request::Submit { job: job.clone() });
+    let alice = serde::json::to_string(&scenario.identities.alice);
+    let odd = valid.replacen(&alice, r#"{"bits":[true,false,true]}"#, 1);
+    assert_ne!(odd, valid);
+    client.send_raw(&odd).expect("sends");
+    let response = client.recv().expect("server answers");
+    let Response::Error {
+        kind: ErrorKind::Malformed,
+        message,
+    } = &response
+    else {
+        panic!("expected a Malformed error, got {response:?}");
+    };
+    assert!(message.contains("even number of bits, got 3"), "{message}");
+
+    let response = client.submit(job).expect("submit round-trips");
+    let Response::Accepted { job } = response else {
+        panic!("expected Accepted, got {response:?}");
+    };
+    let (done, _) = client.wait_done(job).expect("job completes");
+    let Response::Done {
+        summary: Some(summary),
+        ..
+    } = &done
+    else {
+        panic!("expected session Done, got {done:?}");
+    };
+    let local = SessionEngine::new(seed)
+        .run_trials(&scenario, trials)
+        .expect("local run");
+    assert_eq!(
+        serde::json::to_string(summary),
+        serde::json::to_string(&local)
     );
 }
 

@@ -12,8 +12,8 @@ use protocol::engine::{
     CampaignRun, Parallelism, SessionEngine, ShardOutput, ShardQueue, ShardWorker, SubmitOutcome,
 };
 use protocol::wire::{JobManifest, JobSpec, MANIFEST_VERSION};
-use serve::spool::{WorkClaim, CAMPAIGN_DIR, QUEUE_DIR};
-use serve::{JobOutcome, JobWork, Spool};
+use serve::spool::{JobWork, WorkClaim, CAMPAIGN_DIR, QUEUE_DIR};
+use serve::{JobOutcome, Spool};
 
 fn manifest(job: u64, spec: JobSpec) -> JobManifest {
     JobManifest {

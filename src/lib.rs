@@ -8,9 +8,10 @@
 //! - [`qsim`] — statevector / density-matrix simulator, gate library, circuits, measurement.
 //! - [`noise`] — Kraus noise channels and NISQ device models (ibm_brisbane-like preset).
 //! - [`qchannel`] — quantum channel (noisy identity-gate chain), authenticated classical
-//!   channel, and the standard channel-tap attack library.
+//!   channel, and the channel taps of the paper's attacks (intercept-and-resend,
+//!   man-in-the-middle, entangle-and-measure).
 //! - [`protocol`] — the UA-DI-QSDC protocol, its baselines, and the session execution engine.
-//! - [`attacks`] — protocol-level eavesdropper analyses and the information-leakage audit.
+//! - [`attacks`] — impersonation trials and the information-leakage audit.
 //! - [`analysis`] — statistics and table/figure data generation.
 //!
 //! ## Quickstart
@@ -61,7 +62,7 @@
 //! ## Sharded sweeps
 //!
 //! The same determinism contract extends across processes and machines: every run decomposes
-//! into explicit **plan → execute → merge** stages (`protocol::engine::shard`). A
+//! into explicit **plan → execute → merge** stages. A
 //! [`prelude::ShardPlan`] is plain serde data — scenario, master seed, fingerprint, trial
 //! range — so a sweep splits into shards that execute anywhere and merge back byte-identically:
 //!
