@@ -64,7 +64,8 @@ fn chsh_under_full_attack_cannot_violate_classical_bound() {
         "full entangle-and-measure caps CHSH at 2, got {s}"
     );
     assert_eq!(eve.ancillas_measured(), 500);
-    assert_eq!(eve.ancilla_bits().len(), 500);
+    // Her ancilla copies a maximally mixed Z value: both bits occur.
+    assert!((1..500).contains(&eve.ancilla_ones()));
 }
 
 #[test]

@@ -52,10 +52,13 @@ fn uniform_u64_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     if bound.is_power_of_two() {
         return rng.next_u64() & (bound - 1);
     }
-    let max_valid = (u64::MAX / bound) * bound;
     loop {
         let v = rng.next_u64();
-        if v < max_valid {
+        // The exact rejection threshold `(u64::MAX / bound) * bound` exceeds
+        // `u64::MAX - bound` (it is `u64::MAX` minus a remainder below
+        // `bound`), so a word at or below that accepts without the division;
+        // only the rare word above it needs the threshold itself.
+        if v <= u64::MAX - bound || v < (u64::MAX / bound) * bound {
             return v % bound;
         }
     }
@@ -348,6 +351,74 @@ mod tests {
         let dyn_rng: &mut dyn RngCore = &mut rng;
         let _: f64 = dyn_rng.gen();
         let _: bool = dyn_rng.gen();
+    }
+
+    /// The sampler as it was: the exact threshold computed on every draw.
+    fn uniform_u64_below_reference<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
+        if bound.is_power_of_two() {
+            return rng.next_u64() & (bound - 1);
+        }
+        let max_valid = (u64::MAX / bound) * bound;
+        loop {
+            let v = rng.next_u64();
+            if v < max_valid {
+                return v % bound;
+            }
+        }
+    }
+
+    /// Replays `words`, then counts up from 0.
+    struct Scripted(Vec<u64>, u64);
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0.pop().unwrap_or_else(|| {
+                self.1 += 1;
+                self.1
+            })
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unreachable!("the sampler reads whole words")
+        }
+    }
+
+    #[test]
+    fn uniform_u64_below_matches_the_threshold_per_draw_body() {
+        for bound in [3, 137, 1000, (1 << 63) - 1, (1 << 63) + 1, u64::MAX] {
+            let threshold = (u64::MAX / bound) * bound;
+            let early = u64::MAX - bound;
+            let words = [
+                0,
+                1,
+                bound - 1,
+                bound,
+                early.saturating_sub(1),
+                early,
+                early + 1,
+                threshold - 1,
+                threshold,
+                threshold.saturating_add(1),
+                u64::MAX,
+            ];
+            for word in words {
+                // The word first, then one the reference accepts unless
+                // it is the word itself: each run's result and the next
+                // word show how many words were read.
+                let script = |first: u64| Scripted(vec![first, first, word], 0);
+                for first in [0, threshold - 1, u64::MAX] {
+                    let (mut fast, mut reference) = (script(first), script(first));
+                    assert_eq!(
+                        super::uniform_u64_below(&mut fast, bound),
+                        uniform_u64_below_reference(&mut reference, bound),
+                        "bound {bound}, word {word}"
+                    );
+                    assert_eq!(fast.next_u64(), reference.next_u64());
+                }
+            }
+        }
     }
 
     #[test]

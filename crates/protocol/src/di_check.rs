@@ -7,12 +7,15 @@
 //! input is the estimated CHSH value `S`: the protocol continues only if `S` exceeds the
 //! classical bound.
 
-use qchannel::epr::EprPair;
+use qchannel::compiled::CompiledQuantumChannel;
+use qchannel::epr::{EprPair, ExactState};
 use qsim::chsh::{chsh_value, MeasurementRecord};
+use qsim::density::{DensityMatrix, PairProbabilities};
 use qsim::measurement::{BasisPhase, MeasurementBasis};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Which of the two DI-check rounds a report belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -84,7 +87,7 @@ pub fn run_di_check<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (DiCheckReport, Vec<MeasurementRecord>) {
     let mut records = Vec::with_capacity(pairs.len());
-    let report = run_check_loop(round, pairs, None, threshold, rng, &mut records);
+    let report = run_check_loop(round, pairs, None, None, threshold, rng, &mut records);
     (report, records)
 }
 
@@ -116,22 +119,97 @@ pub fn run_di_check_at<R: Rng + ?Sized>(
         "DI-check positions must be distinct"
     );
     let mut records = Vec::with_capacity(positions.len());
-    let report = run_di_check_into(round, pairs, positions, threshold, rng, &mut records);
+    let report = run_check_loop(
+        round,
+        pairs,
+        Some(positions),
+        None,
+        threshold,
+        rng,
+        &mut records,
+    );
     (report, records)
 }
 
-/// [`run_di_check_at`] writing the records into `records` (cleared first),
-/// so the engine reuses one buffer across sessions. The caller guarantees
-/// distinct positions.
+/// [`run_di_check_at`] for a session, writing the records into `records`
+/// (cleared first) so the engine reuses one buffer across sessions. The
+/// caller guarantees distinct positions.
+///
+/// A pair that `tables`' program tagged draws its outcomes from the table
+/// of its exact state, with the same draws and outcomes the kernel would
+/// give; the session never reads a check pair again, so its collapsed
+/// state is not written, but its tag is dropped. Every other pair is
+/// measured in place.
 pub(crate) fn run_di_check_into<R: Rng + ?Sized>(
     round: DiCheckRound,
     pairs: &mut [EprPair],
     positions: &[usize],
+    tables: &CheckTables<'_>,
     threshold: f64,
     rng: &mut R,
     records: &mut Vec<MeasurementRecord>,
 ) -> DiCheckReport {
-    run_check_loop(round, pairs, Some(positions), threshold, rng, records)
+    run_check_loop(
+        round,
+        pairs,
+        Some(positions),
+        Some(tables),
+        threshold,
+        rng,
+        records,
+    )
+}
+
+/// One state's outcome probabilities in every DI-check basis pair, indexed
+/// `[alice setting][bob setting − 1]`.
+type BasisTable = [[PairProbabilities; 2]; 3];
+
+/// The DI-check outcome tables of one compiled program: the probability
+/// step of the pair kernel on the program's exact states ρ_E and ρ_T, in
+/// every basis pair. Each table is built the first time a pair in its state
+/// is checked, so a run whose pairs are never tagged builds none.
+#[derive(Debug)]
+pub(crate) struct CheckTables<'a> {
+    program: &'a CompiledQuantumChannel,
+    emitted: OnceLock<BasisTable>,
+    transmitted: OnceLock<BasisTable>,
+}
+
+impl<'a> CheckTables<'a> {
+    /// Empty tables for `program`'s states.
+    pub(crate) fn new(program: &'a CompiledQuantumChannel) -> Self {
+        Self {
+            program,
+            emitted: OnceLock::new(),
+            transmitted: OnceLock::new(),
+        }
+    }
+
+    /// The program these tables belong to: a session reads its channel
+    /// from here, so its transmissions and its tables cannot disagree.
+    pub(crate) fn program(&self) -> &'a CompiledQuantumChannel {
+        self.program
+    }
+
+    /// The table of the exact state `pair` holds, when this program tagged
+    /// it.
+    fn for_pair(&self, pair: &EprPair) -> Option<&BasisTable> {
+        Some(match self.program.exact_state_of(pair)? {
+            ExactState::Emitted => self
+                .emitted
+                .get_or_init(|| basis_table(self.program.emitted_state())),
+            ExactState::Transmitted => self
+                .transmitted
+                .get_or_init(|| basis_table(self.program.transmitted_state())),
+        })
+    }
+}
+
+/// The probabilities [`EprPair::measure_both_in_bases`] draws against on a
+/// density-backed pair holding `rho`: Alice's half is qubit 0, Bob's 1.
+fn basis_table(rho: &DensityMatrix) -> BasisTable {
+    let (alice, bob) = check_phases();
+    alice.map(|a| bob.map(|b| rho.pair_probabilities_in_bases(0, a, 1, b)))
 }
 
 /// The DI-check bases with their phases, Alice's `A0..A2` and Bob's `B1, B2`,
@@ -153,6 +231,7 @@ fn run_check_loop<R: Rng + ?Sized>(
     round: DiCheckRound,
     pairs: &mut [EprPair],
     positions: Option<&[usize]>,
+    tables: Option<&CheckTables<'_>>,
     threshold: f64,
     rng: &mut R,
     records: &mut Vec<MeasurementRecord>,
@@ -168,8 +247,14 @@ fn run_check_loop<R: Rng + ?Sized>(
         };
         let alice_setting = rng.gen_range(0..3usize);
         let bob_setting = rng.gen_range(1..=2usize);
-        let (alice_outcome, bob_outcome) =
-            pair.measure_both_in_bases(alice[alice_setting], bob[bob_setting - 1], rng);
+        let (alice_outcome, bob_outcome) = match tables.and_then(|t| t.for_pair(pair)) {
+            Some(table) => {
+                let outcomes = table[alice_setting][bob_setting - 1].draw(rng);
+                pair.mark_consumed();
+                outcomes
+            }
+            None => pair.measure_both_in_bases(alice[alice_setting], bob[bob_setting - 1], rng),
+        };
         if alice_setting == 1 || alice_setting == 2 {
             in_estimate += 1;
             records.push(MeasurementRecord::new(
@@ -196,7 +281,7 @@ fn run_check_loop<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use qsim::pauli::Pauli;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(909)
@@ -291,6 +376,103 @@ mod tests {
     fn round_display() {
         assert_eq!(DiCheckRound::First.to_string(), "round 1");
         assert_eq!(DiCheckRound::Second.to_string(), "round 2");
+    }
+
+    fn brisbane(eta: usize) -> CompiledQuantumChannel {
+        CompiledQuantumChannel::from(qchannel::quantum::ChannelSpec::noisy_identity_chain(
+            eta,
+            noise::DeviceModel::ibm_brisbane_like(),
+        ))
+    }
+
+    /// `count` pairs `program` emitted, transmitted when asked.
+    fn program_pairs(
+        program: &CompiledQuantumChannel,
+        count: usize,
+        transmitted: bool,
+    ) -> Vec<EprPair> {
+        (0..count)
+            .map(|_| {
+                let mut pair = EprPair::ideal();
+                program.emit_noisy_pair_into(&mut pair);
+                if transmitted {
+                    program.transmit(&mut pair, &mut rng());
+                }
+                pair
+            })
+            .collect()
+    }
+
+    /// Runs the session's check on `pairs` with `tables` and the kernel
+    /// path on a copy, on equal RNG streams, and checks that both give the
+    /// same report, records and next draw.
+    fn assert_table_path_matches_the_kernel(pairs: &mut [EprPair], tables: &CheckTables<'_>) {
+        let positions: Vec<usize> = (0..pairs.len()).rev().collect();
+        let mut kernel_pairs = pairs.to_vec();
+        let mut kernel_rng = rng();
+        let want = run_di_check_at(
+            DiCheckRound::First,
+            &mut kernel_pairs,
+            &positions,
+            2.0,
+            &mut kernel_rng,
+        );
+        let mut table_rng = rng();
+        let mut records = Vec::new();
+        let report = run_di_check_into(
+            DiCheckRound::First,
+            pairs,
+            &positions,
+            tables,
+            2.0,
+            &mut table_rng,
+            &mut records,
+        );
+        assert_eq!((report, records), want);
+        assert_eq!(table_rng.next_u64(), kernel_rng.next_u64());
+        for &pos in &positions {
+            assert!(tables.program.exact_state_of(&pairs[pos]).is_none());
+        }
+    }
+
+    #[test]
+    fn tagged_pairs_draw_from_their_program_tables_like_the_kernel() {
+        use qchannel::quantum::QuantumChannel;
+        for program in [
+            QuantumChannel::default().compile(),
+            brisbane(0),
+            brisbane(10),
+            brisbane(50),
+        ] {
+            for transmitted in [false, true] {
+                let tables = CheckTables::new(&program);
+                let mut pairs = program_pairs(&program, 300, transmitted);
+                // Every third pair is touched, so it takes the kernel.
+                for pair in pairs.iter_mut().step_by(3) {
+                    pair.apply_alice_pauli(Pauli::I);
+                }
+                assert_table_path_matches_the_kernel(&mut pairs, &tables);
+                let built = if transmitted {
+                    &tables.transmitted
+                } else {
+                    &tables.emitted
+                };
+                assert!(built.get().is_some(), "the table path ran");
+            }
+        }
+    }
+
+    #[test]
+    fn pairs_another_program_tagged_take_the_kernel() {
+        // Same spec, different program: its tag proves nothing here.
+        let (a, b) = (brisbane(10), brisbane(10));
+        let tables = CheckTables::new(&b);
+        for transmitted in [false, true] {
+            let mut pairs = program_pairs(&a, 200, transmitted);
+            assert_table_path_matches_the_kernel(&mut pairs, &tables);
+            assert!(pairs.iter().all(|pair| a.exact_state_of(pair).is_none()));
+        }
+        assert!(tables.emitted.get().is_none() && tables.transmitted.get().is_none());
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use shard::{
 
 use crate::auth::{self, AuthTally};
 use crate::config::SessionConfig;
-use crate::di_check::{run_di_check_into, DiCheckReport, DiCheckRound};
+use crate::di_check::{run_di_check_into, CheckTables, DiCheckReport, DiCheckRound};
 use crate::error::ProtocolError;
 use crate::identity::{IdentityPair, IdentityString};
 use crate::message::{PaddedMessage, SecretMessage};
@@ -1407,12 +1407,13 @@ thread_local! {
         const { std::cell::RefCell::new(SessionScratch::new()) };
 }
 
-/// One session's fixed inputs: the substrate, the precompiled noise program
-/// (compiled once per scenario by the caller, shared across trials) and the
+/// One session's fixed inputs: the substrate, the DI-check outcome tables
+/// of the precompiled noise program, which also hold that program (both
+/// built once per scenario by the caller, shared across trials), and the
 /// scenario data the six phases read.
 pub(crate) struct Session<'a> {
     pub(crate) backend: &'a dyn Backend,
-    pub(crate) channel: &'a CompiledQuantumChannel,
+    pub(crate) tables: &'a CheckTables<'a>,
     pub(crate) config: &'a SessionConfig,
     pub(crate) identities: &'a IdentityPair,
     pub(crate) message: &'a SecretMessage,
@@ -1451,12 +1452,13 @@ impl Session<'_> {
     ) -> Result<(), ProtocolError> {
         let Session {
             backend,
-            channel,
+            tables,
             config,
             identities,
             message,
             impersonation,
         } = *self;
+        let channel = tables.program();
         let SessionScratch {
             pairs,
             positions: all_positions,
@@ -1507,6 +1509,7 @@ impl Session<'_> {
             DiCheckRound::First,
             pairs,
             check1_positions,
+            tables,
             config.chsh_abort_threshold(),
             rng,
             records,
@@ -1658,6 +1661,7 @@ impl Session<'_> {
             DiCheckRound::Second,
             pairs,
             check2_positions,
+            tables,
             config.chsh_abort_threshold(),
             rng,
             records,
@@ -2182,6 +2186,43 @@ mod tests {
                 serial_batch,
                 "{parallelism}"
             );
+        }
+    }
+
+    #[test]
+    fn interleaved_programs_on_one_thread_replay_separate_runs() {
+        // Two noisy channels with different exact states and pool sizes,
+        // run in turn on one thread that keeps its pair pool: each run
+        // replays its separate run. (That a pair another program tagged is
+        // never read through these tables is `di_check`'s unit tests' job:
+        // emission re-tags every pooled pair before a check reads it.)
+        let scenario = |eta: usize, d: usize, seed: u64| {
+            let config = SessionConfig::builder()
+                .message_bits(8)
+                .check_bits(2)
+                .di_check_pairs(d)
+                .channel(ChannelSpec::noisy_identity_chain(
+                    eta,
+                    DeviceModel::ibm_brisbane_like(),
+                ))
+                .build()
+                .unwrap();
+            Scenario::new(config, IdentityPair::generate(4, &mut rng(seed)))
+        };
+        let (a, b) = (scenario(3, 220, 61), scenario(9, 150, 62));
+        let engine = SessionEngine::new(61).with_parallelism(Parallelism::Serial);
+        // Each separate run on a thread whose pair pool starts empty.
+        let alone = |s: &Scenario| {
+            std::thread::scope(|t| {
+                t.spawn(|| engine.run_outcomes(s, 3).unwrap())
+                    .join()
+                    .unwrap()
+            })
+        };
+        let (alone_a, alone_b) = (alone(&a), alone(&b));
+        for _ in 0..2 {
+            assert_eq!(engine.run_outcomes(&a, 3).unwrap(), alone_a);
+            assert_eq!(engine.run_outcomes(&b, 3).unwrap(), alone_b);
         }
     }
 

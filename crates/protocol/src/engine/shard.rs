@@ -68,6 +68,7 @@ use super::{
     BackendKind, OutcomeSink, Scenario, Session, SessionEngine, SummarySink, TrialSummary,
     TrialSummaryBuilder,
 };
+use crate::di_check::CheckTables;
 use crate::error::ProtocolError;
 use crate::message::SecretMessage;
 use crate::session::{ResourceUsage, SessionOutcome};
@@ -505,6 +506,7 @@ impl SessionEngine {
         // Compile the scenario's noise program once for the whole range; the
         // compiled placements are immutable, so workers share them freely.
         let program = CompiledQuantumChannel::from(scenario.config.channel().clone());
+        let tables = CheckTables::new(&program);
         let backend = self.backend_for(scenario);
         let impersonation = scenario.adversary.impersonation();
         let resources = ResourceUsage::planned(&scenario.config, scenario.identities.qubit_len());
@@ -535,7 +537,7 @@ impl SessionEngine {
                 };
                 let session = Session {
                     backend,
-                    channel: &program,
+                    tables: &tables,
                     config: &scenario.config,
                     identities: &scenario.identities,
                     message,

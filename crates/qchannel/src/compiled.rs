@@ -18,13 +18,16 @@
 //! Compiled form is derived state: it is intentionally not serialisable and
 //! is rebuilt from the (serialisable) [`ChannelSpec`] wherever needed.
 
-use crate::epr::{EprPair, ALICE_QUBIT, BOB_QUBIT};
+use crate::epr::{ideal_rho, EprPair, ExactState, Provenance, ALICE_QUBIT, BOB_QUBIT};
 use crate::quantum::{ChannelSpec, ChannelTap};
 use noise::compiled::CompiledChannel;
 use noise::twirl::{PauliDistribution, TwirledChannel};
+use qsim::density::DensityMatrix;
 use rand::Rng;
 use rand::RngCore;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// The Pauli-twirled lowering of a compiled channel: everything the
 /// stabilizer backend needs per trial, reduced to **two** Klein-group
@@ -128,8 +131,17 @@ impl fmt::Display for TwirledProgram {
 /// Build with [`QuantumChannel::compile`](crate::quantum::QuantumChannel::compile). The compiled placements cover
 /// both backends: exact density application (`apply`) and trajectory
 /// sampling (`sample`/`sample_density`) share each placement.
+///
+/// The exact density path is a deterministic function of its input, so the
+/// program computes the emitted state ρ_E and the transmitted state
+/// ρ_T = chain(ρ_E) once each, on first use, and copies them into pairs.
+/// Pairs it writes this way carry a provenance tag naming the program
+/// ([`CompiledQuantumChannel::exact_state_of`]); a clone is the same
+/// program and keeps its id.
 #[derive(Debug, Clone)]
 pub struct CompiledQuantumChannel {
+    /// Process-unique: tags of one program never match another's.
+    id: u64,
     spec: ChannelSpec,
     /// Source noise: the device's two-qubit gate channel on the whole pair.
     /// Present iff the device is not ideal (matching the legacy gating).
@@ -147,6 +159,10 @@ pub struct CompiledQuantumChannel {
     /// The Pauli-twirled lowering of the placements above, for the
     /// stabilizer backend. Always present (trivial for ideal channels).
     twirled: TwirledProgram,
+    /// ρ_E: `|Φ+⟩` after the source and state-prep placements.
+    emitted: OnceLock<DensityMatrix>,
+    /// ρ_T: ρ_E after the whole η chain.
+    transmitted: OnceLock<DensityMatrix>,
 }
 
 impl CompiledQuantumChannel {
@@ -173,7 +189,9 @@ impl CompiledQuantumChannel {
                 }),
             )
         };
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let mut channel = Self {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             spec,
             source,
             prep_alice,
@@ -186,6 +204,8 @@ impl CompiledQuantumChannel {
                 placements: Vec::new(),
                 exact: true,
             },
+            emitted: OnceLock::new(),
+            transmitted: OnceLock::new(),
         };
         channel.twirled = TwirledProgram::new(&channel);
         channel
@@ -250,49 +270,90 @@ impl CompiledQuantumChannel {
         }
     }
 
+    fn tag(&self, state: ExactState) -> Provenance {
+        Provenance {
+            state,
+            program: self.id,
+        }
+    }
+
+    /// The exact state `pair` holds, when this program wrote it and nothing
+    /// has touched the pair since: a tagged pair's density matrix equals
+    /// [`CompiledQuantumChannel::emitted_state`] or
+    /// [`CompiledQuantumChannel::transmitted_state`] bit for bit.
+    pub fn exact_state_of(&self, pair: &EprPair) -> Option<ExactState> {
+        pair.provenance()
+            .filter(|tag| tag.program == self.id)
+            .map(|tag| tag.state)
+    }
+
+    /// ρ_E, the state every density-matrix emission yields: `|Φ+⟩` after
+    /// the source and both state-prep placements. Computed on first use.
+    // detlint: allow(hot-path-alloc): runs once per program inside get_or_init; emissions and transmits copy into the pair's own buffer
+    pub fn emitted_state(&self) -> &DensityMatrix {
+        self.emitted.get_or_init(|| {
+            let mut rho = ideal_rho().clone();
+            for placement in [&self.source, &self.prep_alice, &self.prep_bob]
+                .into_iter()
+                .flatten()
+            {
+                placement.apply(&mut rho);
+            }
+            rho
+        })
+    }
+
+    /// ρ_T, what [`CompiledQuantumChannel::transmit`] makes of ρ_E: the
+    /// whole η chain applied to it. Computed on first use.
+    // detlint: allow(hot-path-alloc): runs once per program inside get_or_init; emissions and transmits copy into the pair's own buffer
+    pub fn transmitted_state(&self) -> &DensityMatrix {
+        self.transmitted.get_or_init(|| {
+            let mut rho = self.emitted_state().clone();
+            self.apply_chain(&mut rho);
+            rho
+        })
+    }
+
     /// Emits one pair from the (noisy) source — bit-identical to
     /// [`EprPair::from_noisy_source`] with this spec's device, without
     /// rebuilding the source channels per call.
     pub fn emit_noisy_pair(&self) -> EprPair {
         let mut pair = EprPair::ideal();
-        self.apply_emission_noise(&mut pair);
+        self.emit_noisy_pair_into(&mut pair);
         pair
     }
 
     /// Emits one pair into `pair`, reusing its buffers: the allocation-free
     /// form of [`CompiledQuantumChannel::emit_noisy_pair`] for pooled pairs.
-    /// Whatever state `pair` held before is discarded.
+    /// Whatever state `pair` held before is discarded; the pair now holds ρ_E
+    /// and is tagged [`ExactState::Emitted`].
     pub fn emit_noisy_pair_into(&self, pair: &mut EprPair) {
-        pair.reset_ideal();
-        self.apply_emission_noise(pair);
-    }
-
-    fn apply_emission_noise(&self, pair: &mut EprPair) {
-        if let Some(source) = &self.source {
-            source.apply(pair.density_mut());
-        }
-        if let Some(prep) = &self.prep_alice {
-            prep.apply(pair.density_mut());
-        }
-        if let Some(prep) = &self.prep_bob {
-            prep.apply(pair.density_mut());
-        }
+        pair.set_exact(self.emitted_state(), self.tag(ExactState::Emitted));
     }
 
     /// Transmits Alice's half of `pair` to Bob — bit-identical to
     /// [`QuantumChannel::transmit`](crate::quantum::QuantumChannel::transmit), without rebuilding the gate/idle
-    /// channels per call.
+    /// channels per call. A pair this program emitted and nothing touched
+    /// since receives a copy of ρ_T instead of running the chain, and is
+    /// tagged [`ExactState::Transmitted`].
     pub fn transmit<R: RngCore + ?Sized>(&self, pair: &mut EprPair, _rng: &mut R) {
+        if self.exact_state_of(pair) == Some(ExactState::Emitted) {
+            pair.set_exact(self.transmitted_state(), self.tag(ExactState::Transmitted));
+        } else if self.gate_alice.is_some() && self.spec.length() > 0 {
+            self.apply_chain(pair.density_mut());
+        }
+    }
+
+    /// The η chain: one noisy identity gate on Alice's qubit per slot, each
+    /// followed by Bob's idling when the device models it.
+    fn apply_chain(&self, rho: &mut DensityMatrix) {
         let Some(gate) = &self.gate_alice else {
             return;
         };
-        if self.spec.length() == 0 {
-            return;
-        }
         for _ in 0..self.spec.length() {
-            gate.apply(pair.density_mut());
+            gate.apply(rho);
             if let Some(idle) = &self.idle_bob {
-                idle.apply(pair.density_mut());
+                idle.apply(rho);
             }
         }
     }
@@ -477,6 +538,185 @@ mod tests {
                 "twirl must stay near the exact Bell diagonal ({got} vs {want})"
             );
         }
+    }
+
+    fn brisbane(eta: usize) -> CompiledQuantumChannel {
+        QuantumChannel::new(ChannelSpec::noisy_identity_chain(
+            eta,
+            DeviceModel::ibm_brisbane_like(),
+        ))
+        .compile()
+    }
+
+    #[test]
+    fn tagged_emission_and_transmission_match_the_chain() {
+        for compiled in [
+            QuantumChannel::default().compile(),
+            brisbane(0),
+            brisbane(7),
+        ] {
+            let mut pair = EprPair::ideal();
+            compiled.emit_noisy_pair_into(&mut pair);
+            assert_eq!(compiled.exact_state_of(&pair), Some(ExactState::Emitted));
+            assert_eq!(
+                pair_bits(&pair),
+                pair_bits(&EprPair::from_noisy_source(compiled.spec().device()))
+            );
+            // The same state without its tag runs the chain itself.
+            let mut untagged = pair.clone();
+            untagged.density_mut();
+            compiled.transmit(&mut pair, &mut rng());
+            compiled.transmit(&mut untagged, &mut rng());
+            assert_eq!(
+                compiled.exact_state_of(&pair),
+                Some(ExactState::Transmitted)
+            );
+            assert_eq!(compiled.exact_state_of(&untagged), None);
+            assert_eq!(pair_bits(&pair), pair_bits(&untagged));
+            assert_eq!(
+                pair.density().matrix(),
+                compiled.transmitted_state().matrix()
+            );
+            // A second transmit of a transmitted pair runs the chain again;
+            // only a chain that changes nothing leaves it holding ρ_T.
+            compiled.transmit(&mut pair, &mut rng());
+            compiled.transmit(&mut untagged, &mut rng());
+            let unchanged = compiled.gate_alice().is_none() || compiled.spec().length() == 0;
+            assert_eq!(
+                compiled.exact_state_of(&pair),
+                unchanged.then_some(ExactState::Transmitted)
+            );
+            assert_eq!(pair_bits(&pair), pair_bits(&untagged));
+        }
+    }
+
+    #[test]
+    fn tags_name_the_program_that_wrote_them() {
+        let (a, b) = (brisbane(3), brisbane(3));
+        let mut pair = EprPair::ideal();
+        a.emit_noisy_pair_into(&mut pair);
+        assert_eq!(b.exact_state_of(&pair), None);
+        assert_eq!(a.clone().exact_state_of(&pair), Some(ExactState::Emitted));
+        // Program b does not take a's tag as proof of its own ρ_E.
+        b.transmit(&mut pair, &mut rng());
+        assert_eq!(b.exact_state_of(&pair), None);
+        assert_eq!(a.exact_state_of(&pair), None);
+    }
+
+    #[test]
+    fn a_tap_that_leaves_the_pair_alone_keeps_the_tag() {
+        use crate::quantum::NoTap;
+        use crate::taps::InterceptResendAttack;
+        let compiled = brisbane(3);
+        let mut pair = EprPair::ideal();
+        compiled.emit_noisy_pair_into(&mut pair);
+        compiled.distribute_tapped(&mut pair, &mut NoTap, &mut rng());
+        compiled.transmit_tapped(&mut pair, &mut NoTap, &mut rng());
+        assert_eq!(
+            compiled.exact_state_of(&pair),
+            Some(ExactState::Transmitted)
+        );
+        compiled.emit_noisy_pair_into(&mut pair);
+        compiled.transmit_tapped(
+            &mut pair,
+            &mut InterceptResendAttack::computational(),
+            &mut rng(),
+        );
+        assert_eq!(compiled.exact_state_of(&pair), None);
+    }
+
+    /// Runs `touch` on an emitted and on a transmitted pair of a noisy
+    /// program and checks that it cleared the tag.
+    fn assert_clears(touch: impl Fn(&mut EprPair)) {
+        let compiled = brisbane(3);
+        for transmitted in [false, true] {
+            let mut pair = EprPair::ideal();
+            compiled.emit_noisy_pair_into(&mut pair);
+            if transmitted {
+                compiled.transmit(&mut pair, &mut rng());
+            }
+            assert!(compiled.exact_state_of(&pair).is_some());
+            touch(&mut pair);
+            assert_eq!(compiled.exact_state_of(&pair), None);
+        }
+    }
+
+    #[test]
+    fn density_mut_clears_the_tag() {
+        assert_clears(|pair| {
+            pair.density_mut();
+        });
+    }
+
+    #[test]
+    fn alice_pauli_clears_the_tag() {
+        assert_clears(|pair| pair.apply_alice_pauli(qsim::pauli::Pauli::I));
+    }
+
+    #[test]
+    fn bob_pauli_clears_the_tag() {
+        assert_clears(|pair| pair.apply_bob_pauli(qsim::pauli::Pauli::I));
+    }
+
+    #[test]
+    fn basis_measurements_clear_the_tag() {
+        use qsim::measurement::BasisPhase;
+        assert_clears(|pair| {
+            pair.measure_both_in_bases(BasisPhase::new(0.0), BasisPhase::new(0.5), &mut rng());
+        });
+        assert_clears(|pair| {
+            pair.measure_alice_in_basis(0.0, &mut rng());
+        });
+        assert_clears(|pair| {
+            pair.measure_bob_in_basis(0.0, &mut rng());
+        });
+    }
+
+    #[test]
+    fn bell_measurement_clears_the_tag() {
+        assert_clears(|pair| {
+            pair.bell_measure(&mut rng());
+        });
+    }
+
+    #[test]
+    fn computational_measurement_clears_the_tag() {
+        assert_clears(|pair| {
+            pair.measure_computational(&mut rng());
+        });
+    }
+
+    #[test]
+    fn mark_consumed_clears_the_tag() {
+        assert_clears(EprPair::mark_consumed);
+    }
+
+    #[test]
+    fn twirl_to_frame_clears_the_tag() {
+        assert_clears(|pair| pair.twirl_to_frame(&mut rng()));
+    }
+
+    #[test]
+    fn frame_reset_clears_the_tag() {
+        assert_clears(|pair| pair.reset_frame_ideal());
+        // And so do the twirled backend's emission and transmission.
+        let compiled = brisbane(3);
+        assert_clears(|pair| compiled.emit_twirled_pair_into(pair, &mut rng()));
+    }
+
+    #[test]
+    fn clone_from_carries_the_source_tag() {
+        let compiled = brisbane(3);
+        let mut tagged = EprPair::ideal();
+        compiled.emit_noisy_pair_into(&mut tagged);
+        assert_clears(|pair| pair.clone_from(&EprPair::ideal()));
+        let mut copy = EprPair::ideal();
+        copy.clone_from(&tagged);
+        assert_eq!(compiled.exact_state_of(&copy), Some(ExactState::Emitted));
+        assert_eq!(
+            compiled.exact_state_of(&tagged.clone()),
+            Some(ExactState::Emitted)
+        );
     }
 
     #[test]

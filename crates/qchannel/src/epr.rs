@@ -50,10 +50,35 @@ pub(crate) const BOB_QUBIT: usize = 1;
 /// data path (integer-only updates) and drops back to the density
 /// representation only when an active eavesdropper tap needs the full
 /// state, re-projecting afterwards with [`EprPair::twirl_to_frame`].
+///
+/// A density-backed pair may also carry a **provenance tag**: proof that
+/// `rho` still holds, bit for bit, one of the exact states a compiled
+/// channel program computed once (see
+/// [`CompiledQuantumChannel::exact_state_of`](crate::compiled::CompiledQuantumChannel::exact_state_of)).
+/// Only the program's emission and transmission set it; every other
+/// `&mut` path clears it, so a tagged pair is one nothing has touched since.
 #[derive(Debug)]
 pub struct EprPair {
     rho: DensityMatrix,
     frame: Option<PauliFrame>,
+    tag: Option<Provenance>,
+}
+
+/// Which of a compiled program's exact states a pair holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExactState {
+    /// The program's emitted state ρ_E, untouched since emission.
+    Emitted,
+    /// The program's ρ_T: ρ_E after the whole channel, with no tap acting.
+    Transmitted,
+}
+
+/// An [`ExactState`] and the id of the program that wrote it: programs
+/// differ in their states, so a tag names its writer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Provenance {
+    pub(crate) state: ExactState,
+    pub(crate) program: u64,
 }
 
 impl Serialize for EprPair {
@@ -74,15 +99,16 @@ impl Clone for EprPair {
         Self {
             rho: self.rho.clone(),
             frame: self.frame,
+            tag: self.tag,
         }
     }
 
-    /// Copies `source` into `self`, reusing `self`'s density buffer — the
-    /// allocation-free reset behind `EprPair::reset_ideal` and the
-    /// engine's per-trial pair pool.
+    /// Copies `source` into `self`, reusing `self`'s density buffer. The
+    /// copy holds the same state, so it keeps the source's tag.
     fn clone_from(&mut self, source: &Self) {
         self.rho.clone_from(&source.rho);
         self.frame = source.frame;
+        self.tag = source.tag;
     }
 }
 
@@ -103,11 +129,11 @@ impl PartialEq for EprPair {
 impl Deserialize for EprPair {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let rho = DensityMatrix::from_value(value.get_field("rho")?)?;
-        Ok(Self { rho, frame: None })
+        Ok(Self::from_density(rho))
     }
 }
 
-fn ideal_rho() -> &'static DensityMatrix {
+pub(crate) fn ideal_rho() -> &'static DensityMatrix {
     static IDEAL: std::sync::OnceLock<DensityMatrix> = std::sync::OnceLock::new();
     IDEAL.get_or_init(|| DensityMatrix::from_statevector(&BellState::PhiPlus.statevector()))
 }
@@ -118,18 +144,29 @@ impl EprPair {
     /// The protocol emits one pair per transmitted qubit, so the reference
     /// state is built once per process and cloned thereafter.
     pub fn ideal() -> Self {
-        Self {
-            rho: ideal_rho().clone(),
-            frame: None,
-        }
+        Self::from_density(ideal_rho().clone())
     }
 
-    /// Resets this pair to the perfect `|Φ+⟩` state in place, reusing the
-    /// existing density buffer. Equivalent to `*self = EprPair::ideal()`
-    /// without the allocation — the emission hot path for pooled pairs.
-    pub(crate) fn reset_ideal(&mut self) {
-        self.rho.clone_from(ideal_rho());
+    /// Overwrites this pair with `rho`, reusing the existing density
+    /// buffer, and tags it: the caller vouches that `rho` is the exact
+    /// state `tag` names.
+    pub(crate) fn set_exact(&mut self, rho: &DensityMatrix, tag: Provenance) {
+        self.rho.clone_from(rho);
         self.frame = None;
+        self.tag = Some(tag);
+    }
+
+    /// The pair's provenance tag, if nothing has touched it since a
+    /// compiled program wrote it.
+    pub(crate) fn provenance(&self) -> Option<Provenance> {
+        self.tag
+    }
+
+    /// Marks the pair as measured without writing its collapsed state: a
+    /// caller that drew its outcomes from a table of its exact state drops
+    /// the tag here, so nothing reads the pair as that state again.
+    pub fn mark_consumed(&mut self) {
+        self.tag = None;
     }
 
     /// Resets this pair to the perfect `|Φ+⟩` state in the **Pauli-frame
@@ -137,6 +174,7 @@ impl EprPair {
     /// density work at all — the stale buffer is left untouched until (if
     /// ever) an active tap forces materialisation.
     pub(crate) fn reset_frame_ideal(&mut self) {
+        self.tag = None;
         match &mut self.frame {
             Some(f) => f.reset(),
             None => self.frame = Some(PauliFrame::ideal()),
@@ -164,6 +202,7 @@ impl EprPair {
     /// [`bell_diagonal_probabilities`], i.e. the Pauli twirl of whatever
     /// the tap left behind.
     pub fn twirl_to_frame<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        self.tag = None;
         if self.frame.is_some() {
             return;
         }
@@ -205,7 +244,11 @@ impl EprPair {
     /// Panics if the density matrix is not exactly two qubits.
     pub fn from_density(rho: DensityMatrix) -> Self {
         assert_eq!(rho.num_qubits(), 2, "an EPR pair is exactly two qubits");
-        Self { rho, frame: None }
+        Self {
+            rho,
+            frame: None,
+            tag: None,
+        }
     }
 
     /// Builds a (separable) pair of fresh single qubits in the state `|a⟩ ⊗ |b⟩` — what a
@@ -218,10 +261,7 @@ impl EprPair {
         if bob_bit == 1 {
             state.apply_single(&qsim::gates::pauli_x(), BOB_QUBIT);
         }
-        Self {
-            rho: DensityMatrix::from_statevector(&state),
-            frame: None,
-        }
+        Self::from_density(DensityMatrix::from_statevector(&state))
     }
 
     /// Immutable view of the underlying density matrix.
@@ -244,6 +284,7 @@ impl EprPair {
     /// copied into the existing density buffer (no allocation) and the
     /// frame is dropped, so the caller always sees the logical state.
     pub fn density_mut(&mut self) -> &mut DensityMatrix {
+        self.tag = None;
         if let Some(f) = self.frame.take() {
             self.rho.clone_from(f.state().density_ref());
         }
@@ -259,6 +300,7 @@ impl EprPair {
 
     /// Applies a Pauli encoding operator to Alice's qubit (message / identity encoding).
     pub fn apply_alice_pauli(&mut self, pauli: Pauli) {
+        self.tag = None;
         match &mut self.frame {
             Some(f) => f.apply_pauli(pauli),
             None => pauli.apply_to_density(&mut self.rho, ALICE_QUBIT),
@@ -267,6 +309,7 @@ impl EprPair {
 
     /// Applies a Pauli encoding operator to Bob's qubit (Bob encoding `id_B` on `D_B`).
     pub fn apply_bob_pauli(&mut self, pauli: Pauli) {
+        self.tag = None;
         match &mut self.frame {
             // A Pauli on either half of a Bell state moves the label the
             // same way (the transpose trick — our alphabet is real up to
@@ -308,6 +351,7 @@ impl EprPair {
         basis_b: BasisPhase,
         rng: &mut R,
     ) -> (MeasurementOutcome, MeasurementOutcome) {
+        self.tag = None;
         match self.frame {
             Some(f) => f.measure_in_bases(basis_a.angle(), basis_b.angle(), rng),
             None => self
@@ -318,6 +362,7 @@ impl EprPair {
 
     /// Performs a Bell-state measurement across the two halves (Bob's decoding measurement).
     pub fn bell_measure<R: Rng + ?Sized>(&mut self, rng: &mut R) -> BellOutcome {
+        self.tag = None;
         match self.frame {
             // Frame-tracked pairs are in a definite Bell state: the BSM is
             // deterministic and needs no RNG draw and no density work.
@@ -328,6 +373,7 @@ impl EprPair {
 
     /// Measures both halves in the computational basis (used by some attack strategies).
     pub fn measure_computational<R: Rng + ?Sized>(&mut self, rng: &mut R) -> (u8, u8) {
+        self.tag = None;
         match self.frame {
             Some(f) => f.measure_computational(rng),
             None => self
@@ -578,12 +624,17 @@ mod tests {
     }
 
     #[test]
-    fn reset_ideal_clears_the_frame() {
+    fn set_exact_clears_the_frame() {
         let mut pair = EprPair::ideal();
         pair.reset_frame_ideal();
         pair.apply_alice_pauli(Pauli::X);
-        pair.reset_ideal();
+        let tag = Provenance {
+            state: ExactState::Emitted,
+            program: 0,
+        };
+        pair.set_exact(ideal_rho(), tag);
         assert!(!pair.is_frame_tracked());
+        assert_eq!(pair.provenance(), Some(tag));
         assert!((pair.fidelity_phi_plus() - 1.0).abs() < 1e-12);
         // And reset_frame_ideal reuses an existing frame in place.
         pair.reset_frame_ideal();

@@ -130,7 +130,9 @@ pub(crate) fn pair_mut(state: &mut DensityMatrix) -> Option<&mut [Complex64; 16]
 // a basis index (`MASK`: 2 for qubit 0, 1 for qubit 1) or over both qubits'
 // strides (`SA`, `SB`), so every index is a constant. Each one performs the
 // floating-point operations of its any-size body in the same order, so the
-// results agree to the bit (`crate::kernel_identity` checks this).
+// results agree to the bit (`crate::kernel_identity` checks this). The steps
+// the pair measurement shares with its outcome tables are inlined: called
+// through, they cost the kernel ~7% per measured pair.
 
 /// [`DensityMatrix::probability_one`] on a two-qubit register: the same
 /// two diagonal entries, summed by the same `Sum`.
@@ -163,16 +165,14 @@ fn collapse_pair<const MASK: usize>(rho: &mut [Complex64; 16], qubit: usize, out
     }
 }
 
-/// [`DensityMatrix::measure_two_in_bases`] on a two-qubit register whose
-/// measured qubits have basis-index strides `SA` (Alice's side of the
-/// record) and `SB`. Returns the two bits.
-fn measure_pair_in_bases<const SA: usize, const SB: usize, R: Rng + ?Sized>(
-    rho: &mut [Complex64; 16],
+/// Alice's side of [`DensityMatrix::measure_two_in_bases`] on a two-qubit
+/// register whose measured qubits have basis-index strides `SA` (Alice's
+/// side of the record) and `SB`: `(Tr ρ, p(a = 1))`.
+#[inline(always)]
+fn alice_one_probability<const SA: usize, const SB: usize>(
+    rho: &[Complex64; 16],
     e_a: Complex64,
-    e_b: Complex64,
-    rng: &mut R,
-) -> (u8, u8) {
-    let (qubit_a, qubit_b) = (2 - SA, 2 - SB);
+) -> (f64, f64) {
     let idx = |x: usize, y: usize| x * SA + y * SB;
     // Measuring in B(θ) is projecting onto the rank-1 projector
     // P_m(θ) = |v_m⟩⟨v_m| with v_m(θ) = (|0⟩ ± e^{iθ}|1⟩)/√2
@@ -185,15 +185,19 @@ fn measure_pair_in_bases<const SA: usize, const SB: usize, R: Rng + ?Sized>(
     let trace = rho[0].re + rho[5].re + rho[10].re + rho[15].re;
     let t_a = rho[idx(1, 0) * 4 + idx(0, 0)] + rho[idx(1, 1) * 4 + idx(0, 1)];
     let cross_a = (e_a.conj() * t_a).re;
-    let p_a1 = (0.5 * trace - cross_a).clamp(0.0, 1.0);
-    let bit_a = u8::from(rng.gen::<f64>() < p_a1);
-    let p_a = if bit_a == 1 { p_a1 } else { 1.0 - p_a1 };
-    assert!(
-        p_a > 1e-12,
-        "collapse onto a zero-probability outcome (qubit {qubit_a}, outcome {bit_a})"
-    );
-    // Bob's conditional: p(b = 1 | a) = ⟨ψ|ρ|ψ⟩ / p(a), where
-    // ψ = v_a(θ_a) ⊗ v_1(θ_b) since both projectors are rank-1.
+    (trace, (0.5 * trace - cross_a).clamp(0.0, 1.0))
+}
+
+/// The product `v_a(θ_a) ⊗ v_1(θ_b)` of Alice's selected basis vector
+/// (sign `s_a`: `+1` for her outcome 0, `−1` for 1) and Bob's outcome-1
+/// vector, in the register's index order.
+#[inline(always)]
+fn product_vector<const SA: usize, const SB: usize>(
+    e_a: Complex64,
+    e_b: Complex64,
+    s_a: f64,
+) -> [Complex64; 4] {
+    let idx = |x: usize, y: usize| x * SA + y * SB;
     let amp = |x: usize, s: f64, e: Complex64| -> Complex64 {
         if x == 0 {
             Complex64::real(std::f64::consts::FRAC_1_SQRT_2)
@@ -201,7 +205,6 @@ fn measure_pair_in_bases<const SA: usize, const SB: usize, R: Rng + ?Sized>(
             e * (s * std::f64::consts::FRAC_1_SQRT_2)
         }
     };
-    let s_a = if bit_a == 0 { 1.0 } else { -1.0 };
     let mut psi = [Complex64::ZERO; 4];
     for x in 0..2 {
         let va = amp(x, s_a, e_a);
@@ -209,6 +212,13 @@ fn measure_pair_in_bases<const SA: usize, const SB: usize, R: Rng + ?Sized>(
             psi[idx(x, y)] = va * amp(y, -1.0, e_b);
         }
     }
+    psi
+}
+
+/// Bob's conditional `p(b = 1 | a) = ⟨ψ|ρ|ψ⟩ / p(a)`, with `ψ` the
+/// [`product_vector`] for Alice's outcome (both projectors are rank-1).
+#[inline(always)]
+fn bob_one_probability(rho: &[Complex64; 16], trace: f64, psi: &[Complex64; 4], p_a: f64) -> f64 {
     // ⟨ψ|ρ|ψ⟩ = Σ_r |ψ_r|²ρ_rr + 2 Σ_{r<c} Re(ψ̄_r ρ_rc ψ_c); every
     // |ψ_r|² is ¼, so the diagonal part is ¼·Tr(ρ).
     let mut cross = 0.0;
@@ -218,12 +228,124 @@ fn measure_pair_in_bases<const SA: usize, const SB: usize, R: Rng + ?Sized>(
         }
     }
     let joint = 0.25 * trace + 2.0 * cross;
-    let p_b1 = (joint / p_a).clamp(0.0, 1.0);
+    (joint / p_a).clamp(0.0, 1.0)
+}
+
+/// Alice's outcome probability given `p(a = 1)`.
+#[inline(always)]
+fn outcome_probability(p_one: f64, bit: u8) -> f64 {
+    if bit == 1 {
+        p_one
+    } else {
+        1.0 - p_one
+    }
+}
+
+/// The draw step shared by the pair kernel and [`PairProbabilities::draw`]:
+/// one `f64` against `p(a = 1)`, then one against Bob's conditional, which
+/// `bob_one(bit_a, p(bit_a))` supplies; each selected outcome must have
+/// non-zero probability.
+#[inline(always)]
+fn draw_pair<R: Rng + ?Sized>(
+    (qubit_a, qubit_b): (usize, usize),
+    p_a1: f64,
+    bob_one: impl FnOnce(u8, f64) -> f64,
+    rng: &mut R,
+) -> (u8, u8) {
+    let bit_a = u8::from(rng.gen::<f64>() < p_a1);
+    let p_a = outcome_probability(p_a1, bit_a);
+    assert!(
+        p_a > 1e-12,
+        "collapse onto a zero-probability outcome (qubit {qubit_a}, outcome {bit_a})"
+    );
+    let p_b1 = bob_one(bit_a, p_a);
     let bit_b = u8::from(rng.gen::<f64>() < p_b1);
-    let p_b = if bit_b == 1 { p_b1 } else { 1.0 - p_b1 };
+    let p_b = outcome_probability(p_b1, bit_b);
     assert!(
         p_b > 1e-12,
         "collapse onto a zero-probability outcome (qubit {qubit_b}, outcome {bit_b})"
+    );
+    (bit_a, bit_b)
+}
+
+/// The outcome probabilities [`DensityMatrix::measure_two_in_bases`] draws
+/// against on a two-qubit register, computed without touching the state:
+/// `p(a = 1)` and Bob's `p(b = 1 | a)` for each of Alice's outcomes.
+///
+/// [`PairProbabilities::draw`] makes the kernel's two draws against these
+/// values, so a state measured many times in the same bases is reduced to
+/// this table once, with the same outcomes draw for draw. The kernel also
+/// writes the collapsed post-state; drawing from the table leaves it to the
+/// caller, who no longer needs the state.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairProbabilities {
+    qubits: (usize, usize),
+    alice_one: f64,
+    bob_one: [f64; 2],
+}
+
+impl PairProbabilities {
+    /// Draws the two outcomes exactly as [`DensityMatrix::measure_two_in_bases`]
+    /// would on the state this table was computed from: the same two `f64`
+    /// draws against the same thresholds.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with the kernel's message, when an outcome with
+    /// (numerically) zero probability would be selected.
+    pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> (MeasurementOutcome, MeasurementOutcome) {
+        let (bit_a, bit_b) = draw_pair(
+            self.qubits,
+            self.alice_one,
+            |bit_a, _| self.bob_one[usize::from(bit_a)],
+            rng,
+        );
+        (
+            MeasurementOutcome::from_bit(bit_a),
+            MeasurementOutcome::from_bit(bit_b),
+        )
+    }
+}
+
+/// [`DensityMatrix::pair_probabilities_in_bases`] on the 4×4 storage.
+fn pair_probabilities<const SA: usize, const SB: usize>(
+    rho: &[Complex64; 16],
+    e_a: Complex64,
+    e_b: Complex64,
+) -> PairProbabilities {
+    let (trace, alice_one) = alice_one_probability::<SA, SB>(rho, e_a);
+    let bob_one = [0u8, 1].map(|bit_a| {
+        let psi = product_vector::<SA, SB>(e_a, e_b, if bit_a == 0 { 1.0 } else { -1.0 });
+        bob_one_probability(rho, trace, &psi, outcome_probability(alice_one, bit_a))
+    });
+    PairProbabilities {
+        qubits: (2 - SA, 2 - SB),
+        alice_one,
+        bob_one,
+    }
+}
+
+/// [`DensityMatrix::measure_two_in_bases`] on a two-qubit register whose
+/// measured qubits have basis-index strides `SA` (Alice's side of the
+/// record) and `SB`: the probability step, the draw step, and the
+/// post-measurement state. Returns the two bits.
+fn measure_pair_in_bases<const SA: usize, const SB: usize, R: Rng + ?Sized>(
+    rho: &mut [Complex64; 16],
+    e_a: Complex64,
+    e_b: Complex64,
+    rng: &mut R,
+) -> (u8, u8) {
+    let idx = |x: usize, y: usize| x * SA + y * SB;
+    let (trace, p_a1) = alice_one_probability::<SA, SB>(rho, e_a);
+    let mut psi = [Complex64::ZERO; 4];
+    let (bit_a, bit_b) = draw_pair(
+        (2 - SA, 2 - SB),
+        p_a1,
+        |bit_a, p_a| {
+            psi = product_vector::<SA, SB>(e_a, e_b, if bit_a == 0 { 1.0 } else { -1.0 });
+            bob_one_probability(rho, trace, &psi, p_a)
+        },
+        rng,
     );
     // Both qubits are now fully measured: the post-measurement state is
     // the pure product of the selected basis vectors. ψ already holds
@@ -828,6 +950,31 @@ impl DensityMatrix {
             MeasurementOutcome::from_bit(bit_a),
             MeasurementOutcome::from_bit(bit_b),
         )
+    }
+
+    /// The outcome probabilities [`DensityMatrix::measure_two_in_bases`]
+    /// would draw against with the same arguments, without measuring: the
+    /// probability step of that kernel on its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the register holds exactly two qubits and the qubits
+    /// are `0` and `1` in either order.
+    pub fn pair_probabilities_in_bases(
+        &self,
+        qubit_a: usize,
+        basis_a: BasisPhase,
+        qubit_b: usize,
+        basis_b: BasisPhase,
+    ) -> PairProbabilities {
+        assert!(qubit_a < 2 && qubit_b < 2, "qubit out of range");
+        assert_ne!(qubit_a, qubit_b, "measured qubits must be distinct");
+        let (e_a, e_b) = (basis_a.phase(), basis_b.phase());
+        match pair_ref(self) {
+            Some(rho) if qubit_a == 0 => pair_probabilities::<2, 1>(rho, e_a, e_b),
+            Some(rho) => pair_probabilities::<1, 2>(rho, e_a, e_b),
+            None => panic!("outcome tables cover two-qubit registers only"),
+        }
     }
 
     /// Measures qubits `qubit_a` then `qubit_b` in the computational basis,

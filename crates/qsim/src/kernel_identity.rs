@@ -6,9 +6,11 @@
 //! same input: the any-size strided body where one is kept for larger
 //! registers, else the replaced body itself, copied here as the reference.
 //! Each check compares outcomes, every entry of the post-state and the next
-//! draw of the RNG. The inputs are random pure and mixed states, states after
-//! the compiled `ibm_brisbane_like` channels, states an intercept measurement
-//! collapsed, and states holding `-0.0` entries.
+//! draw of the RNG. The inputs are random pure and mixed states, `Φ+`, states
+//! after the compiled `ibm_brisbane_like` channels, states an intercept
+//! measurement collapsed, and states holding `-0.0` entries. The outcome-table
+//! path of the pair measurement (probability step, then draw step) is held to
+//! the same reference outcomes and next draw.
 
 use crate::chsh::{chsh_value, correlator, MeasurementRecord};
 use crate::density::DensityMatrix;
@@ -70,13 +72,13 @@ fn signed_zero_states() -> Vec<DensityMatrix> {
         .collect()
 }
 
-/// Pairs after the compiled brisbane emission, and after 1, 7 and 50
+/// Pairs after the compiled brisbane emission, and after 1, 7, 10 and 50
 /// noisy identity gates on top.
 fn brisbane_states(rng: &mut StdRng) -> Vec<DensityMatrix> {
     use qchannel::epr::EprPair;
     use qchannel::quantum::{ChannelSpec, QuantumChannel};
     let mut states = Vec::new();
-    for eta in [0, 1, 7, 50] {
+    for eta in [0, 1, 7, 10, 50] {
         let spec = ChannelSpec::noisy_identity_chain(eta, noise::DeviceModel::ibm_brisbane_like());
         let compiled = QuantumChannel::new(spec).compile();
         let mut pair = EprPair::ideal();
@@ -102,6 +104,9 @@ fn inputs() -> Vec<DensityMatrix> {
         states.push(random_mixed(&mut rng));
     }
     states.extend(signed_zero_states());
+    states.push(DensityMatrix::from_statevector(
+        &crate::bell::BellState::PhiPlus.statevector(),
+    ));
     states.extend(brisbane_states(&mut rng));
     let mut collapsed = Vec::new();
     for state in &states {
@@ -356,6 +361,8 @@ fn measure_two_in_bases_reference<R: Rng + ?Sized>(
     (bit_a, bit_b)
 }
 
+/// Also holds the outcome-table path to the same reference: the probability
+/// step once per state and bases, then the draw step per script.
 #[test]
 fn measure_two_in_bases_matches_the_per_call_body() {
     let mut angles: Vec<f64> = MeasurementBasis::alice_all()
@@ -370,6 +377,7 @@ fn measure_two_in_bases_matches_the_per_call_body() {
         for &theta_a in &angles {
             for &theta_b in &angles {
                 for (qubit_a, qubit_b) in [(0, 1), (1, 0)] {
+                    let (basis_a, basis_b) = (BasisPhase::new(theta_a), BasisPhase::new(theta_b));
                     // Runs the reference on `script`, returning its outcome,
                     // post-state, next draw and the thresholds it compared.
                     let reference = |script: &[u64]| {
@@ -393,16 +401,21 @@ fn measure_two_in_bases_matches_the_per_call_body() {
                         let mut rng = ScriptedRng::new(script);
                         let mut state = state.clone();
                         let outcome = caught(|| {
-                            let (a, b) = state.measure_two_in_bases(
-                                qubit_a,
-                                BasisPhase::new(theta_a),
-                                qubit_b,
-                                BasisPhase::new(theta_b),
-                                &mut rng,
-                            );
+                            let (a, b) = state
+                                .measure_two_in_bases(qubit_a, basis_a, qubit_b, basis_b, &mut rng);
                             (a.to_bit(), b.to_bit())
                         });
                         (outcome, bits(&state), rng.next_u64())
+                    };
+                    let table =
+                        state.pair_probabilities_in_bases(qubit_a, basis_a, qubit_b, basis_b);
+                    let drawn = |script: &[u64]| {
+                        let mut rng = ScriptedRng::new(script);
+                        let outcome = caught(|| {
+                            let (a, b) = table.draw(&mut rng);
+                            (a.to_bit(), b.to_bit())
+                        });
+                        (outcome, rng.next_u64())
                     };
                     // Alice's draw on either side of her threshold, then
                     // Bob's on either side of his conditional one.
@@ -417,12 +430,12 @@ fn measure_two_in_bases_matches_the_per_call_body() {
                     }
                     for script in scripts {
                         let (outcome, post, next, _) = reference(&script);
-                        assert_eq!(
-                            fast(&script),
-                            (outcome, post, next),
+                        let context = format!(
                             "θ_a {theta_a}, θ_b {theta_b}, qubits ({qubit_a}, {qubit_b}), \
                              draws {script:?}"
                         );
+                        assert_eq!(drawn(&script), (outcome.clone(), next), "table: {context}");
+                        assert_eq!(fast(&script), (outcome, post, next), "{context}");
                         checked += 1;
                     }
                 }
@@ -487,4 +500,56 @@ fn one_pass_chsh_value_matches_the_per_setting_passes() {
             }
         }
     }
+}
+
+/// `(1 − ε)|+⟩⟨+| + ε|−⟩⟨−|` on one qubit, `|+⟩⟨+|` on the other: in the
+/// `θ = 0` basis the mixed qubit reads `1` with probability `ε`.
+fn nearly_plus_states(epsilon: f64) -> Vec<DensityMatrix> {
+    let plus = StateVector::from_amplitudes(CVector::new(vec![
+        Complex64::real(std::f64::consts::FRAC_1_SQRT_2),
+        Complex64::real(std::f64::consts::FRAC_1_SQRT_2),
+    ]))
+    .expect("normalised");
+    let plus = DensityMatrix::from_statevector(&plus);
+    let mut mixed = plus.clone();
+    mixed.apply_single(&crate::gates::pauli_z(), 0);
+    let mixed = &plus.matrix().scale(Complex64::real(1.0 - epsilon))
+        + &mixed.matrix().scale(Complex64::real(epsilon));
+    let mixed = DensityMatrix::from_matrix(mixed).expect("a mixture of two states");
+    vec![mixed.tensor(&plus), plus.tensor(&mixed)]
+}
+
+#[test]
+fn zero_probability_draw_panics_by_name_on_both_paths() {
+    let basis = BasisPhase::new(0.0);
+    let mut checked = 0;
+    // The nearly-|−⟩ qubit is qubit `noisy`; measured first its outcome 1
+    // is Alice's, measured second Bob's, and either way a draw of 0 picks it.
+    for (noisy, state) in nearly_plus_states(1e-13).into_iter().enumerate() {
+        for (qubit_a, qubit_b) in [(0, 1), (1, 0)] {
+            let script: &[u64] = if qubit_a == noisy {
+                &[0]
+            } else {
+                &[1 << 52, 0]
+            };
+            let expected =
+                format!("collapse onto a zero-probability outcome (qubit {noisy}, outcome 1)");
+            let mut kernel_state = state.clone();
+            let kernel = caught(|| {
+                kernel_state.measure_two_in_bases(
+                    qubit_a,
+                    basis,
+                    qubit_b,
+                    basis,
+                    &mut ScriptedRng::new(script),
+                )
+            });
+            let table = state.pair_probabilities_in_bases(qubit_a, basis, qubit_b, basis);
+            let drawn = caught(|| table.draw(&mut ScriptedRng::new(script)));
+            assert_eq!(kernel.map(|_| ()), Err(expected.clone()));
+            assert_eq!(drawn.map(|_| ()), Err(expected));
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 4);
 }
